@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify lint vet build test race bench benchjson cachejson servejson clusterjson eventsjson multistackjson dsejson dsejson-large dsejson-xl fuzz golden golden-check clean
+.PHONY: verify lint vet build test race bench-check bench benchjson cachejson servejson clusterjson eventsjson multistackjson dsejson dsejson-large dsejson-xl fuzz golden golden-check clean
 
 # verify is the default CI gate: static checks, a full build, the test
 # suite, and the race-detector pass (the parallel experiment runner
@@ -27,6 +27,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-check vets the benchmark module and runs its short tests.
+# bench/ is a Go module of its own, so `go test ./...` from the root
+# never compiles it: a signature change to a public function it calls
+# (batch.ExploreDSE, core.RunOnWithCollector, ...) would otherwise break
+# the benchmark unnoticed.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # bench runs the reproduction benchmarks at 1 and 4 logical CPUs so the
 # parallel-sweep speedup metric is visible. benchtime must exceed 1x:
@@ -103,14 +111,18 @@ dsejson-large:
 dsejson-xl:
 	$(GO) run ./cmd/pimdse -dsejson BENCH_dse.json -grid xl
 
-# fuzz runs the scenario front end's fuzz targets for a short budget:
-# arbitrary bytes must parse-and-compile cleanly or error — never
-# panic — and identical documents must always compile to identical
-# plans. The committed corpus under internal/scenario/testdata/fuzz
-# seeds both targets.
+# fuzz runs the external decoders' fuzz targets for a short budget.
+# Scenario front end: arbitrary bytes must parse-and-compile cleanly or
+# error — never panic — and identical documents must always compile to
+# identical plans. POST /v1/jobs body: never panic, and an accepted body
+# keeps its job id through a re-encode. The committed corpora under
+# internal/{scenario,serve}/testdata/fuzz seed the targets. Minimizing a
+# new input is capped at 200 runs: the job decoder is cheap enough that
+# an uncapped minimization of a long input eats the whole budget.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=20s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzCompile -fuzztime=10s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz=FuzzJobRequest -fuzztime=15s -fuzzminimizetime=200x ./internal/serve
 
 # golden regenerates the committed golden outputs the regression CI job
 # diffs against. Run it (and review the diff) whenever an intentional

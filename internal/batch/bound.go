@@ -46,88 +46,139 @@ import (
 // Anything the bound leaves out only increases simulated time, so
 // pruning on `bound > incumbent` can never discard a true winner (see
 // the equivalence test across all models in dse_test.go).
+//
+// StepTimeLowerBound is prepareBound(g, opts).eval(cfg); an exploration
+// pricing many configurations of one graph prepares once.
 func StepTimeLowerBound(g *nn.Graph, cfg hw.SystemConfig, opts core.Options) hw.Seconds {
+	return prepareBound(g, opts).eval(cfg)
+}
+
+// preparedBound is StepTimeLowerBound split at the hardware: everything
+// that depends only on the graph and the options — the pipeline shape,
+// the flop and byte totals, the topological order, each op's profile and
+// fixed-function work volume — is computed once by prepareBound, and
+// eval prices one configuration against it with the same expressions,
+// in the same order, as an unprepared bound would. eval only reads the
+// prepared value.
+type preparedBound struct {
+	g            *nn.Graph
+	steps, depth int
+	flops, bytes float64
+	// order is g's topological order, nil for a cyclic graph (RunPIM
+	// will fail on it anyway; a zero critical path is admissible).
+	order []int
+	ops   []boundOp // indexed by op ID
+
+	// Sharded runs (Stacks > 1) bound shard 0 plus the all-reduce; see
+	// prepareBound. shard is nil when the shard graph cannot be built.
+	stacks int
+	sched  core.ReduceSchedule
+	shard  *preparedBound
+}
+
+// boundOp is one op's candidate-independent share of the bound.
+type boundOp struct {
+	prof   nn.Profile
+	df, db float64 // device.FixedWork
+}
+
+// prepareBound prepares the bound of g under opts.
+//
+// Sharded runs: the merged step time is exactly (slowest shard's
+// compute step) + (all-reduce time), and the slowest shard is at least
+// as slow as shard 0, whose own single-stack bound is admissible — so
+// bound(shard 0) + allReduceTime is an admissible floor. The all-reduce
+// leg uses the same per-phase arithmetic as the simulated schedule, in
+// the same order, so it never exceeds (in fact equals) the simulated
+// value. Every failure mode degrades toward zero, which is always
+// admissible.
+func prepareBound(g *nn.Graph, opts core.Options) *preparedBound {
 	if opts.Stacks > 1 {
-		return multiStackLowerBound(g, cfg, opts)
-	}
-	steps := opts.Steps
-	if steps <= 0 {
-		steps = 4
-	}
-	depth := 1
-	if opts.OP {
-		depth = opts.PipelineDepth
-		if depth <= 0 {
-			depth = 2
+		b := &preparedBound{g: g, stacks: opts.Stacks, sched: opts.AllReduce}
+		if b.sched == "" {
+			b.sched = core.ReduceRing
 		}
+		shards, err := nn.ShardBatches(g.BatchSize, opts.Stacks)
+		if err != nil {
+			return b
+		}
+		sg, err := nn.BuildWithBatch(nn.ModelName(g.Model), shards[0])
+		if err != nil {
+			return b
+		}
+		so := opts
+		so.Stacks, so.AllReduce = 1, ""
+		b.shard = prepareBound(sg, so)
+		return b
+	}
+	b := &preparedBound{g: g, steps: opts.Steps, depth: 1, ops: make([]boundOp, len(g.Ops))}
+	if b.steps <= 0 {
+		b.steps = 4
+	}
+	if opts.OP {
+		b.depth = opts.PipelineDepth
+		if b.depth <= 0 {
+			b.depth = 2
+		}
+	}
+	for _, op := range g.Ops {
+		b.flops += op.TotalFlops()
+		b.bytes += op.Bytes
+		o := &b.ops[op.ID]
+		o.prof = nn.ProfileFor(op.Type)
+		o.df, o.db = device.FixedWork(op, &o.prof)
+	}
+	if order, err := g.TopoOrder(); err == nil {
+		b.order = order
+	}
+	return b
+}
+
+// eval returns the bound on cfg.
+func (b *preparedBound) eval(cfg hw.SystemConfig) hw.Seconds {
+	if b.stacks > 1 {
+		var ar hw.Seconds
+		if t, _, err := core.AllReduceStepTime(b.sched, b.stacks, b.g.ParamBytes, cfg.Link); err == nil {
+			ar = t
+		}
+		if b.shard == nil {
+			return ar
+		}
+		return b.shard.eval(cfg) + ar
 	}
 
 	// Relaxation 1: aggregate capacity.
-	var flops, bytes float64
-	for _, op := range g.Ops {
-		flops += op.TotalFlops()
-		bytes += op.Bytes
-	}
 	peak := 2*cfg.CPU.Peak() + cfg.ProgPIM.Peak() +
 		float64(cfg.FixedPIM.Units)*cfg.FixedPIM.FlopsPerUnitCycle*cfg.Stack.EffectiveFreq()
 	bw := 2*cfg.CPU.MemBandwidth + 2*cfg.Stack.ScaledInternalBandwidth()
-	capacity := math.Max(flops/peak, bytes/bw)
+	capacity := math.Max(b.flops/peak, b.bytes/bw)
 
 	// Relaxation 2: critical path of per-op best-case durations.
-	cp := criticalPath(g, cfg)
-	pipelined := cp * hw.Seconds(ceilDiv(steps, depth)) / hw.Seconds(steps)
+	cp := b.criticalPath(&cfg)
+	pipelined := cp * hw.Seconds(ceilDiv(b.steps, b.depth)) / hw.Seconds(b.steps)
 
 	return hw.Seconds(math.Max(capacity, float64(pipelined)))
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// multiStackLowerBound extends the bound to sharded data-parallel runs.
-// The merged step time is exactly (slowest shard's compute step) +
-// (all-reduce time), and the slowest shard is at least as slow as shard
-// 0, whose own single-stack bound is admissible — so bound(shard 0) +
-// allReduceTime is an admissible floor. The all-reduce leg uses the
-// same per-phase arithmetic as the simulated schedule, in the same
-// order, so it never exceeds (in fact equals) the simulated value.
-// Every failure mode degrades toward zero, which is always admissible.
-func multiStackLowerBound(g *nn.Graph, cfg hw.SystemConfig, opts core.Options) hw.Seconds {
-	sched := opts.AllReduce
-	if sched == "" {
-		sched = core.ReduceRing
-	}
-	var ar hw.Seconds
-	if t, _, err := core.AllReduceStepTime(sched, opts.Stacks, g.ParamBytes, cfg.Link); err == nil {
-		ar = t
-	}
-	shards, err := nn.ShardBatches(g.BatchSize, opts.Stacks)
-	if err != nil {
-		return ar
-	}
-	sg, err := nn.BuildWithBatch(nn.ModelName(g.Model), shards[0])
-	if err != nil {
-		return ar
-	}
-	so := opts
-	so.Stacks, so.AllReduce = 1, ""
-	return StepTimeLowerBound(sg, cfg, so) + ar
-}
-
 // opFloor is the fastest any modeled path can execute op, excluding
 // every overhead.
-func opFloor(op *nn.Op, cfg hw.SystemConfig) hw.Seconds {
-	best := device.CPUOp(op, cfg.CPU).Time()
-	prof := nn.ProfileFor(op.Type)
+func (b *preparedBound) opFloor(op *nn.Op, cfg *hw.SystemConfig) hw.Seconds {
+	o := &b.ops[op.ID]
+	prof := &o.prof
+	best := device.CPUOp(op, prof, cfg.CPU).Time()
 	if prof.ProgEligible && cfg.ProgPIM.Processors > 0 {
-		if t := device.ProgOp(op, cfg.ProgPIM, cfg.ProgPIM.Processors, cfg.Stack).Time(); t < best {
+		if t := device.ProgOp(op, prof, cfg.ProgPIM, cfg.ProgPIM.Processors, cfg.Stack).Time(); t < best {
 			best = t
 		}
 	}
 	if prof.FixedEligible && cfg.FixedPIM.Units > 0 {
-		df, db := device.FixedWork(op)
-		sect := device.FixedSectionTime(op, df, db, cfg.FixedPIM.Units, cfg.FixedPIM, cfg.Stack)
-		res := device.CPUResidual(op, cfg.CPU).Time()
+		sect := device.FixedSectionTime(o.df, o.db, cfg.FixedPIM.Units,
+			device.FixedUnitRate(prof, cfg.FixedPIM, cfg.Stack), device.FixedBandwidth(prof, cfg.Stack))
+		res := device.CPUResidual(op, prof, cfg.CPU).Time()
 		if cfg.ProgPIM.Processors > 0 {
-			if t := device.ProgResidual(op, cfg.ProgPIM, cfg.Stack).Time(); t < res {
+			if t := device.ProgResidual(op, prof, cfg.ProgPIM, cfg.Stack).Time(); t < res {
 				res = t
 			}
 		}
@@ -139,22 +190,18 @@ func opFloor(op *nn.Op, cfg hw.SystemConfig) hw.Seconds {
 }
 
 // criticalPath is the longest Inputs-edge chain of opFloor durations.
-func criticalPath(g *nn.Graph, cfg hw.SystemConfig) hw.Seconds {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return 0 // cyclic graph: RunPIM will fail anyway; 0 is admissible
-	}
-	dist := make([]hw.Seconds, len(g.Ops))
+func (b *preparedBound) criticalPath(cfg *hw.SystemConfig) hw.Seconds {
+	dist := make([]hw.Seconds, len(b.g.Ops))
 	var cp hw.Seconds
-	for _, id := range order {
-		op := g.Ops[id]
+	for _, id := range b.order {
+		op := b.g.Ops[id]
 		var in hw.Seconds
 		for _, dep := range op.Inputs {
 			if dist[dep] > in {
 				in = dist[dep]
 			}
 		}
-		dist[id] = in + opFloor(op, cfg)
+		dist[id] = in + b.opFloor(op, cfg)
 		if dist[id] > cp {
 			cp = dist[id]
 		}

@@ -268,8 +268,9 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 	r.Add("dse.candidates", float64(len(cands)))
 
 	ex := Exploration{Evals: make([]Explored, len(cands))}
+	lb := prepareBound(g, opts)
 	for i, c := range cands {
-		ex.Evals[i] = Explored{Candidate: c, Bound: StepTimeLowerBound(g, c.Config(), opts)}
+		ex.Evals[i] = Explored{Candidate: c, Bound: lb.eval(c.Config())}
 	}
 	// Group references for the calibrated bound: the LARGEST unit budget
 	// of each (FreqScale, ProgProcessors) group (ties to the earliest

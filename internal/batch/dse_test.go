@@ -248,3 +248,45 @@ func TestExplorePinnedCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestLowerBoundBitsPinned pins the exact bits of the analytic bound for
+// every CNN over corner candidates: no programmable processors, a
+// one-unit pool, extreme PLL multipliers, a two-stack system and the
+// unpipelined Fixed PIM option set. The bound's floating-point
+// expressions and their order are part of its contract — the DSE's
+// canonical candidate order sorts on these values.
+func TestLowerBoundBitsPinned(t *testing.T) {
+	hetero := core.HeteroOptions()
+	twoStacks := core.HeteroOptions()
+	twoStacks.Stacks = 2
+	cases := []struct {
+		c    Candidate
+		opts core.Options
+	}{
+		{Candidate{444, 1, 1}, hetero},
+		{Candidate{1, 1, 1}, hetero},
+		{Candidate{444, 2, 0}, hetero},
+		{Candidate{111, 4, 16}, hetero},
+		{Candidate{888, 0.5, 4}, twoStacks},
+		{Candidate{222, 1, 1}, core.Options{}},
+	}
+	want := map[nn.ModelName][]uint64{
+		nn.VGG19Name:       {0x4013a00a9d775f81, 0x403719bb166c2a52, 0x4009c8d5e63d6bb5, 0x40137936649e382c, 0x4003b20900ff319a, 0x4033719ff24e0323},
+		nn.AlexNetName:     {0x3fd21fa84c210968, 0x3ff5436c6ee44d1c, 0x3fc738c28dd05118, 0x3fd1fe60b0dfdb34, 0x3fc34e04b804dac5, 0x3ff1f9071326120c},
+		nn.DCGANName:       {0x3f92eb679954fd41, 0x3fb181b0a8f41c54, 0x3f854f769690c2dd, 0x3f92bb3dd5186132, 0x3f83417854f28e8e, 0x3fb2b175bbf7f3de},
+		nn.ResNet50Name:    {0x400edb6a122ab7c5, 0x4031db34147b5d40, 0x400364191f5c911e, 0x400e38c278fb31fe, 0x3ffe78beee30c75c, 0x402e14434431eba8},
+		nn.InceptionV3Name: {0x3fe5d175b322cff3, 0x400b8746cba68d4f, 0x3fe088a49212637f, 0x3fe545e7383d7a6c, 0x3fd5853f22e134b0, 0x40053b6c1f17dbc3},
+	}
+	for _, model := range nn.CNNModelNames() {
+		g, err := nn.Build(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tc := range cases {
+			got := math.Float64bits(StepTimeLowerBound(g, tc.c.Config(), tc.opts))
+			if w := want[model][i]; got != w {
+				t.Errorf("%s %v stacks=%d: bound bits %#x, want %#x", model, tc.c, tc.opts.Stacks, got, w)
+			}
+		}
+	}
+}

@@ -274,6 +274,15 @@ func (d *serialDevice) pop() workItem {
 	return w
 }
 
+// opConst is one op's timing constants for a run: its profile and the
+// two rates every fixed-pool chunk is priced with (device.FixedUnitRate
+// and device.FixedBandwidth on the run's stack).
+type opConst struct {
+	prof     nn.Profile
+	unitRate hw.FlopsPerSec
+	fixedBW  hw.BytesPerSec
+}
+
 // exec is the discrete-event executor state.
 type exec struct {
 	eng  *sim.Engine
@@ -286,6 +295,13 @@ type exec struct {
 	regs *pim.Registers
 	cpu  *serialDevice
 	prog *serialDevice
+
+	// stack is the stack spec the PIM devices run on (derated under
+	// uniform placement) and ops[id] holds op id's timing constants on
+	// it. Both are built once per run (newExec), so the per-event path
+	// neither looks a profile up nor copies a spec.
+	stack hw.StackSpec
+	ops   []opConst
 
 	// fixedBanks caches the (static) bank list reported to the Fig. 7
 	// status registers for fixed-function offloads.
@@ -358,7 +374,8 @@ func runPIM(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, error) {
 
 // newExec assembles a ready-to-seed executor: validated configuration,
 // unit placement, a pooled engine with the executor attached as its
-// typed-event handler, the candidate set and the instantiated task DAG.
+// typed-event handler, the per-op timing table, the candidate set and
+// the instantiated task DAG.
 // Everything through here is shared verbatim between a normal run
 // (runPIM), a checkpoint capture and a delta replay; only what happens
 // after — seed + drain vs. state restore + drain — differs. opts must
@@ -410,6 +427,22 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 	// The executor is the engine's typed-event dispatcher; Release's
 	// Reset detaches it along with the collector.
 	eng.SetHandler(x)
+	// Uniform placement throttles the hot central banks for the whole
+	// run: derate the stack once, then price every op on it.
+	x.stack = cfg.Stack
+	if opts.UniformPlacement {
+		if x.stack.FreqScale == 0 {
+			x.stack.FreqScale = 1
+		}
+		x.stack.FreqScale *= uniformPlacementDerate
+	}
+	x.ops = make([]opConst, len(g.Ops))
+	for _, op := range g.Ops {
+		c := &x.ops[op.ID]
+		c.prof = nn.ProfileFor(op.Type)
+		c.unitRate = device.FixedUnitRate(&c.prof, cfg.FixedPIM, x.stack)
+		c.fixedBW = device.FixedBandwidth(&c.prof, x.stack)
+	}
 	// The placement is static, so the bank list reported to the status
 	// registers is too: compute it once instead of per offloaded op.
 	for b, u := range placement.Units {
@@ -490,18 +523,6 @@ func (x *exec) drainRun() (Result, error) {
 		}
 	}
 	return x.finish(), nil
-}
-
-// effStack returns the stack spec, derated under uniform placement.
-func (x *exec) effStack() hw.StackSpec {
-	s := x.cfg.Stack
-	if x.opts.UniformPlacement {
-		if s.FreqScale == 0 {
-			s.FreqScale = 1
-		}
-		s.FreqScale *= uniformPlacementDerate
-	}
-	return s
 }
 
 // max0 clamps a count to zero.
@@ -632,16 +653,16 @@ func (x *exec) maybeDispatch(t *task) {
 
 // dispatch applies the three scheduling principles to place a task.
 func (x *exec) dispatch(t *task) {
-	prof := nn.ProfileFor(t.op.Type)
+	prof := &x.ops[t.op.ID].prof
 	isCand := x.cand[t.op.ID]
 	if x.opts.HostOnlyOps[t.op.ID] {
 		// Section VI-F policy: the non-CNN model "executes on CPU or
 		// the programmable PIM, when they are idle". Pick the idle
 		// device only when it is not grossly slower for this op.
-		cpuDur := device.CPUOp(t.op, x.cfg.CPU).Time()
+		cpuDur := device.CPUOp(t.op, prof, x.cfg.CPU).Time()
 		progDur := math.Inf(1)
 		if prof.ProgEligible && x.prog.slots > 0 {
-			progDur = device.ProgOp(t.op, x.cfg.ProgPIM, 1, x.effStack()).Time()
+			progDur = device.ProgOp(t.op, prof, x.cfg.ProgPIM, 1, x.stack).Time()
 		}
 		if x.cpu.busy >= x.cpu.slots && x.prog.busy < x.prog.slots && progDur <= 2*cpuDur {
 			x.startProg(t)
@@ -650,7 +671,7 @@ func (x *exec) dispatch(t *task) {
 		x.startCPU(t)
 		return
 	}
-	fixedOK := prof.FixedEligible && x.poolHasUnits() && t.op.DecomposableFlops() > 0
+	fixedOK := prof.FixedEligible && x.poolHasUnits() && prof.DecomposableFlops(t.op) > 0
 	// Fig. 2 / class 1: compute-intensive ops outside the candidate set
 	// "do not have to be offloaded to PIMs, but we can offload them when
 	// there are idling hardware units in PIMs" — opportunistic offload
@@ -857,14 +878,15 @@ func (x *exec) startCPU(t *task) {
 	t.path = pathCPU
 	x.cpuOps++
 	x.trace(t)
+	prof := &x.ops[t.op.ID].prof
 	var w device.Work
 	var overhead hw.Seconds
 	if x.opts.GPUHost {
-		w = device.GPUOp(t.op, x.cfg.GPU, gpuEff(x.g))
+		w = device.GPUOp(t.op, prof, x.cfg.GPU, gpuEff(x.g))
 		overhead = x.cfg.GPU.KernelLaunchOverhead
 		x.usage.GPUBytes += t.op.Bytes
 	} else {
-		w = device.CPUOp(t.op, x.cfg.CPU)
+		w = device.CPUOp(t.op, prof, x.cfg.CPU)
 		overhead = cpuDispatchOverhead
 		x.usage.HostBytes += t.op.Bytes
 	}
@@ -896,7 +918,7 @@ func (x *exec) startProg(t *task) {
 			procs = x.prog.slots
 		}
 	}
-	w := device.ProgOp(t.op, x.cfg.ProgPIM, procs, x.effStack())
+	w := device.ProgOp(t.op, &x.ops[t.op.ID].prof, x.cfg.ProgPIM, procs, x.stack)
 	opT, dmT := splitWork(w)
 	x.usage.PIMBytes += t.op.Bytes
 	launch := x.cfg.ProgPIM.KernelLaunchOverhead + x.cfg.FixedPIM.HostSyncOverhead
@@ -942,7 +964,7 @@ func (x *exec) startFixed(t *task) {
 	t.path = pathFixed
 	x.offload++
 	x.trace(t)
-	df, db := device.FixedWork(t.op)
+	df, db := device.FixedWork(t.op, &x.ops[t.op.ID].prof)
 	t.remFlops, t.remBytes = df, db
 	kernels := math.Ceil(df / fixedKernelQuantumFlops)
 	if kernels < 1 {
@@ -952,7 +974,7 @@ func (x *exec) startFixed(t *task) {
 	if x.opts.RC {
 		// In-stack synchronization rides the (PLL-scaled) logic clock,
 		// which is why Fig. 11's sync bars shrink at 2x and 4x.
-		scale := x.effStack().FreqScale
+		scale := x.stack.FreqScale
 		if scale <= 0 {
 			scale = 1
 		}
@@ -984,12 +1006,13 @@ func (x *exec) startFixed(t *task) {
 // do not monopolize a device slot; their busy time still reaches the
 // energy model.
 func (x *exec) runResidual(t *task, before bool) {
+	prof := &x.ops[t.op.ID].prof
 	var w device.Work
 	if x.opts.RC && x.prog.slots > 0 {
-		w = device.ProgResidual(t.op, x.cfg.ProgPIM, x.effStack())
+		w = device.ProgResidual(t.op, prof, x.cfg.ProgPIM, x.stack)
 		x.usage.PIMBytes += t.op.Bytes * 0.10 / 2
 	} else {
-		w = device.CPUResidual(t.op, x.cfg.CPU)
+		w = device.CPUResidual(t.op, prof, x.cfg.CPU)
 		x.usage.HostBytes += t.op.Bytes * 0.10 / 2
 	}
 	half := device.Work{Compute: w.Compute / 2, Memory: w.Memory / 2}
@@ -1045,8 +1068,8 @@ func (x *exec) popFixedPending() *task {
 
 // runSection executes one time-quantum chunk on granted units.
 func (x *exec) runSection(t *task, granted int) {
-	spec := x.cfg.FixedPIM
-	full := device.FixedSectionTime(t.op, t.remFlops, t.remBytes, granted, spec, x.effStack())
+	c := &x.ops[t.op.ID]
+	full := device.FixedSectionTime(t.remFlops, t.remBytes, granted, c.unitRate, c.fixedBW)
 	if math.IsInf(full, 1) || math.IsNaN(full) {
 		x.err = fmt.Errorf("core: op %s: non-finite section time with %d units", t.op.Name, granted)
 		return
@@ -1067,7 +1090,7 @@ func (x *exec) runSection(t *task, granted int) {
 	syncCost := t.syncPerFlop * chunkFlops
 	x.bk.Sync += syncCost
 	// Breakdown attribution follows the roofline split.
-	rate := device.FixedUnitRate(t.op, spec, x.effStack()) * float64(granted)
+	rate := c.unitRate * float64(granted)
 	compT := chunkFlops / rate
 	opT := math.Min(compT, dur)
 	x.bk.Operation += opT

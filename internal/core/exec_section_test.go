@@ -3,10 +3,8 @@ package core
 import (
 	"testing"
 
-	"heteropim/internal/hmc"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
-	"heteropim/internal/pim"
 	"heteropim/internal/sim"
 )
 
@@ -116,33 +114,19 @@ func TestSectionContentionFIFOAndOrdering(t *testing.T) {
 	}
 }
 
-// newSectionExec builds a minimal executor over a real pool for direct
-// unit tests of the request/pump path.
+// newSectionExec builds an executor over the section graph through the
+// same initialisation as a run (newExec), for direct unit tests of the
+// request/pump path. Nothing is seeded: the tests drive requestSection
+// with tasks of their own.
 func newSectionExec(t *testing.T, units int) *exec {
 	t.Helper()
 	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
 	cfg.FixedPIM = hw.PaperFixedPIM(units)
-	stack, err := hmc.New(cfg.Stack)
+	x, err := newExec(sectionGraph(), cfg, Options{Steps: 1}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	placement, err := pim.ThermalPlacement(stack, units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := sectionGraph()
-	eng := sim.New()
-	x := &exec{
-		eng:  eng,
-		cfg:  cfg,
-		g:    g,
-		opts: Options{Steps: 1}.withDefaults(),
-		pool: pim.NewPool(cfg.FixedPIM, placement),
-		regs: pim.NewRegisters(cfg.Stack.Banks, cfg.ProgPIM.Processors),
-		cpu:  &serialDevice{idx: devCPU, slots: 2, sjf: true, name: "cpu", queueMetric: "queue.cpu"},
-		prog: &serialDevice{idx: devProg, slots: cfg.ProgPIM.Processors, name: "prog", queueMetric: "queue.prog"},
-	}
-	eng.SetHandler(x)
+	t.Cleanup(x.teardown)
 	return x
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -430,7 +433,8 @@ func TestStepTimeWithinAnalyticBounds(t *testing.T) {
 		poolRate := float64(cfg.FixedPIM.Units) * cfg.FixedPIM.FlopsPerUnitCycle * cfg.Stack.EffectiveFreq()
 		var decomposable float64
 		for _, op := range g.Ops {
-			decomposable += op.DecomposableFlops()
+			p := nn.ProfileFor(op.Type)
+			decomposable += p.DecomposableFlops(op)
 		}
 		lower := decomposable / poolRate
 		if het.StepTime < lower {
@@ -494,6 +498,82 @@ func TestNonCNNModelsRunOnAllConfigs(t *testing.T) {
 			if r.StepTime <= 0 {
 				t.Fatalf("%s on %v: degenerate step", m, kind)
 			}
+		}
+	}
+}
+
+// TestRunPIMResultDigestsPinned pins the SHA-256 of the JSON-encoded
+// Result of a plain Hetero PIM run and of executor paths that neither
+// the golden files nor the benchmark digests run: the uniform-placement
+// derate, the GPU host, the Progr and Fixed PIM option sets, host-only
+// ops, RC/OP off, extreme PLL multipliers and a one-unit pool. Any
+// change to the per-event timing arithmetic — its inputs, its
+// expressions or their order — moves a digest here even when every
+// golden still matches.
+func TestRunPIMResultDigestsPinned(t *testing.T) {
+	hetero := func(freq float64) hw.SystemConfig { return hw.PaperConfigScaled(hw.ConfigHeteroPIM, freq) }
+	heteroOpts := func(edit func(*Options)) Options {
+		o := HeteroOptions()
+		edit(&o)
+		return o
+	}
+	oneUnit := hetero(1)
+	oneUnit.FixedPIM = hw.PaperFixedPIM(1)
+	alex := nn.AlexNet()
+	everyOther := map[int]bool{}
+	for _, op := range alex.Ops {
+		if op.ID%2 == 1 {
+			everyOther[op.ID] = true
+		}
+	}
+	cases := []struct {
+		name string
+		g    *nn.Graph
+		cfg  hw.SystemConfig
+		opts Options
+		want string
+	}{
+		{"hetero", alex, hetero(1), HeteroOptions(),
+			"c95fb74f15f6d9873cb6df80107525d8ecf9db3868fccc9773c83d45df89fdfb"},
+		{"uniform-placement", alex, hetero(1), heteroOpts(func(o *Options) { o.UniformPlacement = true }),
+			"b64d5e6b70338c937ed27faa303b3686e9a6a23bba7f4127f6b3c7e533b10049"},
+		{"uniform-placement-freq2", nn.DCGAN(), hetero(2), heteroOpts(func(o *Options) { o.UniformPlacement = true }),
+			"54af2dab401092e3733aabaf3bcef74b4b18d81435b0edf4049ed378680afdff"},
+		{"gpu-host", alex, hw.GPUHostHeteroConfig(1), heteroOpts(func(o *Options) { o.GPUHost = true }),
+			"5f90f408374d0f5df0c78c761a5710a248046209b58cc998f05e3b44bdc7379d"},
+		{"progr-pim", alex, hw.PaperConfig(hw.ConfigProgrPIM), Options{NoCPUFallback: true, WideProgOps: true},
+			"8eeb17151f0ed21427fc64b4f9a1c951302efb6c041e61471a1077749e2f420b"},
+		{"fixed-pim", alex, hw.PaperConfig(hw.ConfigFixedPIM), Options{},
+			"3e2cee3a4495b0b8adb2d4e4004f438ea654410adc65bd93e4c515d7901a8ac4"},
+		{"host-only-ops", alex, hetero(1), heteroOpts(func(o *Options) { o.HostOnlyOps = everyOther }),
+			"45766ca61ff68dbd824d6a836bc0353f799b46a0401a52039cfed636549244b5"},
+		{"host-only-ops-uniform", alex, hetero(1),
+			heteroOpts(func(o *Options) { o.HostOnlyOps, o.UniformPlacement = everyOther, true }),
+			"6ba7b1953a2bf5569af37c9b2631c28ede7ad068af008d6eb41c654a50b1034d"},
+		{"rc-op-off", alex, hetero(1), heteroOpts(func(o *Options) { o.RC, o.OP = false, false }),
+			"12a2ae204153c074f1819db2c47aeec1b68a7916135d09ea11719239acdc9302"},
+		{"freq-0.5", alex, hetero(0.5), HeteroOptions(),
+			"a296054d2e548447a33f37c3b896c6d3fc5ae86686aea6246df9911a2cffbbbb"},
+		{"freq-4", alex, hetero(4), HeteroOptions(),
+			"04b571c1c3ae7801360a4f657b8635f824b6fc841703835aa531042d7c9da93d"},
+		{"one-unit", alex, oneUnit, HeteroOptions(),
+			"f2e49dc3d0eb7728844791be750ee92635d3add307ae8b79049b85b068693590"},
+		{"toy-uniform-no-rc", smallGraph(), hetero(1),
+			heteroOpts(func(o *Options) { o.RC, o.UniformPlacement = false, true }),
+			"281a41238b431eef189d4260fdee47b0924df122023ab862822c640f3baa6143"},
+	}
+	for _, c := range cases {
+		r, err := RunPIM(c.g, c.cfg, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s: result digest %s, want %s", c.name, got, c.want)
 		}
 	}
 }

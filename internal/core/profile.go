@@ -42,7 +42,8 @@ func ProfileStep(g *nn.Graph, cpu hw.CPUSpec) StepProfile {
 	const cacheLine = 64
 	prof := StepProfile{Entries: make([]ProfileEntry, 0, len(g.Ops))}
 	for _, op := range g.Ops {
-		w := device.CPUOp(op, cpu)
+		p := nn.ProfileFor(op.Type)
+		w := device.CPUOp(op, &p, cpu)
 		e := ProfileEntry{OpID: op.ID, Time: w.Time(), MemAccesses: op.Bytes / cacheLine}
 		prof.Entries = append(prof.Entries, e)
 		prof.TotalTime += e.Time

@@ -57,7 +57,8 @@ func runCPUSerial(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
 	res := Result{Config: cfg, Model: g.Model, Steps: 1}
 	var clock hw.Seconds
 	for _, op := range g.Ops {
-		w := device.CPUOp(op, cfg.CPU)
+		p := nn.ProfileFor(op.Type)
+		w := device.CPUOp(op, &p, cfg.CPU)
 		opT, dmT := splitWork(w)
 		res.Breakdown.Operation += opT
 		res.Breakdown.DataMovement += dmT
@@ -109,7 +110,8 @@ func runGPUSerial(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
 	res := Result{Config: cfg, Model: g.Model, Steps: 1}
 	var clock hw.Seconds
 	for _, op := range g.Ops {
-		w := device.GPUOp(op, cfg.GPU, gpuEff(g))
+		p := nn.ProfileFor(op.Type)
+		w := device.GPUOp(op, &p, cfg.GPU, gpuEff(g))
 		res.Breakdown.Operation += w.Time()
 		res.Breakdown.Sync += cfg.GPU.KernelLaunchOverhead
 		res.Usage.GPUBusy += w.Time()

@@ -8,6 +8,10 @@
 // limited} pair; the executors in internal/core combine these with
 // launch/synchronization overheads and, for the PIM pool, with dynamic
 // unit grants inside the discrete-event simulator.
+//
+// The per-op models take the op's nn.Profile already looked up (p must
+// be nn.ProfileFor(op.Type)): the simulator and the DSE bound price the
+// same op many times per run, so they look each profile up once.
 package device
 
 import (
@@ -46,8 +50,7 @@ func safeDiv(num, den float64) float64 {
 }
 
 // CPUOp models a whole operation on the host CPU.
-func CPUOp(op *nn.Op, cpu hw.CPUSpec) Work {
-	p := nn.ProfileFor(op.Type)
+func CPUOp(op *nn.Op, p *nn.Profile, cpu hw.CPUSpec) Work {
 	return Work{
 		Compute: safeDiv(op.TotalFlops(), cpu.Peak()*p.CPUComputeEff),
 		Memory:  safeDiv(op.Bytes, cpu.MemBandwidth*p.CPUBwEff),
@@ -56,10 +59,9 @@ func CPUOp(op *nn.Op, cpu hw.CPUSpec) Work {
 
 // CPUResidual models only the non-decomposable phases of an op on the
 // CPU (the Fixed-PIM-only baseline runs these phases host-side).
-func CPUResidual(op *nn.Op, cpu hw.CPUSpec) Work {
-	p := nn.ProfileFor(op.Type)
+func CPUResidual(op *nn.Op, p *nn.Profile, cpu hw.CPUSpec) Work {
 	return Work{
-		Compute: safeDiv(op.ResidualFlops(), cpu.Peak()*p.CPUComputeEff),
+		Compute: safeDiv(p.ResidualFlops(op), cpu.Peak()*p.CPUComputeEff),
 		Memory:  safeDiv(op.Bytes*residualByteFrac, cpu.MemBandwidth*p.CPUBwEff),
 	}
 }
@@ -67,8 +69,7 @@ func CPUResidual(op *nn.Op, cpu hw.CPUSpec) Work {
 // GPUOp models a whole operation on the GPU. util is the model's average
 // GPU utilization from Section V-D; the launch overhead is charged by
 // the executor, and host<->device transfers are charged per step.
-func GPUOp(op *nn.Op, gpu hw.GPUSpec, util float64) Work {
-	p := nn.ProfileFor(op.Type)
+func GPUOp(op *nn.Op, p *nn.Profile, gpu hw.GPUSpec, util float64) Work {
 	if util <= 0 {
 		util = 1
 	}
@@ -103,8 +104,7 @@ const decomposableByteFrac = 1 - residualByteFrac
 
 // ProgOp models a whole operation on `processors` programmable-PIM
 // processors (bounded by the op's intrinsic parallelism).
-func ProgOp(op *nn.Op, spec hw.ProgPIMSpec, processors int, stack hw.StackSpec) Work {
-	p := nn.ProfileFor(op.Type)
+func ProgOp(op *nn.Op, p *nn.Profile, spec hw.ProgPIMSpec, processors int, stack hw.StackSpec) Work {
 	usable := nn.ProgParallelismFor(op.Type)
 	if processors < usable {
 		usable = processors
@@ -123,12 +123,11 @@ func ProgOp(op *nn.Op, spec hw.ProgPIMSpec, processors int, stack hw.StackSpec) 
 // programmable-PIM processor (the recursive-kernel host side, Fig. 6).
 // Residual phases are simple streaming loops, so they run at a higher
 // sustained efficiency than whole complex ops.
-func ProgResidual(op *nn.Op, spec hw.ProgPIMSpec, stack hw.StackSpec) Work {
+func ProgResidual(op *nn.Op, p *nn.Profile, spec hw.ProgPIMSpec, stack hw.StackSpec) Work {
 	perProc := float64(spec.CoresPerProcessor) * spec.Freq * spec.FlopsPerCycle
 	const residualEff = 0.5
-	p := nn.ProfileFor(op.Type)
 	return Work{
-		Compute: safeDiv(op.ResidualFlops(), perProc*residualEff),
+		Compute: safeDiv(p.ResidualFlops(op), perProc*residualEff),
 		Memory:  safeDiv(op.Bytes*residualByteFrac, stack.ScaledInternalBandwidth()*p.ProgBwEff),
 	}
 }
@@ -136,12 +135,17 @@ func ProgResidual(op *nn.Op, spec hw.ProgPIMSpec, stack hw.StackSpec) Work {
 // FixedUnitRate is the per-unit FLOP rate of the fixed-function pool at
 // the (possibly frequency-scaled) stack clock, after the op's sustained
 // efficiency.
-func FixedUnitRate(op *nn.Op, spec hw.FixedPIMSpec, stack hw.StackSpec) hw.FlopsPerSec {
-	p := nn.ProfileFor(op.Type)
+func FixedUnitRate(p *nn.Profile, spec hw.FixedPIMSpec, stack hw.StackSpec) hw.FlopsPerSec {
 	if !p.FixedEligible {
 		return 0
 	}
 	return spec.FlopsPerUnitCycle * stack.EffectiveFreq() * p.FixedComputeEff
+}
+
+// FixedBandwidth is the stack's internal bandwidth as the op's
+// fixed-function stream sustains it.
+func FixedBandwidth(p *nn.Profile, stack hw.StackSpec) hw.BytesPerSec {
+	return stack.ScaledInternalBandwidth() * p.FixedBwEff
 }
 
 // fixedStreamReuse estimates how many FLOPs the fixed-function units
@@ -166,8 +170,8 @@ func fixedStreamReuse(op *nn.Op) float64 {
 // streaming traffic (4 bytes per FLOP divided by the tap reuse) — at
 // high PLL multipliers the latter is what saturates the stack's
 // internal bandwidth (Fig. 11).
-func FixedWork(op *nn.Op) (flops, bytes float64) {
-	flops = op.DecomposableFlops()
+func FixedWork(op *nn.Op, p *nn.Profile) (flops, bytes float64) {
+	flops = p.DecomposableFlops(op)
 	bytes = op.Bytes * decomposableByteFrac
 	if stream := flops * 4 / fixedStreamReuse(op); stream > bytes {
 		bytes = stream
@@ -176,16 +180,17 @@ func FixedWork(op *nn.Op) (flops, bytes float64) {
 }
 
 // FixedSectionTime is the duration of executing `flops` of decomposable
-// work (with its share of `bytes`) on `units` granted units.
-func FixedSectionTime(op *nn.Op, flops, bytes float64, units int, spec hw.FixedPIMSpec, stack hw.StackSpec) hw.Seconds {
+// work (with its share of `bytes`) on `units` granted units, given the
+// op's FixedUnitRate and FixedBandwidth. Both depend only on the op's
+// profile and the hardware, so a caller pricing many sections of the
+// same op computes them once.
+func FixedSectionTime(flops, bytes float64, units int, unitRate hw.FlopsPerSec, bw hw.BytesPerSec) hw.Seconds {
 	if units <= 0 {
 		return math.Inf(1)
 	}
-	p := nn.ProfileFor(op.Type)
-	rate := FixedUnitRate(op, spec, stack) * float64(units)
 	w := Work{
-		Compute: safeDiv(flops, rate),
-		Memory:  safeDiv(bytes, stack.ScaledInternalBandwidth()*p.FixedBwEff),
+		Compute: safeDiv(flops, unitRate*float64(units)),
+		Memory:  safeDiv(bytes, bw),
 	}
 	return w.Time()
 }

@@ -35,7 +35,7 @@ func TestCPUOpMatchesHandRoofline(t *testing.T) {
 	op := convOp()
 	cpu := hw.PaperCPU()
 	p := nn.ProfileFor(op.Type)
-	w := CPUOp(op, cpu)
+	w := CPUOp(op, &p, cpu)
 	wantC := op.TotalFlops() / (cpu.Peak() * p.CPUComputeEff)
 	wantM := op.Bytes / (cpu.MemBandwidth * p.CPUBwEff)
 	if math.Abs(w.Compute-wantC) > 1e-12*wantC || math.Abs(w.Memory-wantM) > 1e-12*wantM {
@@ -45,8 +45,9 @@ func TestCPUOpMatchesHandRoofline(t *testing.T) {
 
 func TestGPUFasterThanCPUOnConv(t *testing.T) {
 	op := convOp()
-	cpu := CPUOp(op, hw.PaperCPU()).Time()
-	gpu := GPUOp(op, hw.PaperGPU(), 0.63).Time()
+	p := nn.ProfileFor(op.Type)
+	cpu := CPUOp(op, &p, hw.PaperCPU()).Time()
+	gpu := GPUOp(op, &p, hw.PaperGPU(), 0.63).Time()
 	if gpu >= cpu {
 		t.Fatalf("GPU (%g) should beat CPU (%g) on conv backprop", gpu, cpu)
 	}
@@ -54,13 +55,14 @@ func TestGPUFasterThanCPUOnConv(t *testing.T) {
 
 func TestGPUUtilizationScalesCompute(t *testing.T) {
 	op := convOp()
-	lo := GPUOp(op, hw.PaperGPU(), 0.30)
-	hi := GPUOp(op, hw.PaperGPU(), 0.60)
+	p := nn.ProfileFor(op.Type)
+	lo := GPUOp(op, &p, hw.PaperGPU(), 0.30)
+	hi := GPUOp(op, &p, hw.PaperGPU(), 0.60)
 	if r := lo.Compute / hi.Compute; math.Abs(r-2) > 1e-9 {
 		t.Fatalf("utilization scaling ratio = %g, want 2", r)
 	}
 	// Zero utilization falls back to 1 rather than dividing by zero.
-	z := GPUOp(op, hw.PaperGPU(), 0)
+	z := GPUOp(op, &p, hw.PaperGPU(), 0)
 	if math.IsInf(z.Compute, 1) || z.Compute <= 0 {
 		t.Fatal("zero utilization must not produce Inf/0")
 	}
@@ -79,40 +81,42 @@ func TestGPUStepTransfer(t *testing.T) {
 }
 
 func TestFixedUnitRate(t *testing.T) {
-	op := convOp()
+	p := nn.ProfileFor(convOp().Type)
 	spec := hw.PaperFixedPIM(444)
-	r1 := FixedUnitRate(op, spec, hw.PaperStack(1))
-	r4 := FixedUnitRate(op, spec, hw.PaperStack(4))
+	r1 := FixedUnitRate(&p, spec, hw.PaperStack(1))
+	r4 := FixedUnitRate(&p, spec, hw.PaperStack(4))
 	if r1 <= 0 {
 		t.Fatal("conv must be fixed-eligible")
 	}
 	if math.Abs(r4/r1-4) > 1e-9 {
 		t.Fatalf("frequency scaling ratio = %g, want 4", r4/r1)
 	}
-	if FixedUnitRate(reluOp(), spec, hw.PaperStack(1)) != 0 {
+	relu := nn.ProfileFor(reluOp().Type)
+	if FixedUnitRate(&relu, spec, hw.PaperStack(1)) != 0 {
 		t.Fatal("Relu must not be fixed-eligible")
 	}
 }
 
 func TestFixedSectionTimeScalesWithUnits(t *testing.T) {
 	op := convOp()
-	spec := hw.PaperFixedPIM(444)
+	p := nn.ProfileFor(op.Type)
 	stack := hw.PaperStack(1)
-	flops, bytes := FixedWork(op)
+	rate := FixedUnitRate(&p, hw.PaperFixedPIM(444), stack)
+	bw := FixedBandwidth(&p, stack)
+	flops, bytes := FixedWork(op, &p)
 	if flops <= 0 || bytes <= 0 || flops > op.TotalFlops() {
 		t.Fatalf("fixed work = (%g,%g)", flops, bytes)
 	}
-	t100 := FixedSectionTime(op, flops, 0, 100, spec, stack)
-	t400 := FixedSectionTime(op, flops, 0, 400, spec, stack)
+	t100 := FixedSectionTime(flops, 0, 100, rate, bw)
+	t400 := FixedSectionTime(flops, 0, 400, rate, bw)
 	if r := t100 / t400; math.Abs(r-4) > 1e-9 {
 		t.Fatalf("unit scaling ratio = %g, want 4", r)
 	}
-	if !math.IsInf(FixedSectionTime(op, flops, bytes, 0, spec, stack), 1) {
+	if !math.IsInf(FixedSectionTime(flops, bytes, 0, rate, bw), 1) {
 		t.Fatal("zero units must be infinitely slow")
 	}
 	// With enough units the section becomes bandwidth bound.
-	tBig := FixedSectionTime(op, flops, bytes, 100000, spec, stack)
-	p := nn.ProfileFor(op.Type)
+	tBig := FixedSectionTime(flops, bytes, 100000, rate, bw)
 	wantMem := bytes / (stack.ScaledInternalBandwidth() * p.FixedBwEff)
 	if math.Abs(tBig-wantMem) > 1e-9*wantMem {
 		t.Fatalf("bandwidth floor = %g, want %g", tBig, wantMem)
@@ -121,18 +125,19 @@ func TestFixedSectionTimeScalesWithUnits(t *testing.T) {
 
 func TestProgOpParallelismCaps(t *testing.T) {
 	op := convOp() // conv family: prog parallelism 16
+	p := nn.ProfileFor(op.Type)
 	spec := hw.PaperProgPIM(64)
 	stack := hw.PaperStack(1)
-	w16 := ProgOp(op, spec, 16, stack)
-	w64 := ProgOp(op, spec, 64, stack)
+	w16 := ProgOp(op, &p, spec, 16, stack)
+	w64 := ProgOp(op, &p, spec, 64, stack)
 	if w16.Compute != w64.Compute {
 		t.Fatal("beyond the parallelism cap extra processors must not help")
 	}
-	w1 := ProgOp(op, spec, 1, stack)
+	w1 := ProgOp(op, &p, spec, 1, stack)
 	if r := w1.Compute / w16.Compute; math.Abs(r-16) > 1e-9 {
 		t.Fatalf("prog scaling = %g, want 16", r)
 	}
-	wz := ProgOp(op, spec, 0, stack)
+	wz := ProgOp(op, &p, spec, 0, stack)
 	if math.IsInf(wz.Compute, 1) {
 		t.Fatal("zero processors must clamp to 1, not Inf")
 	}
@@ -140,10 +145,11 @@ func TestProgOpParallelismCaps(t *testing.T) {
 
 func TestProgResidualSmallerThanWholeOp(t *testing.T) {
 	op := convOp()
+	p := nn.ProfileFor(op.Type)
 	spec := hw.PaperProgPIM(1)
 	stack := hw.PaperStack(1)
-	whole := ProgOp(op, spec, 1, stack).Time()
-	resid := ProgResidual(op, spec, stack).Time()
+	whole := ProgOp(op, &p, spec, 1, stack).Time()
+	resid := ProgResidual(op, &p, spec, stack).Time()
 	if resid >= whole {
 		t.Fatalf("residual (%g) must be cheaper than the whole op (%g)", resid, whole)
 	}
@@ -151,7 +157,8 @@ func TestProgResidualSmallerThanWholeOp(t *testing.T) {
 
 func TestResidualPlusDecomposableCoversAllFlops(t *testing.T) {
 	op := convOp()
-	if d := math.Abs(op.DecomposableFlops() + op.ResidualFlops() - op.TotalFlops()); d > 1e-3 {
+	p := nn.ProfileFor(op.Type)
+	if d := math.Abs(p.DecomposableFlops(op) + p.ResidualFlops(op) - op.TotalFlops()); d > 1e-3 {
 		t.Fatalf("flop split leaks %g", d)
 	}
 }
@@ -160,8 +167,10 @@ func TestNeurocubeSlowerThanFixedPoolOnConv(t *testing.T) {
 	op := convOp()
 	ncube := DefaultNeurocube()
 	w := NeurocubeOp(op, ncube)
-	flops, bytes := FixedWork(op)
-	fixed := FixedSectionTime(op, flops, bytes, 436, hw.PaperFixedPIM(436), hw.PaperStack(1))
+	p := nn.ProfileFor(op.Type)
+	stack := hw.PaperStack(1)
+	flops, bytes := FixedWork(op, &p)
+	fixed := FixedSectionTime(flops, bytes, 436, FixedUnitRate(&p, hw.PaperFixedPIM(436), stack), FixedBandwidth(&p, stack))
 	if w.Time() <= fixed {
 		t.Fatalf("Neurocube (%g) should lose to the full fixed pool (%g) on conv", w.Time(), fixed)
 	}

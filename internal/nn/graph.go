@@ -42,20 +42,6 @@ type Op struct {
 // TotalFlops returns all arithmetic of the op.
 func (o *Op) TotalFlops() float64 { return o.Muls + o.Adds + o.OtherFlops }
 
-// DecomposableFlops is the portion offloadable to fixed-function PIMs:
-// the multiply/add work scaled by the type's decomposable fraction.
-// OtherFlops never decomposes — it is the Fig. 6 "computation phases"
-// that need a programmable core.
-func (o *Op) DecomposableFlops() float64 {
-	return (o.Muls + o.Adds) * ProfileFor(o.Type).DecomposableFrac
-}
-
-// ResidualFlops is the arithmetic that must run on a programmable
-// device (CPU or programmable PIM) even when the op is offloaded.
-func (o *Op) ResidualFlops() float64 {
-	return o.TotalFlops() - o.DecomposableFlops()
-}
-
 // Graph is one training step of a model: a DAG of operations.
 type Graph struct {
 	Model string

@@ -297,7 +297,8 @@ func TestSummarizeByType(t *testing.T) {
 func TestDecomposableFlopsQuick(t *testing.T) {
 	f := func(muls, adds, other uint32) bool {
 		op := &Op{Type: OpConv2D, Muls: float64(muls), Adds: float64(adds), OtherFlops: float64(other)}
-		d := op.DecomposableFlops()
+		p := ProfileFor(op.Type)
+		d := p.DecomposableFlops(op)
 		return d >= 0 && d <= op.TotalFlops()+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -95,6 +95,22 @@ type Profile struct {
 	FixedBwEff      float64
 }
 
+// DecomposableFlops is the portion of o offloadable to fixed-function
+// PIMs: the multiply/add work scaled by the type's decomposable
+// fraction (p must be ProfileFor(o.Type)). OtherFlops never decomposes
+// — it is the Fig. 6 "computation phases" that need a programmable
+// core.
+func (p *Profile) DecomposableFlops(o *Op) float64 {
+	return (o.Muls + o.Adds) * p.DecomposableFrac
+}
+
+// ResidualFlops is the arithmetic of o that must run on a programmable
+// device (CPU or programmable PIM) even when the op is offloaded (p
+// must be ProfileFor(o.Type)).
+func (p *Profile) ResidualFlops(o *Op) float64 {
+	return o.TotalFlops() - p.DecomposableFlops(o)
+}
+
 // profiles is the per-type behaviour table. The numbers are calibration
 // constants chosen so the CPU model reproduces Table I's ranking
 // structure and the cross-device factors land in the paper's headline

@@ -147,15 +147,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // Retry-After; a draining server is 503.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.reg.Add("serve.requests", 1)
-	var req JobRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reg.Add("serve.bad_requests", 1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad job body: %w", err))
-		return
-	}
-	c, err := normalize(req)
+	_, c, err := decodeJobRequest(w, r.Body)
 	if err != nil {
 		s.reg.Add("serve.bad_requests", 1)
 		writeError(w, http.StatusBadRequest, err)
@@ -170,6 +162,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, code, st)
+}
+
+// decodeJobRequest reads one POST /v1/jobs body — at most 1 MiB, no
+// unknown fields — and validates it into its cell. It is the job
+// request's only decoder: the submit handler and FuzzJobRequest both
+// go through it.
+func decodeJobRequest(w http.ResponseWriter, body io.ReadCloser) (JobRequest, cell, error) {
+	var req JobRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return JobRequest{}, cell{}, fmt.Errorf("serve: bad job body: %w", err)
+	}
+	c, err := normalize(req)
+	return req, c, err
 }
 
 // admit dedups or enqueues one validated cell — the shared admission

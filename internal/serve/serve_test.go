@@ -248,22 +248,41 @@ func TestVariantJob(t *testing.T) {
 // endpoints, including readyz flipping to 503 on drain.
 func TestMetricsHealthReady(t *testing.T) {
 	s, ts := start(t, Options{Workers: 1})
-	post(t, ts.URL, `{"config":"cpu","model":"AlexNet"}`)
-
-	resp, data := get(t, ts.URL+"/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics = %s", resp.Status)
+	_, data := post(t, ts.URL, `{"config":"cpu","model":"AlexNet"}`)
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{
+	if resp, got := get(t, ts.URL+"/v1/jobs/"+st.ID+"/result?wait=60s"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("result = %s: %s", resp.Status, got)
+	}
+
+	// Runner pool gauges, refreshed at scrape time; once the job is done
+	// the server is idle, so both must read 0. The pool lowers its busy
+	// gauge only after the job function returns, a moment after the
+	// result is published, so poll for it under a deadline.
+	idle := []string{"heteropim_runner_workers_busy 0", "heteropim_runner_queue_depth 0"}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var resp *http.Response
+		resp, data = get(t, ts.URL+"/metrics")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("metrics = %s", resp.Status)
+		}
+		if strings.Contains(string(data), idle[0]) && strings.Contains(string(data), idle[1]) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("runner gauges never read idle:\n%s", data)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, want := range append([]string{
 		"heteropim_serve_requests 1",
 		"# TYPE heteropim_serve_queue_depth gauge",
 		"heteropim_http_seconds_post_jobs_count",
 		"heteropim_simcache_hits",
-		// Runner pool gauges, refreshed at scrape time; the server is
-		// idle between requests so both must read 0.
-		"heteropim_runner_workers_busy 0",
-		"heteropim_runner_queue_depth 0",
-	} {
+	}, idle...) {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("metrics scrape missing %q:\n%s", want, data)
 		}
