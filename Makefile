@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify lint vet build test race bench-check bench benchjson cachejson servejson clusterjson eventsjson multistackjson dsejson dsejson-large dsejson-xl fuzz golden golden-check clean
+.PHONY: verify lint vet build test race bench-check bench servejson clusterjson fuzz golden golden-check clean
 
 # verify is the default CI gate: static checks, a full build, the test
 # suite, and the race-detector pass (the parallel experiment runner
@@ -43,18 +43,6 @@ bench-check:
 bench:
 	$(GO) test -bench=. -benchtime=3x -cpu=1,4 -run='^$$' .
 
-# benchjson regenerates BENCH_parallel.json (sequential vs parallel
-# wall clock per experiment).
-benchjson:
-	$(GO) run ./cmd/pimbench -benchjson BENCH_parallel.json
-
-# cachejson regenerates BENCH_cache.json (cold vs warm simulation-cache
-# wall clock, Figs. 8-10 + the pimtrain -config all workload). The tool
-# exits non-zero if any warm table differs from its cold run or the
-# aggregate warm speedup is below the -cachemin floor.
-cachejson:
-	$(GO) run ./cmd/pimbench -cachejson BENCH_cache.json
-
 # servejson regenerates BENCH_serve.json: the pimserve selfcheck
 # replays the committed open-loop Poisson scenario (64 requests over 8
 # cells) against an in-process server and fails on any error,
@@ -71,51 +59,13 @@ servejson:
 clusterjson:
 	$(GO) run ./cmd/pimserve -clustercheck -coalesce 2ms -benchout BENCH_cluster.json
 
-# eventsjson regenerates BENCH_events.json (closure vs typed event
-# engine microbenchmark). The tool exits non-zero if the typed path
-# allocates per event or its events/sec gain is below the 1.3x floor.
-eventsjson:
-	$(GO) run ./cmd/pimbench -eventsjson BENCH_events.json
-
-# multistackjson regenerates BENCH_multistack.json (one engine vs 8
-# per-stack shard engines over the same event volume, plus the M=1
-# identity and M=2 worker-count determinism checks of the full
-# pipeline). On hosts with >= 8 cores the tool exits non-zero below a
-# 3x aggregate speedup; the identity/determinism gates apply everywhere.
-multistackjson:
-	$(GO) run ./cmd/pimbench -multistackjson BENCH_multistack.json
-
-# dsejson is the quick optimized-vs-exhaustive DSE comparison on the
-# 24-candidate paper grid. The tool exits non-zero if any winner
-# diverges, under 30% of candidates are pruned, or the aggregate
-# wall-clock speedup is below 1.5x.
-dsejson:
-	$(GO) run ./cmd/pimdse -dsejson BENCH_dse.json -grid paper
-
-# dsejson-large regenerates the committed BENCH_dse.json on the
-# 432-point interactive-DSE grid (surrogate ordering + delta replays +
-# branch-and-bound vs plain exhaustive search). Gates: byte-identical
-# winners for every model, >= 60% of candidates pruned, and >= 10x
-# aggregate wall-clock speedup. Takes a couple of minutes — the
-# exhaustive legs simulate all 2000+ (model, candidate) cells.
-dsejson-large:
-	$(GO) run ./cmd/pimdse -dsejson BENCH_dse.json -grid large
-
-# dsejson-xl regenerates the committed BENCH_dse.json on the
-# 2232-candidate xl grid (calibrated admissible bounds + deep delta
-# checkpoints + confidence ordering vs the large-grid optimization
-# level). Gates: >= 2000 candidates, >= 80% pruned, >= 2x aggregate
-# speedup over the {prune, surrogate, delta} baseline, sub-second
-# median per model per 100 candidates, and winners byte-identical to
-# an exhaustive re-run over the winner-containing verification subset.
-dsejson-xl:
-	$(GO) run ./cmd/pimdse -dsejson BENCH_dse.json -grid xl
-
 # fuzz runs the external decoders' fuzz targets for a short budget.
 # Scenario front end: arbitrary bytes must parse-and-compile cleanly or
 # error — never panic — and identical documents must always compile to
 # identical plans. POST /v1/jobs body: never panic, and an accepted body
-# keeps its job id through a re-encode. The committed corpora under
+# keeps its job id through a re-encode. Disk-cache entry: never panic,
+# a miss unless schema and fingerprint match, and a hit returns exactly
+# the stored result. The committed corpora under
 # internal/{scenario,serve}/testdata/fuzz seed the targets. Minimizing a
 # new input is capped at 200 runs: the job decoder is cheap enough that
 # an uncapped minimization of a long input eats the whole budget.
@@ -123,6 +73,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=20s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzCompile -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzJobRequest -fuzztime=15s -fuzzminimizetime=200x ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzDiskEntry -fuzztime=10s -fuzzminimizetime=200x ./internal/core
 
 # golden regenerates the committed golden outputs the regression CI job
 # diffs against. Run it (and review the diff) whenever an intentional

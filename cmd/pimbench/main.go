@@ -6,8 +6,10 @@
 //
 //	pimbench              # everything
 //	pimbench -only F8,F9  # just those artifacts
-//	pimbench -benchjson BENCH_parallel.json  # sequential-vs-parallel timing
 //	pimbench -list
+//
+// Speed is measured by the repository's benchmark (bash bench/run.sh),
+// as medians over repeated runs.
 package main
 
 import (
@@ -26,12 +28,6 @@ func main() {
 	ext := flag.Bool("ext", false, "include the extension studies (E1, E2, E3)")
 	asCSV := flag.Bool("csv", false, "emit tables as CSV instead of text")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	benchJSON := flag.String("benchjson", "", "time every experiment sequentially and in parallel, write the comparison to this JSON file")
-	cacheJSON := flag.String("cachejson", "", "time cache-heavy experiments cold and warm, write the comparison to this JSON file (fails if warm output differs or speedup is below -cachemin)")
-	cacheMin := flag.Float64("cachemin", 1.5, "minimum aggregate warm-cache speedup accepted by -cachejson")
-	eventsJSON := flag.String("eventsjson", "", "benchmark the closure vs typed event engine paths, write the comparison to this JSON file (fails if the typed path allocates or its speedup is below -eventsmin)")
-	eventsMin := flag.Float64("eventsmin", 1.3, "minimum typed-over-closure events/sec ratio accepted by -eventsjson")
-	multistackJSON := flag.String("multistackjson", "", "benchmark sharded multi-stack engines vs a single engine, verify M=1 identity and worker-count determinism, write the report to this JSON file")
 	loadScenario := cliutil.ScenarioFlag(flag.CommandLine)
 	applyCache := cliutil.CacheFlags(flag.CommandLine)
 	startProfile := cliutil.ProfileFlags(flag.CommandLine)
@@ -74,38 +70,6 @@ func main() {
 		for _, id := range strings.Split(*only, ",") {
 			want[strings.ToUpper(strings.TrimSpace(id))] = true
 		}
-	}
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, experiments, want, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "pimbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *cacheJSON != "" {
-		if err := writeCacheJSON(*cacheJSON, *cacheMin); err != nil {
-			fmt.Fprintf(os.Stderr, "pimbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *eventsJSON != "" {
-		if err := writeEventsJSON(*eventsJSON, *eventsMin); err != nil {
-			fmt.Fprintf(os.Stderr, "pimbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *multistackJSON != "" {
-		if err := writeMultistackJSON(*multistackJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "pimbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	failed := false

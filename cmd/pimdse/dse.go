@@ -2,12 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
-	"runtime"
-	"time"
 
 	"heteropim"
 	"heteropim/internal/batch"
@@ -143,9 +140,9 @@ func xlCandidates() ([]batch.Candidate, error) {
 }
 
 // xlVerifyStride subsamples the XL grid for exhaustive verification:
-// every ninth candidate in grid order (plus, in the JSON comparison,
-// the optimized winner) is simulated exhaustively and must reproduce
-// the optimized winner byte for byte.
+// every ninth candidate in grid order (plus, in TestDSEPinnedCounts, the
+// optimized winner) is simulated exhaustively and must reproduce the
+// optimized winner.
 const xlVerifyStride = 9
 
 // xlVerifyCandidates is the deterministic verification subset, also
@@ -249,166 +246,4 @@ func scenarioDSEInputs(plan *heteropim.ScenarioPlan) ([]nn.ModelName, int, nn.Al
 		return nil, 0, "", err
 	}
 	return models, stacks, kind, nil
-}
-
-// dseEntry is one model's pruned-vs-exhaustive comparison.
-type dseEntry struct {
-	Model       string  `json:"model"`
-	Winner      string  `json:"winner"`
-	WinnerStepS float64 `json:"winner_step_s"`
-	Candidates  int     `json:"candidates"`
-	Pruned      int     `json:"pruned"`
-	Simulated   int     `json:"simulated"`
-	PrunedS     float64 `json:"pruned_s"`
-	ExhaustiveS float64 `json:"exhaustive_s"`
-	Speedup     float64 `json:"speedup"`
-	// Identical reports whether the pruned run's winner and rendered
-	// winner row matched the exhaustive run's byte for byte.
-	Identical bool `json:"identical"`
-	// Surrogate quality for the pruned run: in-sample R², Spearman rank
-	// correlation between predictions and simulated step times, and the
-	// observation counts behind the final fit.
-	SurrogateR2     float64 `json:"surrogate_r2"`
-	SurrogateRank   float64 `json:"surrogate_rank"`
-	SurrogateObs    int     `json:"surrogate_obs"`
-	SeededFromCache int     `json:"seeded_from_cache"`
-	// Delta-simulation traffic for the pruned run.
-	DeltaCheckpoints int    `json:"delta_checkpoints"`
-	DeltaReplays     int    `json:"delta_replays"`
-	DeltaSharedEv    uint64 `json:"delta_shared_events"`
-}
-
-// dseReport is the BENCH_dse.json shape.
-type dseReport struct {
-	Grid       string     `json:"grid"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	NumCPU     int        `json:"num_cpu"`
-	Workers    int        `json:"workers"`
-	Candidates int        `json:"candidates"`
-	Models     []dseEntry `json:"models"`
-	// Aggregates compare summed wall clocks and candidate counts across
-	// all models; the gates apply to these.
-	AggregatePrunedS     float64 `json:"aggregate_pruned_s"`
-	AggregateExhaustiveS float64 `json:"aggregate_exhaustive_s"`
-	AggregateSpeedup     float64 `json:"aggregate_speedup"`
-	PrunedFraction       float64 `json:"pruned_fraction"`
-}
-
-// timeDSE runs one exploration on a cold simulation cache and renders
-// the winner row, so the two modes can be compared byte for byte.
-func timeDSE(model nn.ModelName, cands []batch.Candidate, dopts batch.DSEOptions) (batch.Exploration, float64, string, error) {
-	heteropim.ResetSimulationCache()
-	start := time.Now()
-	ex, err := batch.ExploreDSE(context.Background(), model, cands, dopts)
-	if err != nil {
-		return batch.Exploration{}, 0, "", err
-	}
-	secs := time.Since(start).Seconds()
-	t := &report.Table{Columns: []string{"Model", "Winner", "Step", "Energy", "EDP"}}
-	winnerRow(t, model, ex)
-	return ex, secs, t.String(), nil
-}
-
-// dseGates are the in-tool acceptance thresholds per grid. The large
-// grid is the interactive-DSE contract: at least a 10x aggregate
-// wall-clock speedup over exhaustive search with byte-identical
-// winners.
-func dseGates(grid string) (minPrunedFrac, minSpeedup float64) {
-	if grid == "large" {
-		return 0.60, 10
-	}
-	return 0.30, 1.5
-}
-
-// writeDSEJSON times optimized vs exhaustive exploration per CNN model
-// and writes the comparison to path. Gates live in-tool so CI only has
-// to run the command: every model's winner must be identical (candidate
-// and rendered row), the space-wide pruned fraction must reach
-// minPrunedFrac, and the aggregate wall-clock speedup minSpeedup.
-//
-// The optimized run of each pair goes first: the exhaustive run then
-// benefits from warm task-graph templates, so the measured speedup is
-// conservative.
-func writeDSEJSON(path, grid string, dopts batch.DSEOptions) error {
-	cands, err := candidatesFor(grid)
-	if err != nil {
-		return err
-	}
-	minPrunedFrac, minSpeedup := dseGates(grid)
-	rep := dseReport{
-		Grid:       grid,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Workers:    heteropim.Parallelism(),
-		Candidates: len(cands),
-	}
-	totalPruned, totalCands := 0, 0
-	mismatch := false
-	for _, model := range nn.CNNModelNames() {
-		pru, pruS, pruOut, err := timeDSE(model, cands, dopts)
-		if err != nil {
-			return fmt.Errorf("%s (optimized): %w", model, err)
-		}
-		exh, exhS, exhOut, err := timeDSE(model, cands,
-			batch.DSEOptions{Stacks: dopts.Stacks, AllReduce: dopts.AllReduce})
-		if err != nil {
-			return fmt.Errorf("%s (exhaustive): %w", model, err)
-		}
-		identical := pru.Winner.Candidate == exh.Winner.Candidate && pruOut == exhOut
-		if !identical {
-			mismatch = true
-			fmt.Fprintf(os.Stderr, "pimdse: %s winner diverged: optimized %v vs exhaustive %v\n",
-				model, pru.Winner.Candidate, exh.Winner.Candidate)
-		}
-		rep.Models = append(rep.Models, dseEntry{
-			Model:            string(model),
-			Winner:           pru.Winner.Candidate.String(),
-			WinnerStepS:      float64(pru.Winner.Result.StepTime),
-			Candidates:       len(cands),
-			Pruned:           pru.Pruned,
-			Simulated:        pru.Simulated,
-			PrunedS:          pruS,
-			ExhaustiveS:      exhS,
-			Speedup:          exhS / pruS,
-			Identical:        identical,
-			SurrogateR2:      pru.SurrogateR2,
-			SurrogateRank:    pru.SurrogateRank,
-			SurrogateObs:     pru.SurrogateObs,
-			SeededFromCache:  pru.SeededFromCache,
-			DeltaCheckpoints: pru.DeltaCheckpoints,
-			DeltaReplays:     pru.DeltaReplays,
-			DeltaSharedEv:    pru.DeltaShared,
-		})
-		totalPruned += pru.Pruned
-		totalCands += len(cands)
-		rep.AggregatePrunedS += pruS
-		rep.AggregateExhaustiveS += exhS
-		fmt.Fprintf(os.Stderr, "pimdse: %s winner %v pruned %d/%d (%.2fs vs %.2fs, r2=%.3f, replays=%d)\n",
-			model, pru.Winner.Candidate, pru.Pruned, len(cands), pruS, exhS, pru.SurrogateR2, pru.DeltaReplays)
-	}
-	rep.AggregateSpeedup = rep.AggregateExhaustiveS / rep.AggregatePrunedS
-	rep.PrunedFraction = float64(totalPruned) / float64(totalCands)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "pimdse: wrote %s (grid %s, pruned %.0f%%, speedup %.2fx)\n",
-		path, grid, rep.PrunedFraction*100, rep.AggregateSpeedup)
-
-	if mismatch {
-		return fmt.Errorf("optimized exploration diverged from exhaustive (see %s)", path)
-	}
-	if rep.PrunedFraction < minPrunedFrac {
-		return fmt.Errorf("pruned only %.0f%% of candidates, gate is %.0f%%",
-			rep.PrunedFraction*100, minPrunedFrac*100)
-	}
-	if rep.AggregateSpeedup < minSpeedup {
-		return fmt.Errorf("aggregate DSE speedup %.2fx below the %.2fx gate",
-			rep.AggregateSpeedup, minSpeedup)
-	}
-	return nil
 }

@@ -12,8 +12,6 @@
 //	pimdse -dse -exhaustive           # same space, no optimizations
 //	pimdse -dse -grid large           # interactive-DSE grid (~400 candidates)
 //	pimdse -dse -grid xl              # interactive-DSE at scale (>= 2000 candidates)
-//	pimdse -dsejson BENCH_dse.json -grid large   # optimized-vs-exhaustive comparison
-//	pimdse -dsejson BENCH_dse.json -grid xl      # optimized-vs-baseline + subsampled verification
 //
 // -surrogate, -delta, -deepdelta, -calibrate and -confidence (all default
 // on) control the interactive-DSE optimizations: surrogate-guided
@@ -47,19 +45,45 @@ func fail(err error) {
 	os.Exit(1)
 }
 
+// exploreFlags are the flags that shape a -dse exploration.
+type exploreFlags struct {
+	exhaustive, surrogate, delta, deep, calibrate, confidence *bool
+	stacks                                                    *int
+	allreduce                                                 *string
+}
+
+func newExploreFlags(fs *flag.FlagSet) exploreFlags {
+	return exploreFlags{
+		exhaustive: fs.Bool("exhaustive", false, "with -dse: simulate every candidate instead of pruning"),
+		surrogate:  fs.Bool("surrogate", true, "order candidates by a regression surrogate fitted on simulated results"),
+		delta:      fs.Bool("delta", true, "fork candidate groups from engine checkpoints instead of simulating from scratch"),
+		deep:       fs.Bool("deepdelta", true, "fork from the deepest shared event boundary instead of the first fixed-pool grant"),
+		calibrate:  fs.Bool("calibrate", true, "prune with the reference-calibrated admissible bound on top of the analytic one"),
+		confidence: fs.Bool("confidence", true, "batch likely-prunable candidates last using the surrogate's residual spread"),
+		stacks:     fs.Int("stacks", 1, "with -dse: evaluate candidates sharded across this many HMC stacks"),
+		allreduce:  fs.String("allreduce", "ring", "gradient all-reduce schedule for -stacks > 1: ring|tree"),
+	}
+}
+
+// options returns the exploration the flags select: branch-and-bound
+// with every optimization its flag leaves on, or with -exhaustive plain
+// search over every candidate.
+func (f exploreFlags) options() (batch.DSEOptions, error) {
+	sched, err := nn.ParseAllReduceKind(*f.allreduce)
+	if err != nil {
+		return batch.DSEOptions{}, err
+	}
+	opt := !*f.exhaustive
+	return batch.DSEOptions{Prune: opt, Surrogate: *f.surrogate && opt, Delta: *f.delta && opt,
+		DeepDelta: *f.deep && opt, Calibrate: *f.calibrate && opt, Confidence: *f.confidence && opt,
+		Stacks: *f.stacks, AllReduce: sched}, nil
+}
+
 func main() {
 	model := flag.String("model", "VGG-19", "model for the unit-budget performance sweep")
 	dse := flag.Bool("dse", false, "explore the thermally-capped candidate space for every CNN (branch-and-bound)")
-	exhaustive := flag.Bool("exhaustive", false, "with -dse: simulate every candidate instead of pruning")
-	grid := flag.String("grid", "paper", "candidate grid for -dse/-dsejson: paper, large, xl, or xl-verify")
-	surrogateOn := flag.Bool("surrogate", true, "order candidates by a regression surrogate fitted on simulated results")
-	deltaOn := flag.Bool("delta", true, "fork candidate groups from engine checkpoints instead of simulating from scratch")
-	deepOn := flag.Bool("deepdelta", true, "fork from the deepest shared event boundary instead of the first fixed-pool grant")
-	calibrateOn := flag.Bool("calibrate", true, "prune with the reference-calibrated admissible bound on top of the analytic one")
-	confidenceOn := flag.Bool("confidence", true, "batch likely-prunable candidates last using the surrogate's residual spread")
-	stacks := flag.Int("stacks", 1, "with -dse/-dsejson: evaluate candidates sharded across this many HMC stacks")
-	allreduce := flag.String("allreduce", "ring", "gradient all-reduce schedule for -stacks > 1: ring|tree")
-	dsejson := flag.String("dsejson", "", "write an optimized-vs-exhaustive DSE comparison to this file and exit")
+	grid := flag.String("grid", "paper", "candidate grid for -dse: paper, large, xl, or xl-verify")
+	explore := newExploreFlags(flag.CommandLine)
 	loadScenario := cliutil.ScenarioFlag(flag.CommandLine)
 	applyCache := cliutil.CacheFlags(flag.CommandLine)
 	startProfile := cliutil.ProfileFlags(flag.CommandLine)
@@ -67,7 +91,7 @@ func main() {
 
 	applyCache()
 	defer startProfile()()
-	sched, err := nn.ParseAllReduceKind(*allreduce)
+	dopts, err := explore.options()
 	if err != nil {
 		fail(err)
 	}
@@ -81,38 +105,12 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		dopts := batch.DSEOptions{Prune: !*exhaustive, Surrogate: *surrogateOn && !*exhaustive,
-			Delta: *deltaOn && !*exhaustive, DeepDelta: *deepOn && !*exhaustive,
-			Calibrate: *calibrateOn && !*exhaustive, Confidence: *confidenceOn && !*exhaustive,
-			Stacks: planStacks, AllReduce: planSched}
+		dopts.Stacks, dopts.AllReduce = planStacks, planSched
 		if err := runDSE(*grid, models, dopts); err != nil {
 			fail(err)
 		}
 		return
 	}
-	if *dsejson != "" {
-		// The comparison's optimized leg always prunes; the optimization
-		// flags choose what stacks on top. The baseline leg is built
-		// in-tool: full exhaustive on the paper/large grids, the shallow
-		// optimized mode plus a subsampled exhaustive verification on xl.
-		dopts := batch.DSEOptions{Prune: true, Surrogate: *surrogateOn, Delta: *deltaOn,
-			DeepDelta: *deepOn, Calibrate: *calibrateOn, Confidence: *confidenceOn,
-			Stacks: *stacks, AllReduce: sched}
-		if *grid == "xl" {
-			if err := writeXLDSEJSON(*dsejson, dopts); err != nil {
-				fail(err)
-			}
-			return
-		}
-		if err := writeDSEJSON(*dsejson, *grid, dopts); err != nil {
-			fail(err)
-		}
-		return
-	}
-	dopts := batch.DSEOptions{Prune: !*exhaustive, Surrogate: *surrogateOn && !*exhaustive, Delta: *deltaOn && !*exhaustive,
-		DeepDelta: *deepOn && !*exhaustive, Calibrate: *calibrateOn && !*exhaustive,
-		Confidence: *confidenceOn && !*exhaustive,
-		Stacks:     *stacks, AllReduce: sched}
 	if *dse {
 		if err := runDSE(*grid, nn.CNNModelNames(), dopts); err != nil {
 			fail(err)

@@ -291,6 +291,10 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 			return rep, err
 		}
 	}
+	// The replicas share this process's result cache: evict the truth,
+	// or the baseline's jobs would be hits on the very bytes they are
+	// checked against.
+	heteropim.DropSimulationCacheMemory()
 
 	sopts := serve.Options{Workers: opts.Workers, QueueCapacity: opts.Queue, JobTimeout: opts.JobTimeout}
 	dctx, dcancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -278,13 +279,9 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		rt.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read body: %w", err))
 		return
 	}
-	var req serve.JobRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		rt.reg.Add("cluster.bad_requests", 1)
-		rt.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad job body: %w", err))
-		return
-	}
-	id, err := serve.JobID(req)
+	// The replicas' own decoder: a body the router forwards is one a
+	// replica accepts, and one it rejects never costs a hop.
+	_, id, err := serve.DecodeJobRequest(w, io.NopCloser(bytes.NewReader(body)))
 	if err != nil {
 		rt.reg.Add("cluster.bad_requests", 1)
 		rt.writeError(w, http.StatusBadRequest, err)
@@ -305,7 +302,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-			rep.baseURL+"/v1/jobs", strings.NewReader(string(body)))
+			rep.baseURL+"/v1/jobs", bytes.NewReader(body))
 		if err != nil {
 			rt.writeError(w, http.StatusInternalServerError, err)
 			return

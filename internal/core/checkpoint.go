@@ -377,14 +377,10 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 		return nil, fmt.Errorf("core: checkpoint point is budget-specific (window [%d, %d])",
 			w.minUnits, w.maxUnits)
 	}
-	engCp, err := x.eng.Checkpoint()
-	if err != nil {
-		return nil, err
-	}
 	n := len(g.Ops)
 	// Detach payload pointers from this run's (pooled, about to be
 	// released) arena: slab indices survive the teardown.
-	engCp = engCp.Remap(func(ev sim.Ev) sim.Ev {
+	engCp := x.eng.Checkpoint().Remap(func(ev sim.Ev) sim.Ev {
 		if t, ok := ev.Ptr.(*task); ok {
 			ev.Ptr = taskIdx(t, n)
 		}

@@ -154,12 +154,12 @@ const fixedKernelQuantumFlops = 1e6
 // next quantum, and a newly released pool is redistributed quickly.
 const fixedTimeQuantum hw.Seconds = 2e-3
 
-// Typed event kinds of the PIM executor (sim.KindFunc = 0 is reserved
-// for legacy closure events). Every kind carries its *task in Ptr; the
-// scalar operands are documented per kind. Scheduling these allocates
-// nothing — the payload travels by value inside the engine's heap slab —
-// which is what makes the steady-state inner loop closure- and
-// allocation-free (the AllocsPerRun pin in exec_alloc_test.go).
+// Event kinds of the PIM executor, numbered from 1 so a zero sim.Ev is
+// never a real event. Every kind carries its *task in Ptr; the scalar
+// operands are documented per kind. Scheduling these allocates nothing —
+// the payload travels by value inside the engine's heap slab — which is
+// what makes the steady-state inner loop allocation-free (the
+// AllocsPerRun pin in exec_alloc_test.go).
 const (
 	// evItemDone: a serial-device work item finished. A = device index
 	// (devCPU/devProg), N = slots to release, Start = span start.
@@ -822,10 +822,9 @@ func (x *exec) residualTrack() string {
 	return "residual.cpu"
 }
 
-// HandleEvent dispatches the executor's typed events (the closure-free
-// replacements of the old scheduled callbacks). Each case preserves the
-// exact statement order of the closure it replaced — the golden tables
-// are bit-sensitive to it.
+// HandleEvent dispatches the executor's events. The statement order
+// within each case is part of the contract: the golden tables are
+// bit-sensitive to it.
 func (x *exec) HandleEvent(ev sim.Ev) {
 	t := ev.Ptr.(*task)
 	switch ev.Kind {

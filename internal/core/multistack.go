@@ -174,49 +174,71 @@ func simulateAllReduce(sched ReduceSchedule, stacks int, gradBytes float64, link
 	eng := sim.Acquire()
 	defer sim.Release(eng)
 	eng.SetCollector(obs)
-	var bytes float64
-	var schedErr error
-	var startPhase func(p int)
-	startPhase = func(p int) {
-		if p >= len(phases) || schedErr != nil {
+	a := &allReduce{eng: eng, phases: phases, gradBytes: gradBytes, link: link}
+	eng.SetHandler(a)
+	a.startPhase(0)
+	if err := eng.Run(); err != nil {
+		return 0, 0, 0, err
+	}
+	if a.err != nil {
+		return 0, 0, 0, a.err
+	}
+	return eng.Now(), a.bytes, eng.Processed(), nil
+}
+
+// evTransferDone is the all-reduce's one event kind: a link transfer of
+// phase N finished.
+const evTransferDone sim.EventKind = 1
+
+// allReduce is the event handler of one simulated all-reduce.
+type allReduce struct {
+	eng       *sim.Engine
+	phases    []nn.AllReducePhase
+	gradBytes float64
+	link      hw.InterStackLinkSpec
+	// remaining counts the open phase's transfers still in flight.
+	remaining int
+	bytes     float64
+	err       error
+}
+
+// startPhase schedules phase p's transfers, each completing one phase
+// duration from now.
+func (a *allReduce) startPhase(p int) {
+	if p >= len(a.phases) || a.err != nil {
+		return
+	}
+	ph := a.phases[p]
+	dur := phaseDuration(ph.Frac, a.gradBytes, a.link)
+	start := a.eng.Now()
+	a.remaining = len(ph.Transfers)
+	for _, tr := range ph.Transfers {
+		if a.eng.Observing() {
+			span := sim.Task{
+				Track: "link",
+				Name:  fmt.Sprintf("allreduce %d->%d", tr[0], tr[1]),
+				Kind:  "allreduce",
+				Start: start,
+				End:   start + dur,
+			}
+			a.eng.EmitTaskStart(span)
+			a.eng.EmitTaskEnd(span)
+		}
+		a.bytes += ph.Frac * a.gradBytes
+		if err := a.eng.AfterEv(dur, sim.Ev{Kind: evTransferDone, N: int32(p)}); err != nil {
+			a.err = err
 			return
 		}
-		ph := phases[p]
-		dur := phaseDuration(ph.Frac, gradBytes, link)
-		start := eng.Now()
-		remaining := len(ph.Transfers)
-		for _, tr := range ph.Transfers {
-			if obs != nil {
-				span := sim.Task{
-					Track: "link",
-					Name:  fmt.Sprintf("allreduce %d->%d", tr[0], tr[1]),
-					Kind:  "allreduce",
-					Start: start,
-					End:   start + dur,
-				}
-				eng.EmitTaskStart(span)
-				eng.EmitTaskEnd(span)
-			}
-			bytes += ph.Frac * gradBytes
-			if aerr := eng.After(dur, func() {
-				remaining--
-				if remaining == 0 {
-					startPhase(p + 1)
-				}
-			}); aerr != nil {
-				schedErr = aerr
-				return
-			}
-		}
 	}
-	startPhase(0)
-	if schedErr != nil {
-		return 0, 0, 0, schedErr
+}
+
+// HandleEvent completes one transfer; the last one of its phase opens
+// the next phase.
+func (a *allReduce) HandleEvent(ev sim.Ev) {
+	a.remaining--
+	if a.remaining == 0 {
+		a.startPhase(int(ev.N) + 1)
 	}
-	if rerr := eng.Run(); rerr != nil {
-		return 0, 0, 0, rerr
-	}
-	return eng.Now(), bytes, eng.Processed(), nil
 }
 
 // stackMaxTemp solves one stack's steady-state hottest-bank temperature

@@ -47,9 +47,9 @@ func SetWorkers(n int) int {
 // then HETEROPIM_WORKERS, then GOMAXPROCS capped at NumCPU. The cap
 // matters on constrained hosts (containers, CI runners) where
 // GOMAXPROCS exceeds the physical cores: extra workers for CPU-bound
-// simulation cells only add scheduler churn — the small-cell
-// regressions BENCH_parallel.json recorded on a one-core host. An
-// explicit SetWorkers/HETEROPIM_WORKERS setting is honored as given.
+// simulation cells only add scheduler churn, which made small cells
+// slower on a one-core host. An explicit SetWorkers/HETEROPIM_WORKERS
+// setting is honored as given.
 func Workers() int {
 	if n := int(configured.Load()); n > 0 {
 		return n

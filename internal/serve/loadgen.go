@@ -167,6 +167,9 @@ func LoadGen(baseURL string, clients int, cells []LoadCell, s *Server) (LoadRepo
 		reqs[i] = JobRequest{Config: c.Config, Model: c.Model}
 		expected[i] = EncodeResult(r)
 	}
+	// The server shares this process's result cache: evict the truth, or
+	// every job would be a hit on the very bytes it is checked against.
+	heteropim.DropSimulationCacheMemory()
 
 	errs, identical, lats, wall := driveLoad(baseURL, make([]float64, clients), reqs, expected)
 	rep.finish(errs, identical, lats, wall, s)
@@ -210,6 +213,8 @@ func ScenarioLoadGen(baseURL string, plan *heteropim.ScenarioPlan, clients int, 
 	for i, r := range results {
 		expected[i] = EncodeResult(r)
 	}
+	// As in LoadGen: served results must not be cache hits of the truth.
+	heteropim.DropSimulationCacheMemory()
 
 	var offsets []float64
 	if arr.Open() {

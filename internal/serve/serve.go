@@ -164,10 +164,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, st)
 }
 
-// decodeJobRequest reads one POST /v1/jobs body — at most 1 MiB, no
-// unknown fields — and validates it into its cell. It is the job
-// request's only decoder: the submit handler and FuzzJobRequest both
-// go through it.
+// decodeJobRequest reads one POST /v1/jobs body — at most 1 MiB, one
+// JSON object with no unknown fields and nothing after it — and
+// validates it into its cell. It is the job request's only decoder: the
+// replica's submit handler calls it directly, the router and
+// FuzzJobRequest through DecodeJobRequest, so the two tiers accept and
+// reject exactly the same bodies.
 func decodeJobRequest(w http.ResponseWriter, body io.ReadCloser) (JobRequest, cell, error) {
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
@@ -175,8 +177,21 @@ func decodeJobRequest(w http.ResponseWriter, body io.ReadCloser) (JobRequest, ce
 	if err := dec.Decode(&req); err != nil {
 		return JobRequest{}, cell{}, fmt.Errorf("serve: bad job body: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobRequest{}, cell{}, errors.New("serve: bad job body: data after the job object")
+	}
 	c, err := normalize(req)
 	return req, c, err
+}
+
+// DecodeJobRequest decodes and validates one POST /v1/jobs body the way
+// a replica does, returning the request and its job id.
+func DecodeJobRequest(w http.ResponseWriter, body io.ReadCloser) (JobRequest, string, error) {
+	req, c, err := decodeJobRequest(w, body)
+	if err != nil {
+		return JobRequest{}, "", err
+	}
+	return req, c.id(), nil
 }
 
 // admit dedups or enqueues one validated cell — the shared admission

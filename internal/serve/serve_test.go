@@ -389,15 +389,24 @@ func TestInstrumentedResultMatchesPlain(t *testing.T) {
 
 // TestLoadGenSelfcheck runs the built-in load generator end to end
 // against an in-process server: zero errors, dedup ratio over the 4x
-// gate, byte-identical results.
+// gate, byte-identical results, and every job the server runs is a
+// simulation of its own rather than a cache hit on the ground truth.
 func TestLoadGenSelfcheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load generator is a heavy end-to-end check")
 	}
+	defer heteropim.SetSimulationCacheDir(heteropim.SetSimulationCacheDir(""))
+	heteropim.ResetSimulationCache()
 	s, ts := start(t, Options{Workers: 4, QueueCapacity: 64})
-	rep, err := LoadGen(ts.URL, 32, DefaultLoadCells(), s)
+	cells := DefaultLoadCells()
+	rep, err := LoadGen(ts.URL, 32, cells, s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The truth costs one miss per cell, then each job run one more.
+	if misses := heteropim.SimulationCacheStats().Misses; misses != int64(len(cells))+rep.LiveRuns {
+		t.Errorf("%d cache misses for %d cells and %d job runs: served jobs were cache hits of the truth",
+			misses, len(cells), rep.LiveRuns)
 	}
 	if rep.Errors != 0 {
 		t.Fatalf("loadgen saw %d errors", rep.Errors)

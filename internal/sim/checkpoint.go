@@ -15,11 +15,9 @@ import (
 // configuration-independent prefix of a design-space candidate's event
 // timeline across the whole candidate group.
 //
-// Only typed events snapshot: a KindFunc payload is an opaque closure
-// over live executor state, so copying it into another run would alias
-// that state. Checkpoint refuses them. Typed payloads are plain values
-// plus one pointer operand, which Restore lets the caller remap into
-// the fork's own state (see the remap parameter).
+// Event payloads are plain values plus one pointer operand, which
+// Restore lets the caller remap into the fork's own state (see the
+// remap parameter).
 //
 // Bit-identity contract: restoring a checkpoint into a fresh engine and
 // draining it executes exactly the events, in exactly the order, at
@@ -66,16 +64,8 @@ func (c Checkpoint) Remap(fn func(Ev) Ev) Checkpoint {
 // Checkpoint snapshots the engine at the current event boundary. It
 // must be called between events (never from inside a Handler whose
 // event is still mutating state — the snapshot cannot see half-applied
-// mutations, only the engine's own queue). It fails if any pending
-// event is a KindFunc closure.
-func (e *Engine) Checkpoint() (Checkpoint, error) {
-	for i := range e.events {
-		if e.events[i].ev.Kind == KindFunc {
-			return Checkpoint{}, fmt.Errorf(
-				"sim: cannot checkpoint: pending closure (KindFunc) event at t=%.9g; only typed events snapshot",
-				e.events[i].at)
-		}
-	}
+// mutations, only the engine's own queue).
+func (e *Engine) Checkpoint() Checkpoint {
 	cp := Checkpoint{
 		now:       e.now,
 		seq:       e.seq,
@@ -84,7 +74,7 @@ func (e *Engine) Checkpoint() (Checkpoint, error) {
 		events:    make([]event, len(e.events)),
 	}
 	copy(cp.events, e.events)
-	return cp, nil
+	return cp
 }
 
 // Restore loads a checkpoint into a fresh (new or Reset) engine. When

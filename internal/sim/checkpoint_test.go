@@ -70,10 +70,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 		if err := src.RunUntil(stop); err != nil {
 			t.Fatal(err)
 		}
-		cp, err := src.Checkpoint()
-		if err != nil {
-			t.Fatalf("stop=%d: %v", stop, err)
-		}
+		cp := src.Checkpoint()
 		if cp.Processed() != src.Processed() || cp.Now() != src.Now() || cp.Pending() != src.Pending() {
 			t.Fatalf("stop=%d: checkpoint accessors disagree with engine", stop)
 		}
@@ -97,24 +94,11 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	}
 }
 
-func TestCheckpointRefusesClosures(t *testing.T) {
-	e := New()
-	if err := e.After(1, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Checkpoint(); err == nil {
-		t.Fatal("expected refusal: pending KindFunc event")
-	}
-}
-
 func TestRestoreNeedsFreshEngine(t *testing.T) {
 	src := New()
 	h := &cpHandler{}
 	seedEngine(t, src, h)
-	cp, err := src.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := src.Checkpoint()
 	dirty := New()
 	dirtyH := &cpHandler{}
 	seedEngine(t, dirty, dirtyH)
@@ -137,10 +121,7 @@ func TestCheckpointRemapAndConcurrentRestores(t *testing.T) {
 	if err := src.RunUntil(5); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := src.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := src.Checkpoint()
 	// Remap returns a detached copy; the original stays untouched.
 	marked := cp.Remap(func(ev Ev) Ev { ev.A = 7; return ev })
 	if marked.Pending() != cp.Pending() {

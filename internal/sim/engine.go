@@ -13,9 +13,8 @@ import (
 	"heteropim/internal/hw"
 )
 
-// event is one scheduled entry: a typed payload (event.go) at a time.
-// Legacy closure events are payloads of KindFunc whose Ptr holds the
-// func(); typed events are dispatched through the engine's Handler.
+// event is one scheduled entry: a typed payload (event.go) at a time,
+// dispatched through the engine's Handler.
 type event struct {
 	at  hw.Seconds
 	seq uint64
@@ -107,7 +106,7 @@ type Engine struct {
 	// obs receives instrumentation events when attached (observe.go);
 	// nil on the uninstrumented fast path.
 	obs Collector
-	// handler dispatches typed (non-KindFunc) events; see event.go.
+	// handler dispatches every event; see event.go.
 	handler Handler
 }
 
@@ -136,24 +135,6 @@ func (e *Engine) checkTime(t hw.Seconds) error {
 	return nil
 }
 
-// At schedules fn at an absolute time, which must not be in the past.
-func (e *Engine) At(t hw.Seconds, fn func()) error {
-	if err := e.checkTime(t); err != nil {
-		return err
-	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, ev: Ev{Kind: KindFunc, Ptr: fn}})
-	return nil
-}
-
-// After schedules fn delay seconds from now.
-func (e *Engine) After(delay hw.Seconds, fn func()) error {
-	if delay < 0 {
-		return fmt.Errorf("sim: negative delay %.9g", delay)
-	}
-	return e.At(e.now+delay, fn)
-}
-
 // drain is the execution loop behind Run and RunUntil: it executes
 // events until the queue empties or the total processed count reaches
 // stopAfter, returning an error if the event budget is exhausted (a
@@ -170,13 +151,10 @@ func (e *Engine) drain(stopAfter uint64) error {
 		ev := e.events.pop()
 		e.now = ev.at
 		e.processed++
-		if ev.ev.Kind == KindFunc {
-			ev.ev.Ptr.(func())()
-		} else if e.handler != nil {
-			e.handler.HandleEvent(ev.ev)
-		} else {
-			return fmt.Errorf("sim: typed event kind %d at t=%.9g with no handler attached", ev.ev.Kind, e.now)
+		if e.handler == nil {
+			return fmt.Errorf("sim: event kind %d at t=%.9g with no handler attached", ev.ev.Kind, e.now)
 		}
+		e.handler.HandleEvent(ev.ev)
 	}
 	return nil
 }

@@ -1,26 +1,66 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"heteropim/internal/hw"
 )
 
-func TestEventsRunInTimeOrder(t *testing.T) {
+// logHandler records the clock and payload of every dispatched event.
+// When react is set it runs after each record, so a test can schedule
+// from inside dispatch the way an executor does.
+type logHandler struct {
+	e     *Engine
+	at    []hw.Seconds
+	got   []Ev
+	react func(ev Ev)
+}
+
+func (h *logHandler) HandleEvent(ev Ev) {
+	h.at = append(h.at, h.e.Now())
+	h.got = append(h.got, ev)
+	if h.react != nil {
+		h.react(ev)
+	}
+}
+
+// newLogged returns a fresh engine with a logHandler attached.
+func newLogged() (*Engine, *logHandler) {
 	e := New()
-	var got []float64
-	times := []float64{5, 1, 3, 2, 4}
-	for _, at := range times {
-		at := at
-		if err := e.At(at, func() { got = append(got, at) }); err != nil {
+	h := &logHandler{e: e}
+	e.SetHandler(h)
+	return e, h
+}
+
+// ns lists the N operands of the dispatched events in order.
+func (h *logHandler) ns() []int32 {
+	out := make([]int32, len(h.got))
+	for i, ev := range h.got {
+		out[i] = ev.N
+	}
+	return out
+}
+
+func TestEventsRunInTimeOrder(t *testing.T) {
+	e, h := newLogged()
+	for _, at := range []float64{5, 1, 3, 2, 4} {
+		if err := e.AtEv(at, Ev{Kind: 1, F1: at}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !sort.Float64sAreSorted(got) {
-		t.Fatalf("events out of order: %v", got)
+	if !sort.Float64sAreSorted(h.at) {
+		t.Fatalf("events out of order: %v", h.at)
+	}
+	for i, ev := range h.got {
+		if ev.F1 != h.at[i] {
+			t.Fatalf("event scheduled at %g ran at %g", ev.F1, h.at[i])
+		}
 	}
 	if e.Now() != 5 {
 		t.Fatalf("clock = %g, want 5", e.Now())
@@ -31,85 +71,84 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 }
 
 func TestTiesBreakBySequence(t *testing.T) {
-	e := New()
-	var got []int
+	e, h := newLogged()
 	for i := 0; i < 10; i++ {
-		i := i
-		if err := e.At(1.0, func() { got = append(got, i) }); err != nil {
+		if err := e.AtEv(1.0, Ev{Kind: 1, N: int32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events reordered: %v", got)
+	for i, v := range h.ns() {
+		if v != int32(i) {
+			t.Fatalf("same-time events reordered: %v", h.ns())
 		}
 	}
 }
 
 func TestAfterAndNestedScheduling(t *testing.T) {
-	e := New()
-	var trail []float64
-	if err := e.After(1, func() {
-		trail = append(trail, e.Now())
-		if err := e.After(2, func() { trail = append(trail, e.Now()) }); err != nil {
-			t.Error(err)
+	e, h := newLogged()
+	h.react = func(ev Ev) {
+		if ev.Kind == 1 {
+			if err := e.AfterEv(2, Ev{Kind: 2}); err != nil {
+				t.Error(err)
+			}
 		}
-	}); err != nil {
+	}
+	if err := e.AfterEv(1, Ev{Kind: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(trail) != 2 || trail[0] != 1 || trail[1] != 3 {
-		t.Fatalf("trail = %v, want [1 3]", trail)
+	if len(h.at) != 2 || h.at[0] != 1 || h.at[1] != 3 {
+		t.Fatalf("trail = %v, want [1 3]", h.at)
 	}
 }
 
 func TestRejectsPastAndBogusTimes(t *testing.T) {
-	e := New()
-	if err := e.At(5, func() {}); err != nil {
+	e, _ := newLogged()
+	if err := e.AtEv(5, Ev{Kind: 1}); err != nil {
 		t.Fatal(err)
 	}
-	_ = e.Run()
-	if err := e.At(1, func() {}); err == nil {
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AtEv(1, Ev{Kind: 1}); err == nil {
 		t.Error("scheduling in the past must error")
 	}
-	if err := e.After(-1, func() {}); err == nil {
+	if err := e.AfterEv(-1, Ev{Kind: 1}); err == nil {
 		t.Error("negative delay must error")
 	}
-	var nan float64
-	nan = nan / nan * 0 // keep vet quiet; produce NaN below
-	_ = nan
-	if err := e.At(nanValue(), func() {}); err == nil {
+	if err := e.AtEv(math.NaN(), Ev{Kind: 1}); err == nil {
 		t.Error("NaN time must error")
 	}
-}
-
-func nanValue() float64 {
-	z := 0.0
-	return z / z
+	if err := e.AtEv(math.Inf(1), Ev{Kind: 1}); err == nil {
+		t.Error("infinite time must error")
+	}
+	if e.Pending() != 0 {
+		t.Errorf("rejected events were queued: pending = %d", e.Pending())
+	}
 }
 
 func TestEventBudgetStopsLoops(t *testing.T) {
-	e := New()
+	e, h := newLogged()
 	e.MaxEvents = 100
-	var loop func()
-	loop = func() {
-		_ = e.After(1, loop)
-	}
-	_ = e.After(0, loop)
+	h.react = func(Ev) { _ = e.AfterEv(1, Ev{Kind: 1}) }
+	_ = e.AfterEv(0, Ev{Kind: 1})
 	if err := e.Run(); err == nil {
 		t.Fatal("runaway schedule must be detected")
+	}
+	if e.Processed() != 100 {
+		t.Fatalf("processed %d events before stopping, want the budget of 100", e.Processed())
 	}
 }
 
 func TestPending(t *testing.T) {
-	e := New()
-	_ = e.At(1, func() {})
-	_ = e.At(2, func() {})
+	e, _ := newLogged()
+	_ = e.AtEv(1, Ev{Kind: 1})
+	_ = e.AtEv(2, Ev{Kind: 1})
 	if e.Pending() != 2 {
 		t.Fatalf("pending = %d", e.Pending())
 	}
@@ -121,22 +160,16 @@ func TestPending(t *testing.T) {
 
 func TestClockMonotoneQuick(t *testing.T) {
 	f := func(delays []uint16) bool {
-		e := New()
-		prev := -1.0
-		ok := true
+		e, h := newLogged()
 		for _, d := range delays {
-			at := float64(d) / 100
-			_ = e.At(at, func() {
-				if e.Now() < prev {
-					ok = false
-				}
-				prev = e.Now()
-			})
+			if err := e.AtEv(float64(d)/100, Ev{Kind: 1}); err != nil {
+				return false
+			}
 		}
 		if err := e.Run(); err != nil {
 			return false
 		}
-		return ok
+		return len(h.at) == len(delays) && sort.Float64sAreSorted(h.at)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -144,9 +177,9 @@ func TestClockMonotoneQuick(t *testing.T) {
 }
 
 func TestResetReusesHeapStorage(t *testing.T) {
-	e := New()
+	e, _ := newLogged()
 	for i := 0; i < 1000; i++ {
-		_ = e.At(float64(i), func() {})
+		_ = e.AtEv(float64(i), Ev{Kind: 1})
 	}
 	grown := cap(e.events)
 	if err := e.Run(); err != nil {
@@ -161,24 +194,25 @@ func TestResetReusesHeapStorage(t *testing.T) {
 		t.Fatalf("reset dropped the heap backing array: cap %d, want %d", cap(e.events), grown)
 	}
 	// A recycled engine must behave exactly like a fresh one.
-	var got []int
+	h := &logHandler{e: e}
+	e.SetHandler(h)
 	for i := 0; i < 10; i++ {
-		i := i
-		_ = e.At(1.0, func() { got = append(got, i) })
+		_ = e.AtEv(1.0, Ev{Kind: 1, N: int32(i)})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("recycled engine reordered same-time events: %v", got)
+	for i, v := range h.ns() {
+		if v != int32(i) {
+			t.Fatalf("recycled engine reordered same-time events: %v", h.ns())
 		}
 	}
 }
 
 func TestAcquireRelease(t *testing.T) {
 	e := Acquire()
-	_ = e.After(1, func() {})
+	e.SetHandler(&logHandler{e: e})
+	_ = e.AfterEv(1, Ev{Kind: 1})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,19 +225,24 @@ func TestAcquireRelease(t *testing.T) {
 	Release(e2)
 }
 
+// tickHandler reschedules its event 1 ns later until left reaches 0.
+type tickHandler struct {
+	e    *Engine
+	left int
+}
+
+func (h *tickHandler) HandleEvent(ev Ev) {
+	if h.left--; h.left > 0 {
+		_ = h.e.AfterEv(1e-9, ev)
+	}
+}
+
 func BenchmarkEngineThroughput(b *testing.B) {
 	// Raw event throughput of the DES core.
 	e := New()
 	e.MaxEvents = uint64(b.N) + 10
-	var fire func()
-	count := 0
-	fire = func() {
-		count++
-		if count < b.N {
-			_ = e.After(1e-9, fire)
-		}
-	}
-	_ = e.After(0, fire)
+	e.SetHandler(&tickHandler{e: e, left: b.N})
+	_ = e.AfterEv(0, Ev{Kind: 1})
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

@@ -6,24 +6,17 @@ import (
 	"heteropim/internal/hw"
 )
 
-// Typed event payloads. The engine's original API schedules a `func()`
-// per event; in a steady-state run that closure is the last per-event
-// heap allocation left (PR 3 removed the heap boxing, PR 5 removes the
-// closures). A typed payload is a small value struct carried inside the
-// event heap's own slab: scheduling one touches no allocator at all.
+// Typed event payloads. An event is a small value struct carried
+// inside the event heap's own slab, so scheduling one touches no
+// allocator at all.
 //
 // The payload is deliberately generic — a kind tag plus a handful of
 // scalar operands and one pointer slot — so internal/sim stays free of
-// executor types. The executor defines its own EventKind values and
-// implements Handler; the engine routes every non-closure event there.
+// executor types. Each engine user defines its own EventKind values and
+// implements Handler; the engine routes every event there.
 
-// EventKind discriminates typed events. Kind zero is reserved for the
-// legacy closure path (Ptr holds the func()).
+// EventKind discriminates events; its values are owner-defined.
 type EventKind uint8
-
-// KindFunc marks a legacy closure event: Ptr holds a func() invoked
-// directly by the engine. At/After produce these; hot paths use AtEv.
-const KindFunc EventKind = 0
 
 // Ev is one typed event payload. Field meaning is owner-defined per
 // Kind; the struct is sized so the common cases (a task pointer, a
@@ -42,24 +35,24 @@ type Ev struct {
 	F1, F2, F3 float64
 	// Start is a recorded timestamp operand (e.g. a span's start).
 	Start hw.Seconds
-	// Ptr is the pointer operand (a *task, or the func() of KindFunc).
+	// Ptr is the pointer operand (e.g. a *task).
 	Ptr any
 }
 
-// Handler dispatches typed events. The engine calls it synchronously
+// Handler dispatches events. The engine calls it synchronously
 // from Run, in heap order, with the clock already advanced to the
 // event's time.
 type Handler interface {
 	HandleEvent(ev Ev)
 }
 
-// SetHandler attaches the typed-event dispatcher. Reset/Release detach
+// SetHandler attaches the event dispatcher. Reset/Release detach
 // it, so a pooled engine never leaks a handler into its next run.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
-// AtEv schedules a typed event at an absolute time. Like At it rejects
-// non-finite or past times; unlike At it performs no allocation beyond
-// (amortized) heap-slab growth.
+// AtEv schedules an event at an absolute time, which must be finite and
+// not in the past. It performs no allocation beyond (amortized)
+// heap-slab growth.
 func (e *Engine) AtEv(t hw.Seconds, ev Ev) error {
 	if err := e.checkTime(t); err != nil {
 		return err
@@ -69,7 +62,7 @@ func (e *Engine) AtEv(t hw.Seconds, ev Ev) error {
 	return nil
 }
 
-// AfterEv schedules a typed event delay seconds from now.
+// AfterEv schedules an event delay seconds from now.
 func (e *Engine) AfterEv(delay hw.Seconds, ev Ev) error {
 	if delay < 0 {
 		return fmt.Errorf("sim: negative delay %.9g", delay)

@@ -1,23 +1,9 @@
 package sim
 
-import (
-	"testing"
-
-	"heteropim/internal/hw"
-)
-
-// recHandler records dispatched payloads in order.
-type recHandler struct {
-	got []Ev
-	eng *Engine
-}
-
-func (h *recHandler) HandleEvent(ev Ev) { h.got = append(h.got, ev) }
+import "testing"
 
 func TestTypedEventsDispatchInOrder(t *testing.T) {
-	e := New()
-	h := &recHandler{}
-	e.SetHandler(h)
+	e, h := newLogged()
 	if err := e.AtEv(2, Ev{Kind: 3, N: 30}); err != nil {
 		t.Fatal(err)
 	}
@@ -27,23 +13,19 @@ func TestTypedEventsDispatchInOrder(t *testing.T) {
 	if err := e.AtEv(1, Ev{Kind: 2, N: 20}); err != nil { // same time: insertion order
 		t.Fatal(err)
 	}
-	var funcRan bool
-	if err := e.After(1.5, func() { funcRan = true }); err != nil {
+	if err := e.AfterEv(1.5, Ev{Kind: 4, N: 15}); err != nil { // another kind, interleaved
 		t.Fatal(err)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !funcRan {
-		t.Fatal("interleaved closure event did not run")
-	}
-	want := []int32{10, 20, 30}
+	want := []Ev{{Kind: 2, N: 10}, {Kind: 2, N: 20}, {Kind: 4, N: 15}, {Kind: 3, N: 30}}
 	if len(h.got) != len(want) {
-		t.Fatalf("dispatched %d typed events, want %d", len(h.got), len(want))
+		t.Fatalf("dispatched %d events, want %d", len(h.got), len(want))
 	}
 	for i, ev := range h.got {
-		if ev.N != want[i] {
-			t.Errorf("event %d: N=%d, want %d", i, ev.N, want[i])
+		if ev != want[i] {
+			t.Errorf("event %d: %+v, want %+v", i, ev, want[i])
 		}
 	}
 }
@@ -69,8 +51,7 @@ func TestAtEvValidatesTime(t *testing.T) {
 }
 
 func TestResetDetachesHandler(t *testing.T) {
-	e := New()
-	e.SetHandler(&recHandler{})
+	e, _ := newLogged()
 	e.Reset()
 	if err := e.AtEv(1, Ev{Kind: 1}); err != nil {
 		t.Fatal(err)
@@ -122,33 +103,5 @@ func TestTypedEventSchedulingAllocsFree(t *testing.T) {
 	run() // grow the heap slab
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Fatalf("typed event scheduling allocates %.2f objects per 500-event run, want 0", allocs)
-	}
-}
-
-// The legacy closure path, by contrast, allocates at least the closure
-// per event — the "before" side of the pimbench -eventsjson comparison.
-func TestClosureEventsStillWork(t *testing.T) {
-	e := New()
-	var n int
-	var schedule func()
-	schedule = func() {
-		n++
-		if n < 100 {
-			if err := e.After(1e-3, schedule); err != nil {
-				t.Error(err)
-			}
-		}
-	}
-	if err := e.After(0, schedule); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 100 {
-		t.Fatalf("ran %d closure events, want 100", n)
-	}
-	if e.Now() != hw.Seconds(99e-3) && e.Now() <= 0 {
-		t.Fatalf("clock did not advance: %v", e.Now())
 	}
 }

@@ -48,24 +48,28 @@ func TestEmitWithoutCollector(t *testing.T) {
 // TestEmitTimestamps checks emitted events carry the engine's simulated
 // clock: start stamped at emit time, end at completion time.
 func TestEmitTimestamps(t *testing.T) {
-	e := New()
+	e, h := newLogged()
 	c := newRecordingCollector()
 	e.SetCollector(c)
 	if !e.Observing() {
 		t.Fatal("Observing() false with a collector attached")
 	}
-	var startAt hw.Seconds
-	if err := e.At(1.5, func() {
-		e.EmitTaskStart(Task{Track: "cpu", Name: "MatMul", Step: 2})
-		startAt = e.Now()
-		e.EmitSample("queue.cpu", 3)
-		if err := e.After(0.5, func() {
-			e.EmitTaskEnd(Task{Track: "cpu", Name: "MatMul", Step: 2, Start: startAt})
+	// Kind 1 opens a span and carries its start in the follow-up
+	// event's payload, the way the executor does; kind 2 closes it.
+	h.react = func(ev Ev) {
+		switch ev.Kind {
+		case 1:
+			e.EmitTaskStart(Task{Track: "cpu", Name: "MatMul", Step: 2})
+			e.EmitSample("queue.cpu", 3)
+			if err := e.AfterEv(0.5, Ev{Kind: 2, Start: e.Now()}); err != nil {
+				t.Error(err)
+			}
+		case 2:
+			e.EmitTaskEnd(Task{Track: "cpu", Name: "MatMul", Step: 2, Start: ev.Start})
 			e.EmitCount("sched.path.cpu", 1)
-		}); err != nil {
-			t.Error(err)
 		}
-	}); err != nil {
+	}
+	if err := e.AtEv(1.5, Ev{Kind: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(); err != nil {
