@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify lint vet build test race bench-check bench servejson clusterjson fuzz golden golden-check clean
+.PHONY: verify lint vet build test race bench-check bench bench-compare servejson clusterjson fuzz golden golden-check clean
 
 # verify is the default CI gate: static checks, a full build, the test
 # suite, and the race-detector pass (the parallel experiment runner
@@ -43,6 +43,19 @@ bench-check:
 bench:
 	$(GO) test -bench=. -benchtime=3x -cpu=1,4 -run='^$$' .
 
+# bench-compare runs the benchmark (bench/run.sh) on a clone of BASE
+# and on the working tree, PAIRS pairs of SECONDS-second WORKLOAD runs
+# on seeds 1..PAIRS, alternating which side goes first, and prints per
+# BENCHMARK.json end-to-end metric each side's median and q1–q3, the
+# change, the pairs won and the bound verdict. It fails if any run is
+# not correct or has failed operations.
+BASE ?= HEAD
+WORKLOAD ?= serve
+PAIRS ?= 10
+SECONDS ?= 20
+bench-compare:
+	$(GO) run ./cmd/benchcompare $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
+
 # servejson regenerates BENCH_serve.json: the pimserve selfcheck
 # replays the committed open-loop Poisson scenario (64 requests over 8
 # cells) against an in-process server and fails on any error,
@@ -57,13 +70,16 @@ servejson:
 # single-node baseline, or a kill path that never rehashed / retried /
 # cross-adopted a result from a peer.
 clusterjson:
-	$(GO) run ./cmd/pimserve -clustercheck -coalesce 2ms -benchout BENCH_cluster.json
+	$(GO) run ./cmd/pimserve -clustercheck -benchout BENCH_cluster.json
 
 # fuzz runs the external decoders' fuzz targets for a short budget.
 # Scenario front end: arbitrary bytes must parse-and-compile cleanly or
 # error — never panic — and identical documents must always compile to
 # identical plans. POST /v1/jobs body: never panic, and an accepted body
-# keeps its job id through a re-encode. Disk-cache entry: never panic,
+# keeps its job id through a re-encode. POST /v1/replicas body: never
+# panic, an accepted body is one JSON value naming a replica with a
+# valid base URL and grows the ring by one, a rejected one leaves the
+# ring as it was. Disk-cache entry: never panic,
 # a miss unless schema and fingerprint match, and a hit returns exactly
 # the stored result. The committed corpora under
 # internal/{scenario,serve}/testdata/fuzz seed the targets. Minimizing a
@@ -73,6 +89,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=20s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzCompile -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzJobRequest -fuzztime=15s -fuzzminimizetime=200x ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzReplicaAnnounce -fuzztime=10s -fuzzminimizetime=200x ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzDiskEntry -fuzztime=10s -fuzzminimizetime=200x ./internal/core
 
 # golden regenerates the committed golden outputs the regression CI job

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -29,9 +28,8 @@ func runRouter(addr, addrFile, backends string, healthEvery, drainWait time.Dura
 		if raw == "" {
 			continue
 		}
-		u, err := url.Parse(raw)
-		if err != nil || u.Scheme == "" || u.Host == "" {
-			fail(fmt.Errorf("-backends entry %q is not a base URL", raw))
+		if err := cluster.CheckBaseURL(raw); err != nil {
+			fail(fmt.Errorf("-backends: %w", err))
 		}
 		members = append(members, cluster.Replica{
 			Name:    fmt.Sprintf("replica-%d", i),
@@ -147,11 +145,10 @@ func clustercheckInputs(plan *heteropim.ScenarioPlan) ([]serve.LoadCell, *hetero
 // replica mid-load, gates on zero errors / byte-identity / cluster
 // dedup >= single-node dedup, and writes BENCH_cluster.json. A non-nil
 // plan supplies the cell mix and arrival process from a scenario file.
-func runClustercheck(plan *heteropim.ScenarioPlan, nodes, clients int, window time.Duration, benchOut string, workers, queue int, timeout time.Duration) error {
+func runClustercheck(plan *heteropim.ScenarioPlan, nodes, clients int, benchOut string, workers, queue int, timeout time.Duration) error {
 	opts := cluster.CheckOptions{
 		Replicas:   nodes,
 		Clients:    clients,
-		Window:     window,
 		Workers:    workers,
 		Queue:      queue,
 		JobTimeout: timeout,

@@ -9,7 +9,6 @@
 //
 //	pimserve                                  # serve on 127.0.0.1:8080
 //	pimserve -addr 127.0.0.1:0 -addrfile /tmp/addr   # ephemeral port for scripts
-//	pimserve -coalesce 2ms                    # batch near-simultaneous cells through BatchRun
 //	pimserve -router -backends URL1,URL2,URL3 # route jobs across a replica fleet
 //	pimserve -router                          # empty router; replicas self-register
 //	pimserve -announce http://router:8080     # replica: POST itself to the router's /v1/replicas
@@ -22,6 +21,7 @@
 //
 //	POST /v1/jobs                submit {"config","model","freq_scale","variant","batch_size","stacks","allreduce","processors","instrument"}
 //	POST /v1/scenarios           compile a scenario document, admit one job per unique cell
+//	                             (router: each cell goes to its owner)
 //	GET  /v1/jobs/{id}           poll the job status document
 //	GET  /v1/jobs/{id}/result    long-poll the canonical result bytes
 //	GET  /v1/jobs/{id}/events    SSE lifecycle + progress stream
@@ -88,7 +88,6 @@ func main() {
 	queue := flag.Int("queue", 64, "admission queue capacity (full queue sheds load with 429)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job queue-wait timeout")
 	drainWait := flag.Duration("drainwait", 60*time.Second, "how long SIGTERM waits for in-flight jobs")
-	coalesce := flag.Duration("coalesce", 0, "admission-coalescing window (0 disables; batches near-simultaneous cells through BatchRun)")
 	router := flag.Bool("router", false, "run as the cluster router instead of a replica")
 	backends := flag.String("backends", "", "router: comma-separated replica base URLs (optional; replicas can self-register)")
 	announce := flag.String("announce", "", "replica: self-register with this router's /v1/replicas on startup")
@@ -138,7 +137,7 @@ func main() {
 		if out == "" {
 			out = "BENCH_cluster.json"
 		}
-		if err := runClustercheck(plan, *nodes, *clients, *coalesce, out, *workers, *queue, *timeout); err != nil {
+		if err := runClustercheck(plan, *nodes, *clients, out, *workers, *queue, *timeout); err != nil {
 			fail(err)
 		}
 		return
@@ -148,7 +147,7 @@ func main() {
 		return
 	}
 
-	srv := serve.New(serve.Options{Workers: *workers, QueueCapacity: *queue, JobTimeout: *timeout, CoalesceWindow: *coalesce})
+	srv := serve.New(serve.Options{Workers: *workers, QueueCapacity: *queue, JobTimeout: *timeout})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fail(err)

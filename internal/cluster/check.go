@@ -40,8 +40,6 @@ type CheckOptions struct {
 	// Clients is the total client count, split over three waves
 	// (<= 0: 96). Each wave covers every cell.
 	Clients int
-	// Window is the replicas' admission-coalescing window (<= 0: 2ms).
-	Window time.Duration
 	// Cells overrides the load mix (nil: serve.DefaultLoadCells()).
 	Cells []serve.LoadCell
 	// Arrival is the per-wave arrival process (nil: open-loop Poisson
@@ -74,7 +72,6 @@ type PhaseStats struct {
 	LiveRuns  int64   `json:"live_runs"`
 	DedupHits int64   `json:"dedup_hits"`
 	PeerHits  int64   `json:"peer_hits"`
-	Batches   int64   `json:"coalesce_batches"`
 	Dedup     float64 `json:"dedup_ratio"`
 }
 
@@ -226,7 +223,6 @@ func sumStats(servers []*serve.Server) PhaseStats {
 		ps.LiveRuns += st.JobsRun
 		ps.DedupHits += st.DedupHits
 		ps.PeerHits += st.PeerHits
-		ps.Batches += st.CoalesceBatches
 	}
 	return ps
 }
@@ -242,10 +238,6 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 	clients := opts.Clients
 	if clients <= 0 {
 		clients = 96
-	}
-	window := opts.Window
-	if window <= 0 {
-		window = 2 * time.Millisecond
 	}
 	cells := opts.Cells
 	if cells == nil {
@@ -309,8 +301,8 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 	totalClients := 3 * wave
 	rep.Clients = totalClients
 
-	// ---- Phase 1: single-node baseline (the PR-4 shape: no window, no
-	// peers) over the same client count.
+	// ---- Phase 1: single-node baseline (no peers) over the same client
+	// count.
 	single, err := startReplica("single", NewFleet(), sopts)
 	if err != nil {
 		return rep, err
@@ -325,7 +317,7 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 	st := single.srv.Stats()
 	rep.Single = PhaseStats{
 		Requests: int64(totalClients), LiveRuns: st.JobsRun,
-		DedupHits: st.DedupHits, PeerHits: st.PeerHits, Batches: st.CoalesceBatches,
+		DedupHits: st.DedupHits, PeerHits: st.PeerHits,
 	}
 	if st.JobsRun > 0 {
 		rep.Single.Dedup = float64(totalClients) / float64(st.JobsRun)
@@ -347,12 +339,10 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 	heteropim.DropSimulationCacheMemory()
 
 	// ---- Phase 2: the fleet.
-	copts := sopts
-	copts.CoalesceWindow = window
 	fleet := NewFleet()
 	replicas := make([]*replicaProc, nrep)
 	for i := range replicas {
-		if replicas[i], err = startReplica(fmt.Sprintf("replica-%d", i), fleet, copts); err != nil {
+		if replicas[i], err = startReplica(fmt.Sprintf("replica-%d", i), fleet, sopts); err != nil {
 			return rep, err
 		}
 	}
@@ -431,7 +421,7 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 		return rep, fmt.Errorf("clustercheck: victim shutdown: %w", err)
 	}
 	router.RemoveReplica(victim.name)
-	recovered, err := startReplica(victim.name, fleet, copts)
+	recovered, err := startReplica(victim.name, fleet, sopts)
 	if err != nil {
 		return rep, err
 	}

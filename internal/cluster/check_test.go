@@ -22,7 +22,6 @@ func TestRunCheckSmall(t *testing.T) {
 	rep, err := RunCheck(CheckOptions{
 		Replicas: 3,
 		Clients:  12,
-		Window:   2 * time.Millisecond,
 		Cells: []serve.LoadCell{
 			{Config: "hetero", Model: "AlexNet"},
 			{Config: "gpu", Model: "AlexNet"},

@@ -2,16 +2,19 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"heteropim"
 	"heteropim/internal/metrics"
 	"heteropim/internal/report"
 	"heteropim/internal/serve"
@@ -94,6 +97,7 @@ func NewRouter(opts RouterOptions) *Router {
 		rt.AddReplica(r)
 	}
 	rt.mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
+	rt.mux.HandleFunc("POST /v1/scenarios", rt.handleScenarios)
 	rt.mux.HandleFunc("POST /v1/replicas", rt.handleReplicaAnnounce)
 	rt.mux.HandleFunc("GET /v1/replicas", rt.handleReplicaList)
 	rt.mux.HandleFunc("DELETE /v1/replicas/{name}", rt.handleReplicaDepart)
@@ -225,6 +229,12 @@ func (rt *Router) healthLoop() {
 	}
 }
 
+// badRequest counts and answers a request the router refuses (400).
+func (rt *Router) badRequest(w http.ResponseWriter, err error) {
+	rt.reg.Add("cluster.bad_requests", 1)
+	rt.writeError(w, http.StatusBadRequest, err)
+}
+
 // writeError mirrors the replicas' JSON error shape.
 func (rt *Router) writeError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
@@ -266,28 +276,96 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response) {
 }
 
 // handleSubmit routes one job submission to the shard owner of its
-// content-addressed id, re-hashing and retrying when the owner is
-// draining (503) or unreachable — the autoscale-friendly path: a
-// SIGTERM'd replica stops being an owner after its first rejection,
-// and the in-flight submission lands on the range's new owner instead
-// of failing back to the client.
+// content-addressed id (forwardJob) and relays the owner's answer.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.reg.Add("cluster.requests", 1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		rt.reg.Add("cluster.bad_requests", 1)
-		rt.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: read body: %w", err))
+		rt.badRequest(w, fmt.Errorf("cluster: read body: %w", err))
 		return
 	}
 	// The replicas' own decoder: a body the router forwards is one a
 	// replica accepts, and one it rejects never costs a hop.
 	_, id, err := serve.DecodeJobRequest(w, io.NopCloser(bytes.NewReader(body)))
 	if err != nil {
-		rt.reg.Add("cluster.bad_requests", 1)
-		rt.writeError(w, http.StatusBadRequest, err)
+		rt.badRequest(w, err)
 		return
 	}
+	resp, err := rt.forwardJob(r.Context(), id, body)
+	if err != nil {
+		rt.writeForwardError(w, err)
+		return
+	}
+	rt.relay(w, resp)
+}
 
+// handleScenarios is the cluster's POST /v1/scenarios: it compiles the
+// document with the replicas' compiler, sends each unique cell as its
+// own POST /v1/jobs body to that cell's owner (forwardJob), and replies
+// in the replicas' shape, so a scenario reaches the same jobs whether a
+// client posts it to a replica or to the router. A cell with no job
+// body form (a variant with a batch size) refuses the document before
+// any cell is sent. A replica's refusal of a cell is relayed as is; the
+// cells before it stay admitted, as they do on a replica.
+func (rt *Router) handleScenarios(w http.ResponseWriter, r *http.Request) {
+	rt.reg.Add("cluster.requests", 1)
+	doc, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		rt.badRequest(w, fmt.Errorf("cluster: bad scenario body: %w", err))
+		return
+	}
+	plan, err := heteropim.CompileScenario(doc)
+	if err != nil {
+		rt.badRequest(w, err)
+		return
+	}
+	ids := make([]string, len(plan.Cells))
+	bodies := make([][]byte, len(plan.Cells))
+	for i, bc := range plan.Cells {
+		req := serve.RequestFromBatch(bc)
+		if ids[i], err = serve.JobID(req); err != nil {
+			rt.badRequest(w, fmt.Errorf("cluster: scenario cell %d of %d: %w", i+1, len(plan.Cells), err))
+			return
+		}
+		// A JobRequest holds plain values and the compiler admits only
+		// finite frequencies, so it always encodes.
+		bodies[i], _ = json.Marshal(req)
+	}
+	out := serve.ScenarioResponse{Scenario: plan.Name, Requested: plan.Requested, Duplicates: plan.Duplicates}
+	for i, id := range ids {
+		resp, err := rt.forwardJob(r.Context(), id, bodies[i])
+		if err != nil {
+			rt.writeForwardError(w, err)
+			return
+		}
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+			rt.relay(w, resp)
+			return
+		}
+		var st serve.JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			rt.writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: job %s: %w", id, err))
+			return
+		}
+		out.Jobs = append(out.Jobs, st)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	_ = json.NewEncoder(w).Encode(out)
+}
+
+// errNoReplica is forwardJob's answer once the ring is empty.
+var errNoReplica = errors.New("cluster: no ready replica")
+
+// forwardJob POSTs one job body to the replica owning id, re-hashing
+// and retrying when the owner is draining (503) or unreachable — the
+// autoscale-friendly path: a SIGTERM'd replica stops being an owner
+// after its first rejection, and the in-flight submission lands on the
+// range's new owner instead of failing back to the client. It returns
+// the first other answer, which the caller must close.
+func (rt *Router) forwardJob(ctx context.Context, id string, body []byte) (*http.Response, error) {
 	// One attempt per fleet member is enough: every retry removes the
 	// failed owner from the ring first.
 	attempts := rt.ring.Len() + 1
@@ -301,11 +379,10 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rt.ring.Remove(owner)
 			continue
 		}
-		preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
+		preq, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			rep.baseURL+"/v1/jobs", bytes.NewReader(body))
 		if err != nil {
-			rt.writeError(w, http.StatusInternalServerError, err)
-			return
+			return nil, err
 		}
 		preq.Header.Set("Content-Type", "application/json")
 		resp, err := rt.client.Do(preq)
@@ -324,11 +401,20 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		rt.reg.Add("cluster.forwarded."+owner, 1)
-		rt.relay(w, resp)
-		return
+		return resp, nil
 	}
 	rt.reg.Add("cluster.unroutable", 1)
-	rt.writeError(w, http.StatusServiceUnavailable, errors.New("cluster: no ready replica"))
+	return nil, errNoReplica
+}
+
+// writeForwardError answers a forwardJob failure: 503 when no replica
+// is left, 500 when the request could not be built.
+func (rt *Router) writeForwardError(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	if errors.Is(err, errNoReplica) {
+		code = http.StatusServiceUnavailable
+	}
+	rt.writeError(w, code, err)
 }
 
 // handleJobGet routes job reads by id. The owner is asked first; a 404
@@ -389,22 +475,9 @@ func (rt *Router) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // name (recovery on a fresh port) restores exactly its old shard range.
 func (rt *Router) handleReplicaAnnounce(w http.ResponseWriter, r *http.Request) {
 	rt.reg.Add("cluster.requests", 1)
-	var rep Replica
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rep); err != nil {
-		rt.reg.Add("cluster.bad_requests", 1)
-		rt.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad replica body: %w", err))
-		return
-	}
-	if rep.Name == "" || rep.BaseURL == "" {
-		rt.reg.Add("cluster.bad_requests", 1)
-		rt.writeError(w, http.StatusBadRequest, errors.New("cluster: replica needs both name and base_url"))
-		return
-	}
-	if !strings.HasPrefix(rep.BaseURL, "http://") && !strings.HasPrefix(rep.BaseURL, "https://") {
-		rt.reg.Add("cluster.bad_requests", 1)
-		rt.writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: replica base_url %q is not an http(s) URL", rep.BaseURL))
+	rep, err := decodeReplica(w, r.Body)
+	if err != nil {
+		rt.badRequest(w, err)
 		return
 	}
 	rt.AddReplica(rep)
@@ -415,6 +488,40 @@ func (rt *Router) handleReplicaAnnounce(w http.ResponseWriter, r *http.Request) 
 		Replica Replica `json:"replica"`
 		Ring    int     `json:"ring"`
 	}{Replica: rep, Ring: rt.ring.Len()})
+}
+
+// decodeReplica reads one POST /v1/replicas body — at most 64 KiB, one
+// JSON object with no unknown fields and nothing after it — naming a
+// replica whose base URL passes CheckBaseURL.
+func decodeReplica(w http.ResponseWriter, body io.ReadCloser) (Replica, error) {
+	var rep Replica
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<16))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rep); err != nil {
+		return Replica{}, fmt.Errorf("cluster: bad replica body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Replica{}, errors.New("cluster: bad replica body: data after the replica object")
+	}
+	if rep.Name == "" {
+		return Replica{}, errors.New("cluster: replica needs a name")
+	}
+	return rep, CheckBaseURL(rep.BaseURL)
+}
+
+// CheckBaseURL accepts a replica base URL only if it parses, its scheme
+// is http or https, and it names a host. A replica announced over POST
+// /v1/replicas and one listed in `pimserve -backends` pass the same
+// check.
+func CheckBaseURL(raw string) error {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return fmt.Errorf("cluster: replica base_url %q: %w", raw, err)
+	}
+	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return fmt.Errorf("cluster: replica base_url %q is not an http(s) URL with a host", raw)
+	}
+	return nil
 }
 
 // handleReplicaDepart is the graceful-drain announcement: a SIGTERM'd

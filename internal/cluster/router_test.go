@@ -1,17 +1,21 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"heteropim"
 	"heteropim/internal/serve"
 )
 
@@ -430,5 +434,104 @@ func TestReplicaDepart(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown depart = %s, want 404", resp2.Status)
+	}
+}
+
+// TestRouterScenarios posts the committed paper grid to a router over
+// three real replicas: the reply has the replicas' shape, each unique
+// cell became the job its own POST /v1/jobs would have named, every
+// job is read back from its owner with no reroute, and the served
+// bytes equal a direct run.
+func TestRouterScenarios(t *testing.T) {
+	var members []Replica
+	var replicas []*serve.Server
+	for i := 0; i < 3; i++ {
+		s := serve.New(serve.Options{Workers: 2})
+		replicas = append(replicas, s)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			_ = s.Drain(ctx)
+			ts.Close()
+		})
+		members = append(members, Replica{Name: fmt.Sprintf("replica-%d", i), BaseURL: ts.URL})
+	}
+	rt := NewRouter(RouterOptions{Replicas: members, HealthInterval: time.Hour})
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() { rt.Close(); ts.Close() })
+
+	doc, err := os.ReadFile("../../testdata/scenarios/paper_grid.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := heteropim.CompileScenario(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr serve.ScenarioResponse
+	err = json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/scenarios via router = %s (%v)", resp.Status, err)
+	}
+	if sr.Requested != 25 || len(sr.Jobs) != len(plan.Cells) {
+		t.Fatalf("requested %d with %d jobs, want 25 with %d", sr.Requested, len(sr.Jobs), len(plan.Cells))
+	}
+
+	reroutes := rt.Registry().CounterValue("cluster.reroutes")
+	client := &http.Client{Timeout: time.Minute}
+	for i, bc := range plan.Cells {
+		id, err := serve.JobID(serve.RequestFromBatch(bc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Jobs[i].ID != id {
+			t.Fatalf("cell %d (%+v) became job %s, want %s", i, bc, sr.Jobs[i].ID, id)
+		}
+		resp, err := client.Get(ts.URL + "/v1/jobs/" + id + "/result?wait=60s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET job %s via router = %s: %s", id, resp.Status, got)
+		}
+		if bc.Config == heteropim.ConfigCPU && bc.Model == heteropim.VGG19 {
+			direct, err := heteropim.Run(heteropim.ConfigCPU, heteropim.VGG19)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, serve.EncodeResult(direct)) {
+				t.Fatal("CPU/VGG-19 served via the router differs from the direct run")
+			}
+		}
+	}
+	if got := rt.Registry().CounterValue("cluster.reroutes"); got != reroutes {
+		t.Fatalf("reading the scenario's jobs rerouted %.0f reads; each should be on its owner", got-reroutes)
+	}
+
+	// A cell with no job body form (a variant with a batch size) refuses
+	// the whole document before any cell reaches a replica.
+	submitted := func() (n float64) {
+		for _, s := range replicas {
+			n += s.Registry().CounterValue("serve.requests")
+		}
+		return n
+	}
+	before := submitted()
+	bad := `{"scenario":1,"cells":[{"models":["AlexNet","VGG-19"],"batch_sizes":[16],"variants":[{"recursive_kernels":true}]}]}`
+	resp, err = http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || submitted() != before {
+		t.Fatalf("scenario without a job form = %s and sent %.0f cells; want 400 and none", resp.Status, submitted()-before)
 	}
 }

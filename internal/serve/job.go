@@ -176,10 +176,9 @@ func (c cell) id() string {
 	return fmt.Sprintf("j%016x", h.Sum64())
 }
 
-// batchCell renders the cell in heteropim.BatchRun's input shape (both
-// `run` and the admission-coalescing window execute through BatchRun,
-// whose results are documented — and tested — to be bit-identical to
-// the per-cell Run* calls).
+// batchCell renders the cell in heteropim.BatchRun's input shape (`run`
+// executes through BatchRun, whose results are documented — and tested
+// — to be bit-identical to the per-cell Run* calls).
 func (c cell) batchCell() heteropim.BatchCell {
 	bc := heteropim.BatchCell{Config: c.config, Model: c.model, FreqScale: c.freqScale,
 		BatchSize: c.batchSize, Processors: c.processors}

@@ -40,12 +40,11 @@ type Options struct {
 	// expires fail instead of running (a discrete-event simulation is
 	// not preemptible once started). <= 0: 2 minutes.
 	JobTimeout time.Duration
-	// CoalesceWindow batches near-simultaneous admissions: jobs
-	// accepted within one window of each other are evaluated as a
-	// single heteropim.BatchRun, so distinct cells sharing a task-graph
-	// template split one template/profile warm-up instead of racing the
-	// build locks. 0 disables coalescing (every job goes straight to
-	// the pool, exactly the pre-cluster behavior).
+	// CoalesceWindow is ignored: admission never waits, and every
+	// admitted job goes straight to the pool.
+	//
+	// Deprecated: kept only because the benchmark module still sets it;
+	// delete it once the benchmark no longer does.
 	CoalesceWindow time.Duration
 	// PeerAsk, when set, is consulted before simulating a locally-new
 	// job: given the job id it may return the canonical result bytes
@@ -61,7 +60,6 @@ type Server struct {
 	mux        *http.ServeMux
 	jobTimeout time.Duration
 	start      time.Time
-	co         *coalescer // nil when CoalesceWindow == 0
 	peerAsk    func(ctx context.Context, jobID string) ([]byte, bool)
 
 	mu       sync.Mutex
@@ -86,9 +84,6 @@ func New(opts Options) *Server {
 		start:      time.Now(),
 		peerAsk:    opts.PeerAsk,
 		jobs:       map[string]*Job{},
-	}
-	if opts.CoalesceWindow > 0 {
-		s.co = newCoalescer(s, opts.CoalesceWindow)
 	}
 	// Expose the runner's process-wide pool gauges (workers busy, queue
 	// depth) through this server's /metrics. The gauges are global to
@@ -217,16 +212,7 @@ func (s *Server) admit(c cell) (JobStatus, int, error) {
 	s.mu.Unlock()
 
 	deadline := time.Now().Add(s.jobTimeout)
-	submit := func() error {
-		// Instrumented jobs always run solo (they carry a live metrics
-		// collector the batch path cannot attach); everything else joins
-		// the admission-coalescing window when one is configured.
-		if s.co != nil && !c.instrument {
-			return s.co.add(j, deadline)
-		}
-		return s.pool.Submit(func(context.Context) { s.execute(j, deadline) })
-	}
-	if err := submit(); err != nil {
+	if err := s.pool.Submit(func(context.Context) { s.execute(j, deadline) }); err != nil {
 		// A transient admission failure must not poison the cell: drop
 		// the record (a resubmit gets a fresh job) and unblock any
 		// dedup waiter that raced onto it.
@@ -255,8 +241,8 @@ type ScenarioResponse struct {
 // handleScenarios accepts a scenario document as the POST body,
 // compiles it with the same strict compiler the CLIs use, and fans the
 // plan out to content-addressed jobs through the shared admission path
-// (dedup, coalescing, queue limits all apply per cell). The plan's
-// cells must fit the admission queue; split larger scenarios.
+// (dedup and queue limits apply per cell). The plan's cells must fit
+// the admission queue; split larger scenarios.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	s.reg.Add("serve.scenario_requests", 1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -572,12 +558,11 @@ func (s *Server) handleStatusPage(w http.ResponseWriter, r *http.Request) {
 // clustercheck gate on it). JobsRun counts only jobs that executed a
 // simulation locally; peer-adopted and deduplicated jobs do not.
 type Stats struct {
-	Requests        int64 `json:"requests"`
-	DedupHits       int64 `json:"dedup_hits"`
-	JobsRun         int64 `json:"jobs_run"`
-	Rejected        int64 `json:"rejected"`
-	PeerHits        int64 `json:"peer_hits"`
-	CoalesceBatches int64 `json:"coalesce_batches"`
+	Requests  int64 `json:"requests"`
+	DedupHits int64 `json:"dedup_hits"`
+	JobsRun   int64 `json:"jobs_run"`
+	Rejected  int64 `json:"rejected"`
+	PeerHits  int64 `json:"peer_hits"`
 }
 
 // Stats reads the serving counters.
@@ -588,8 +573,7 @@ func (s *Server) Stats() Stats {
 		JobsRun:   int64(s.reg.CounterValue("serve.jobs_run")),
 		Rejected: int64(s.reg.CounterValue("serve.rejected_full") +
 			s.reg.CounterValue("serve.rejected_draining")),
-		PeerHits:        int64(s.reg.CounterValue("serve.peer_hits")),
-		CoalesceBatches: int64(s.reg.CounterValue("serve.coalesce_batches")),
+		PeerHits: int64(s.reg.CounterValue("serve.peer_hits")),
 	}
 }
 
@@ -600,13 +584,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	// An armed coalescing window may still hold accepted jobs; flush it
-	// now (instead of waiting out the timer) and wait for any batch that
-	// had to run inline because the pool was already closing.
-	if s.co != nil {
-		s.co.flush()
-		defer s.co.wait()
-	}
 	return s.pool.Drain(ctx)
 }
 

@@ -418,3 +418,163 @@ func TestLoadGenSelfcheck(t *testing.T) {
 		t.Fatalf("dedup ratio = %.2f, want >= 4", rep.DedupRatio)
 	}
 }
+
+// TestAdmissionDoesNotWait checks that admission never holds a job
+// back: even a server built with an hour-long CoalesceWindow hands a
+// first-seen job straight to the pool, so its result is ready well
+// inside a 10 s long-poll.
+func TestAdmissionDoesNotWait(t *testing.T) {
+	s, ts := start(t, Options{Workers: 2, CoalesceWindow: time.Hour})
+	resp, data := post(t, ts.URL, `{"config":"hetero","model":"AlexNet"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST = %s: %s", resp.Status, data)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	resp, got := get(t, ts.URL+"/v1/jobs/"+st.ID+"/result?wait=10s")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET result = %s: %s (the job waited at admission)", resp.Status, got)
+	}
+	direct, err := heteropim.Run(heteropim.ConfigHeteroPIM, heteropim.AlexNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, EncodeResult(direct)) {
+		t.Fatal("served result differs from the direct run")
+	}
+	if runs := s.Stats().JobsRun; runs != 1 {
+		t.Fatalf("jobs_run = %d, want 1", runs)
+	}
+}
+
+// TestCoalesceDuplicateIDsCollapse fires a herd of identical posts at a
+// server built with a CoalesceWindow and checks the jobs-map dedup
+// still runs before admission, with no window to hold the herd: one
+// job, one live run, dedup_hits herd-1, and the result ready well
+// inside a 10 s long-poll.
+func TestCoalesceDuplicateIDsCollapse(t *testing.T) {
+	s, ts := start(t, Options{Workers: 2, CoalesceWindow: time.Hour})
+	const herd = 12
+	ids := make([]string, herd)
+	var wg sync.WaitGroup
+	for i := 0; i < herd; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, data := post(t, ts.URL, `{"config":"hetero","model":"AlexNet"}`)
+			var st JobStatus
+			if err := json.Unmarshal(data, &st); err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = st.ID
+		}(i)
+	}
+	wg.Wait()
+	for _, id := range ids[1:] {
+		if id != ids[0] {
+			t.Fatalf("duplicate posts produced distinct jobs: %s vs %s", id, ids[0])
+		}
+	}
+	resp, got := get(t, ts.URL+"/v1/jobs/"+ids[0]+"/result?wait=10s")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET result = %s: %s (the herd waited at admission)", resp.Status, got)
+	}
+	stats := s.Stats()
+	if stats.JobsRun != 1 {
+		t.Fatalf("jobs_run = %d, want 1 (duplicates must collapse before admission)", stats.JobsRun)
+	}
+	if stats.DedupHits != herd-1 {
+		t.Fatalf("dedup_hits = %d, want %d", stats.DedupHits, herd-1)
+	}
+}
+
+// TestPeerAdoption wires a stub PeerAsk and checks a job whose bytes
+// the "fleet" already has is adopted instead of simulated: peer_hits
+// counts it, jobs_run does not, and the job serves the peer's bytes.
+func TestPeerAdoption(t *testing.T) {
+	direct, err := heteropim.Run(heteropim.ConfigHeteroPIM, heteropim.AlexNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := EncodeResult(direct)
+	s, ts := start(t, Options{
+		Workers: 2,
+		PeerAsk: func(ctx context.Context, jobID string) ([]byte, bool) {
+			return want, true
+		},
+	})
+	_, data := post(t, ts.URL, `{"config":"hetero","model":"AlexNet"}`)
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	resp, got := get(t, ts.URL+"/v1/jobs/"+st.ID+"/result?wait=60s")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET result = %s: %s", resp.Status, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("adopted bytes differ from the peer's answer")
+	}
+	stats := s.Stats()
+	if stats.PeerHits != 1 {
+		t.Fatalf("peer_hits = %d, want 1", stats.PeerHits)
+	}
+	if stats.JobsRun != 0 {
+		t.Fatalf("jobs_run = %d, want 0 (adoption must replace the local simulation)", stats.JobsRun)
+	}
+}
+
+// TestClientCancelDoesNotPoisonJob cancels a client's context right
+// after its POST returns and checks that neither its job nor a
+// concurrent one is harmed: a job depends only on the server's
+// lifecycle, never on the client that submitted it.
+func TestClientCancelDoesNotPoisonJob(t *testing.T) {
+	s, ts := start(t, Options{Workers: 2})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs",
+		strings.NewReader(`{"config":"hetero","model":"AlexNet"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doomed JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&doomed); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	cancel()
+
+	// A second client submits a different cell while the first job is
+	// queued or running.
+	_, data := post(t, ts.URL, `{"config":"gpu","model":"AlexNet"}`)
+	var mate JobStatus
+	if err := json.Unmarshal(data, &mate); err != nil {
+		t.Fatal(err)
+	}
+
+	var got []byte
+	for _, id := range []string{doomed.ID, mate.ID} {
+		var resp *http.Response
+		if resp, got = get(t, ts.URL+"/v1/jobs/"+id+"/result?wait=60s"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("job %s after a client cancel: %s: %s", id, resp.Status, got)
+		}
+	}
+	direct, err := heteropim.Run(heteropim.ConfigGPU, heteropim.AlexNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, EncodeResult(direct)) {
+		t.Fatal("concurrent job's result corrupted by another client's cancel")
+	}
+	if runs := s.Stats().JobsRun; runs != 2 {
+		t.Fatalf("jobs_run = %d, want 2", runs)
+	}
+}
