@@ -2,21 +2,26 @@ package heteropim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"heteropim/internal/batch"
 	"heteropim/internal/core"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
+	"heteropim/internal/sim"
 )
 
-// BatchCell describes one simulation of a batched sweep: a model on a
-// configuration, with the optional axes the paper's studies vary.
-// Exactly the cells pimsweep's four sweeps and the serving daemon emit.
+// BatchCell describes one simulation: a model on a configuration, with
+// the optional axes the paper's studies vary. It is the one cell type
+// of the package — Simulate runs one, BatchRun many, and the scenario
+// compiler, the CLIs and the serving daemon all emit it.
 type BatchCell struct {
 	Config Config
 	Model  Model
-	// BatchSize overrides the model's paper batch size when > 0.
+	// BatchSize overrides the model's paper batch size when > 0 (for a
+	// multi-stack cell, the global batch split across the stacks). It
+	// does not combine with Variant or Processors.
 	BatchSize int
 	// FreqScale is the PIM/stack PLL multiplier; 0 means 1.
 	FreqScale float64
@@ -27,31 +32,104 @@ type BatchCell struct {
 	// processors at constant logic-die area (Config is ignored).
 	Processors int
 	// Stacks, when > 1, shards the minibatch across that many stacks
-	// (data-parallel training; PIM configurations only — see
-	// Options.Stacks). AllReduce picks the gradient schedule ("ring",
-	// "tree", or "" for ring).
+	// (data-parallel training; PIM configurations only, and a global
+	// batch of at least Stacks samples). AllReduce picks the gradient
+	// schedule (AllReduceRing, AllReduceTree, or "" for ring).
 	Stacks    int
 	AllReduce string
 }
 
+// validate rejects cells whose axes do not combine.
+func (c BatchCell) validate() error {
+	switch {
+	case c.Variant != nil && c.Processors > 0:
+		return errors.New("Variant and Processors are mutually exclusive")
+	case c.Processors < 0:
+		return fmt.Errorf("need at least one processor, got %d", c.Processors)
+	case c.BatchSize != 0 && (c.Variant != nil || c.Processors > 0):
+		return fmt.Errorf("batch size %d does not combine with Variant or Processors", c.BatchSize)
+	}
+	return nil
+}
+
+// Simulate runs one cell: the package's one entry point into the
+// simulator. With m == nil the run is uninstrumented and served through
+// the result cache. With a non-nil m it runs live and records its
+// timeline and metrics into m, which may be read concurrently while the
+// run executes (for a multi-stack cell: stack 0 and the all-reduce).
+// Either way the Result is bit-identical.
+func Simulate(c BatchCell, m *Metrics) (Result, error) {
+	if err := c.validate(); err != nil {
+		return Result{}, fmt.Errorf("heteropim: %w", err)
+	}
+	sched, err := nn.ParseAllReduceKind(c.AllReduce)
+	if err != nil {
+		return Result{}, err
+	}
+	g, err := nn.BuildWithBatch(c.Model, c.BatchSize)
+	if err != nil {
+		return Result{}, err
+	}
+	scale := c.FreqScale
+	if scale == 0 {
+		scale = 1
+	}
+	kind := c.Config
+	if c.Variant != nil || c.Processors > 0 {
+		kind = ConfigHeteroPIM
+	}
+	cfg := hw.PaperConfigScaled(kind, scale)
+	if c.Processors > 0 {
+		cfg = hw.HeteroConfigWithProcessors(c.Processors, scale)
+	}
+	var obs sim.Collector
+	if m != nil {
+		obs = m.c
+	}
+	opts, pim := core.PIMOptionsFor(kind)
+	if !pim {
+		if c.Stacks > 1 {
+			return Result{}, fmt.Errorf("core: multi-stack training needs a PIM platform, got %v", kind)
+		}
+		r, err := core.RunOnWithCollector(kind, g, cfg, obs)
+		if err != nil {
+			return Result{}, err
+		}
+		return wrap(r), nil
+	}
+	if c.Variant != nil {
+		opts.RC, opts.OP = c.Variant.RecursiveKernels, c.Variant.OperationPipeline
+	}
+	if c.Stacks > 1 {
+		opts.Stacks, opts.AllReduce = c.Stacks, sched
+	}
+	opts.Collector = obs
+	r, err := core.RunPIM(g, cfg, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	if c.Variant != nil {
+		r.Config.Name = fmt.Sprintf("Hetero PIM(RC=%v,OP=%v)", c.Variant.RecursiveKernels, c.Variant.OperationPipeline)
+		if r.Stacks > 1 {
+			r.Config.Name += fmt.Sprintf(" x%d", r.Stacks)
+		}
+	}
+	return wrap(r), nil
+}
+
 // BatchRun evaluates the cells on the shared worker pool and returns
-// their results in input order — bit-identical to calling the
-// corresponding Run* function per cell sequentially. Cells sharing a
-// task-graph template (same model, batch size and pipeline options) are
-// grouped: one leader per group runs first and warms the template and
-// profile caches, then the rest fan out (internal/batch). Group and
-// leader counts are reported through batch.ReadStats alongside the
-// simulation-cache counters.
+// their results in input order — bit-identical to calling Simulate per
+// cell sequentially. Cells sharing a task-graph template (same model,
+// batch size and pipeline options) are grouped: one leader per group
+// runs first and warms the template and profile caches, then the rest
+// fan out (internal/batch). Group and leader counts are reported through
+// batch.ReadStats alongside the simulation-cache counters.
 func BatchRun(cells []BatchCell) ([]Result, error) {
 	bc := make([]batch.Cell[Result], len(cells))
 	for i, c := range cells {
 		c := c
-		if c.Variant != nil && c.Processors > 0 {
-			return nil, fmt.Errorf("heteropim: cell %d sets both Variant and Processors", i)
-		}
-		scale := c.FreqScale
-		if scale == 0 {
-			scale = 1
+		if err := c.validate(); err != nil {
+			return nil, fmt.Errorf("heteropim: cell %d: %w", i, err)
 		}
 		op := c.Config == ConfigHeteroPIM || c.Variant != nil || c.Processors > 0
 		if c.Variant != nil {
@@ -60,78 +138,11 @@ func BatchRun(cells []BatchCell) ([]Result, error) {
 		bc[i] = batch.Cell[Result]{
 			Group: batch.GroupKey(string(c.Model), c.BatchSize, 4, op, 2),
 			Run: func(context.Context) (Result, error) {
-				return runBatchCell(c, scale)
+				return Simulate(c, nil)
 			},
 		}
 	}
 	return batch.Eval(context.Background(), bc)
-}
-
-// runBatchCell executes one cell exactly as the public Run* entry
-// points would.
-func runBatchCell(c BatchCell, scale float64) (Result, error) {
-	sched, err := nn.ParseAllReduceKind(c.AllReduce)
-	if err != nil {
-		return Result{}, err
-	}
-	switch {
-	case c.Variant != nil:
-		g, err := nn.Build(c.Model)
-		if err != nil {
-			return Result{}, err
-		}
-		if c.Stacks > 1 {
-			opts := core.HeteroOptions()
-			opts.RC = c.Variant.RecursiveKernels
-			opts.OP = c.Variant.OperationPipeline
-			opts.Stacks, opts.AllReduce = c.Stacks, sched
-			r, err := core.RunPIM(g, hw.PaperConfigScaled(hw.ConfigHeteroPIM, scale), opts)
-			if err != nil {
-				return Result{}, err
-			}
-			r.Config.Name = fmt.Sprintf("Hetero PIM(RC=%v,OP=%v) x%d",
-				c.Variant.RecursiveKernels, c.Variant.OperationPipeline, c.Stacks)
-			return wrap(r), nil
-		}
-		r, err := core.RunHeteroVariant(g, c.Variant.RecursiveKernels, c.Variant.OperationPipeline, scale)
-		if err != nil {
-			return Result{}, err
-		}
-		return wrap(r), nil
-	case c.Processors > 0:
-		g, err := nn.Build(c.Model)
-		if err != nil {
-			return Result{}, err
-		}
-		opts := core.HeteroOptions()
-		if c.Stacks > 1 {
-			opts.Stacks, opts.AllReduce = c.Stacks, sched
-		}
-		r, err := core.RunPIM(g, hw.HeteroConfigWithProcessors(c.Processors, scale), opts)
-		if err != nil {
-			return Result{}, err
-		}
-		return wrap(r), nil
-	case c.Stacks > 1:
-		return RunWithOptions(c.Config, c.Model, Options{
-			FreqScale: scale,
-			BatchSize: c.BatchSize,
-			Stacks:    c.Stacks,
-			AllReduce: c.AllReduce,
-		})
-	case c.BatchSize > 0:
-		g, err := nn.BuildWithBatch(c.Model, c.BatchSize)
-		if err != nil {
-			return Result{}, err
-		}
-		r, err := core.Run(c.Config, g, scale)
-		if err != nil {
-			return Result{}, err
-		}
-		return wrap(r), nil
-	default:
-		return RunScaled(c.Config, c.Model, scale)
-	}
 }
 
 // BatchStats reports the grouped-evaluation and DSE-pruning counters

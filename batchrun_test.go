@@ -3,8 +3,8 @@ package heteropim
 import "testing"
 
 // TestBatchRunMatchesSequentialRuns pins the BatchRun contract: results
-// are bit-identical to calling the corresponding Run* function per
-// cell, in input order, across all four sweep axes pimsweep uses.
+// are bit-identical to calling Simulate per cell sequentially, in input
+// order, across all four sweep axes pimsweep uses.
 func TestBatchRunMatchesSequentialRuns(t *testing.T) {
 	cells := []BatchCell{
 		{Config: ConfigCPU, Model: AlexNet},
@@ -23,19 +23,7 @@ func TestBatchRunMatchesSequentialRuns(t *testing.T) {
 	want := make([]Result, len(cells))
 	for i, c := range cells {
 		var err error
-		switch {
-		case c.Variant != nil:
-			want[i], err = RunVariant(c.Model, *c.Variant)
-		case c.Processors > 0:
-			want[i], err = RunHeteroProcessors(c.Model, c.Processors)
-		case c.BatchSize > 0:
-			want[i], err = RunWithBatch(c.Config, c.Model, c.BatchSize)
-		case c.FreqScale != 0:
-			want[i], err = RunScaled(c.Config, c.Model, c.FreqScale)
-		default:
-			want[i], err = Run(c.Config, c.Model)
-		}
-		if err != nil {
+		if want[i], err = Simulate(c, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,6 +40,21 @@ func TestBatchRunRejectsConflictingAxes(t *testing.T) {
 	_, err := BatchRun([]BatchCell{{Model: AlexNet, Variant: &Variant{}, Processors: 2}})
 	if err == nil {
 		t.Fatal("cell with both Variant and Processors accepted")
+	}
+}
+
+// TestBatchRunRejectsBatchSizeWithVariantOrProcessors: the variant and
+// processor studies run at the paper batch, so a cell that also asks
+// for another batch size has no meaning and must be refused rather
+// than silently run at the paper batch.
+func TestBatchRunRejectsBatchSizeWithVariantOrProcessors(t *testing.T) {
+	for _, c := range []BatchCell{
+		{Model: AlexNet, BatchSize: 16, Variant: &Variant{RecursiveKernels: true, OperationPipeline: true}},
+		{Model: AlexNet, BatchSize: 128, Processors: 4},
+	} {
+		if _, err := BatchRun([]BatchCell{c}); err == nil {
+			t.Errorf("BatchRun accepted %+v, want a batch-size conflict error", c)
+		}
 	}
 }
 

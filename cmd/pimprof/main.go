@@ -31,14 +31,19 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// buildModel resolves a model name through the public parser (whose
-// unknown-name error lists the valid models) and builds its graph.
-func buildModel(name string) *nn.Graph {
+// parseModel resolves a model name through the public parser, whose
+// unknown-name error lists the valid models.
+func parseModel(name string) heteropim.Model {
 	model, err := heteropim.ParseModel(name)
 	if err != nil {
 		fail(err)
 	}
-	g, err := nn.Build(model)
+	return model
+}
+
+// buildModel resolves a model name and builds its graph.
+func buildModel(name string) *nn.Graph {
+	g, err := nn.Build(parseModel(name))
 	if err != nil {
 		fail(err)
 	}
@@ -116,9 +121,9 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		buildModel(*timelineModel) // validate the name before the run
-		_, m, err := heteropim.RunInstrumented(kind, heteropim.Model(*timelineModel))
-		if err != nil {
+		m := heteropim.NewMetrics()
+		cell := heteropim.BatchCell{Config: kind, Model: parseModel(*timelineModel)}
+		if _, err := heteropim.Simulate(cell, m); err != nil {
 			fail(err)
 		}
 		w := output(*out)

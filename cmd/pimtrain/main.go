@@ -193,13 +193,26 @@ func main() {
 		configs = []heteropim.Config{kind}
 	}
 
-	// -metrics / -advise run a single configuration instrumented.
+	// One cell per configuration, carrying every cell flag. The table
+	// fans the cells out through BatchRun, the same plan a one-group
+	// scenario file compiles to; -metrics/-advise simulate the one cell
+	// instrumented.
+	cell := heteropim.BatchCell{Model: modelName, BatchSize: *batch, FreqScale: *freq}
+	if *stacks > 1 {
+		cell.Stacks, cell.AllReduce = *stacks, *allreduce
+	}
+	cells := make([]heteropim.BatchCell, len(configs))
+	for i, cfg := range configs {
+		cells[i] = cell
+		cells[i].Config = cfg
+	}
+
 	if *metricsOut != "" || *advise {
-		if strings.EqualFold(*config, "all") {
+		if len(cells) != 1 {
 			fail(fmt.Errorf("-metrics/-advise need a single -config, not \"all\""))
 		}
-		_, m, err := heteropim.RunInstrumentedScaled(configs[0], modelName, *freq)
-		if err != nil {
+		m := heteropim.NewMetrics()
+		if _, err := heteropim.Simulate(cells[0], m); err != nil {
 			fail(err)
 		}
 		if *metricsOut != "" {
@@ -222,26 +235,6 @@ func main() {
 		return
 	}
 
-	// The table path is a one-group scenario plan: build the same
-	// BatchCells a scenario file would compile and fan them out through
-	// BatchRun (bit-identical to the per-cell Run* helpers).
-	cells := make([]heteropim.BatchCell, len(configs))
-	for i, cfg := range configs {
-		bc := heteropim.BatchCell{Config: cfg, Model: modelName}
-		switch {
-		case *stacks > 1:
-			bc.FreqScale = *freq
-			bc.BatchSize = *batch
-			bc.Stacks = *stacks
-			bc.AllReduce = *allreduce
-		case *batch > 0:
-			// freq is ignored with -batch, as RunWithBatch always did.
-			bc.BatchSize = *batch
-		default:
-			bc.FreqScale = *freq
-		}
-		cells[i] = bc
-	}
 	results, err := heteropim.BatchRun(cells)
 	if err != nil {
 		fail(err)

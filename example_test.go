@@ -22,16 +22,18 @@ func ExampleRun() {
 	// breakdown sums to step: true
 }
 
-// ExampleRunVariant shows the Section VI-E software toggles: the full
-// runtime (RC+OP) beats the bare heterogeneous hardware.
-func ExampleRunVariant() {
-	bare, err := heteropim.RunVariant(heteropim.AlexNet, heteropim.Variant{})
+// ExampleSimulate_variant shows the Section VI-E software toggles: the
+// full runtime (RC+OP) beats the bare heterogeneous hardware.
+func ExampleSimulate_variant() {
+	bare, err := heteropim.Simulate(heteropim.BatchCell{
+		Model: heteropim.AlexNet, Variant: &heteropim.Variant{}}, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	full, err := heteropim.RunVariant(heteropim.AlexNet,
-		heteropim.Variant{RecursiveKernels: true, OperationPipeline: true})
+	full, err := heteropim.Simulate(heteropim.BatchCell{
+		Model:   heteropim.AlexNet,
+		Variant: &heteropim.Variant{RecursiveKernels: true, OperationPipeline: true}}, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -43,10 +45,12 @@ func ExampleRunVariant() {
 	// RC+OP utilization higher: true
 }
 
-// ExampleRunScaled shows the Section VI-D frequency scaling.
-func ExampleRunScaled() {
-	r1, _ := heteropim.RunScaled(heteropim.ConfigHeteroPIM, heteropim.DCGAN, 1)
-	r4, _ := heteropim.RunScaled(heteropim.ConfigHeteroPIM, heteropim.DCGAN, 4)
+// ExampleSimulate_frequency shows the Section VI-D frequency scaling.
+func ExampleSimulate_frequency() {
+	cell := heteropim.BatchCell{Config: heteropim.ConfigHeteroPIM, Model: heteropim.DCGAN, FreqScale: 1}
+	r1, _ := heteropim.Simulate(cell, nil)
+	cell.FreqScale = 4
+	r4, _ := heteropim.Simulate(cell, nil)
 	fmt.Println("4x faster than 1x:", r4.StepTime < r1.StepTime)
 	// Output:
 	// 4x faster than 1x: true

@@ -24,7 +24,8 @@ func main() {
 		var bestEDP float64
 		bestFreq := 0.0
 		for _, f := range []float64{1, 2, 4} {
-			r, err := heteropim.RunScaled(heteropim.ConfigHeteroPIM, model, f)
+			r, err := heteropim.Simulate(heteropim.BatchCell{
+				Config: heteropim.ConfigHeteroPIM, Model: model, FreqScale: f}, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"heteropim/internal/core"
+	"heteropim/internal/device"
 	"heteropim/internal/energy"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
@@ -63,22 +64,29 @@ func runJobs(jobs []func() (Result, error)) ([]Result, error) {
 		func(_ context.Context, i int) (Result, error) { return jobs[i]() })
 }
 
-// runGrid simulates every (model, configuration) cell of a figure's
-// matrix concurrently; the result is indexed [model][config].
-func runGrid(models []Model, configs []Config) ([][]Result, error) {
-	nc := len(configs)
-	flat, err := runner.Map(context.Background(), len(models)*nc, 0,
-		func(_ context.Context, i int) (Result, error) {
-			return Run(configs[i%nc], models[i/nc])
-		})
+// simulateMatrix simulates the cell cross(r, c) of every row r and
+// column c concurrently; the result is indexed [row][column]. Figures
+// fan out here rather than through BatchRun: their cells need no
+// template grouping.
+func simulateMatrix(nr, nc int, cross func(r, c int) BatchCell) ([][]Result, error) {
+	flat, err := runner.Map(context.Background(), nr*nc, 0,
+		func(_ context.Context, i int) (Result, error) { return Simulate(cross(i/nc, i%nc), nil) })
 	if err != nil {
 		return nil, err
 	}
-	grid := make([][]Result, len(models))
-	for mi := range grid {
-		grid[mi] = flat[mi*nc : (mi+1)*nc]
+	grid := make([][]Result, nr)
+	for r := range grid {
+		grid[r] = flat[r*nc : (r+1)*nc]
 	}
 	return grid, nil
+}
+
+// runGrid simulates every (model, configuration) cell of a figure's
+// matrix concurrently; the result is indexed [model][config].
+func runGrid(models []Model, configs []Config) ([][]Result, error) {
+	return simulateMatrix(len(models), len(configs), func(mi, ci int) BatchCell {
+		return BatchCell{Config: configs[ci], Model: models[mi]}
+	})
 }
 
 // configIndex finds a configuration's column in a figure's config list.
@@ -279,6 +287,17 @@ func Fig9Energy() (*Table, error) {
 	return t, nil
 }
 
+// runNeurocube simulates the Neurocube comparison point of Fig. 10 — a
+// platform outside the cell axes, so it bypasses Simulate.
+func runNeurocube(model Model) (Result, error) {
+	g, err := nn.Build(model)
+	if err != nil {
+		return Result{}, err
+	}
+	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
+	return wrap(core.RunNeurocube(g, device.DefaultNeurocube(), cfg)), nil
+}
+
 // Fig10Neurocube reproduces the Neurocube comparison.
 func Fig10Neurocube() (*Table, error) {
 	t := &Table{
@@ -291,7 +310,7 @@ func Fig10Neurocube() (*Table, error) {
 		m := m
 		jobs = append(jobs,
 			func() (Result, error) { return Run(ConfigHeteroPIM, m) },
-			func() (Result, error) { return RunNeurocube(m) })
+			func() (Result, error) { return runNeurocube(m) })
 	}
 	results, err := runJobs(jobs)
 	if err != nil {
@@ -305,6 +324,18 @@ func Fig10Neurocube() (*Table, error) {
 	return t, nil
 }
 
+// freqGrid simulates, per model, the GPU baseline followed by Hetero
+// PIM at each stack frequency (Figs. 11 and 17); the result is indexed
+// [model][0 = GPU, 1+i = freqs[i]].
+func freqGrid(models []Model, freqs []float64) ([][]Result, error) {
+	return simulateMatrix(len(models), 1+len(freqs), func(mi, col int) BatchCell {
+		if col == 0 {
+			return BatchCell{Config: ConfigGPU, Model: models[mi]}
+		}
+		return BatchCell{Config: ConfigHeteroPIM, Model: models[mi], FreqScale: freqs[col-1]}
+	})
+}
+
 // Fig11FreqScaling reproduces the 1x/2x/4x frequency-scaling study.
 func Fig11FreqScaling() (*Table, error) {
 	t := &Table{
@@ -313,24 +344,14 @@ func Fig11FreqScaling() (*Table, error) {
 	}
 	models := Models()
 	freqs := []float64{1, 2, 4}
-	stride := 1 + len(freqs)
-	jobs := make([]func() (Result, error), 0, stride*len(models))
-	for _, m := range models {
-		m := m
-		jobs = append(jobs, func() (Result, error) { return Run(ConfigGPU, m) })
-		for _, f := range freqs {
-			f := f
-			jobs = append(jobs, func() (Result, error) { return RunScaled(ConfigHeteroPIM, m, f) })
-		}
-	}
-	results, err := runJobs(jobs)
+	grid, err := freqGrid(models, freqs)
 	if err != nil {
 		return nil, err
 	}
 	for mi, m := range models {
-		gpu := results[stride*mi]
+		gpu := grid[mi][0]
 		for fi, f := range freqs {
-			r := results[stride*mi+1+fi]
+			r := grid[mi][1+fi]
 			t.AddRow(string(m), fmt.Sprintf("%gx", f),
 				report.Seconds(r.StepTime),
 				report.Seconds(r.Breakdown.Operation),
@@ -352,21 +373,16 @@ func Fig12ProgScaling() (*Table, error) {
 	}
 	models := Models()
 	procs := []int{1, 4, 16}
-	jobs := make([]func() (Result, error), 0, len(procs)*len(models))
-	for _, m := range models {
-		for _, n := range procs {
-			m, n := m, n
-			jobs = append(jobs, func() (Result, error) { return RunHeteroProcessors(m, n) })
-		}
-	}
-	results, err := runJobs(jobs)
+	grid, err := simulateMatrix(len(models), len(procs), func(mi, ni int) BatchCell {
+		return BatchCell{Model: models[mi], Processors: procs[ni]}
+	})
 	if err != nil {
 		return nil, err
 	}
 	for mi, m := range models {
-		base := results[len(procs)*mi]
+		base := grid[mi][0]
 		for ni, n := range procs {
-			r := results[len(procs)*mi+ni]
+			r := grid[mi][ni]
 			t.AddRow(string(m), fmt.Sprintf("%dP", n),
 				report.Seconds(r.StepTime),
 				report.Percent(r.FixedUtilization),
@@ -398,19 +414,9 @@ func softwareVariants() []struct {
 // softwareVariants order.
 func runVariantMatrix(models []Model) ([][]Result, error) {
 	vs := softwareVariants()
-	nv := len(vs)
-	flat, err := runner.Map(context.Background(), len(models)*nv, 0,
-		func(_ context.Context, i int) (Result, error) {
-			return RunVariant(models[i/nv], vs[i%nv].V)
-		})
-	if err != nil {
-		return nil, err
-	}
-	grid := make([][]Result, len(models))
-	for mi := range grid {
-		grid[mi] = flat[mi*nv : (mi+1)*nv]
-	}
-	return grid, nil
+	return simulateMatrix(len(models), len(vs), func(mi, vi int) BatchCell {
+		return BatchCell{Model: models[mi], Variant: &vs[vi].V}
+	})
 }
 
 // Fig13SoftwareImpact reproduces the execution-time software study.
@@ -511,24 +517,14 @@ func Fig17EDP() (*Table, error) {
 	}
 	models := Models()
 	freqs := []float64{1, 2, 4}
-	stride := 1 + len(freqs)
-	jobs := make([]func() (Result, error), 0, stride*len(models))
-	for _, m := range models {
-		m := m
-		jobs = append(jobs, func() (Result, error) { return Run(ConfigGPU, m) })
-		for _, f := range freqs {
-			f := f
-			jobs = append(jobs, func() (Result, error) { return RunScaled(ConfigHeteroPIM, m, f) })
-		}
-	}
-	results, err := runJobs(jobs)
+	grid, err := freqGrid(models, freqs)
 	if err != nil {
 		return nil, err
 	}
 	for mi, m := range models {
-		gpu := results[stride*mi]
+		gpu := grid[mi][0]
 		for fi, f := range freqs {
-			r := results[stride*mi+1+fi]
+			r := grid[mi][1+fi]
 			t.AddRow(string(m), fmt.Sprintf("%gx", f),
 				fmt.Sprintf("%.3g", r.EDP),
 				report.Watts(r.AvgPower),

@@ -26,18 +26,19 @@ func ExtensionExperiments() []Experiment {
 	}
 }
 
-// RunGPUHostHetero simulates the heterogeneous PIM attached to a GPU
-// system: offloadable operations still run on the PIMs under the full
-// runtime, but non-offloaded operations execute on the GPU at
-// kernel-launch granularity.
-func RunGPUHostHetero(model Model, freqScale float64) (Result, error) {
+// runGPUHostHetero simulates the heterogeneous PIM attached to a GPU
+// system (E1): offloadable operations still run on the PIMs under the
+// full runtime, but non-offloaded operations execute on the GPU at
+// kernel-launch granularity. A GPU host is not a cell axis, so it
+// bypasses Simulate.
+func runGPUHostHetero(model Model) (Result, error) {
 	g, err := nn.Build(model)
 	if err != nil {
 		return Result{}, err
 	}
 	opts := core.HeteroOptions()
 	opts.GPUHost = true
-	r, err := core.RunPIM(g, hw.GPUHostHeteroConfig(freqScale), opts)
+	r, err := core.RunPIM(g, hw.GPUHostHeteroConfig(1), opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -56,7 +57,7 @@ func ExtGPUHost() (*Table, error) {
 		m := m
 		jobs = append(jobs,
 			func() (Result, error) { return Run(ConfigHeteroPIM, m) },
-			func() (Result, error) { return RunGPUHostHetero(m, 1) })
+			func() (Result, error) { return runGPUHostHetero(m) })
 	}
 	results, err := runJobs(jobs)
 	if err != nil {
@@ -76,20 +77,6 @@ func ExtGPUHost() (*Table, error) {
 	return t, nil
 }
 
-// RunWithBatch simulates a model at a non-default batch size on one
-// configuration.
-func RunWithBatch(config Config, model Model, batch int) (Result, error) {
-	g, err := nn.BuildWithBatch(model, batch)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := core.Run(config, g, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(r), nil
-}
-
 // ExtBatchSweep sweeps AlexNet's batch size and reports where the
 // Hetero PIM advantage over the GPU moves.
 func ExtBatchSweep() (*Table, error) {
@@ -98,19 +85,15 @@ func ExtBatchSweep() (*Table, error) {
 		Columns: []string{"Batch", "GPU step", "Hetero step", "GPU/Hetero", "Hetero util", "Hetero energy"},
 	}
 	batches := []int{8, 16, 32, 64, 128}
-	jobs := make([]func() (Result, error), 0, 2*len(batches))
-	for _, batch := range batches {
-		batch := batch
-		jobs = append(jobs,
-			func() (Result, error) { return RunWithBatch(ConfigGPU, AlexNet, batch) },
-			func() (Result, error) { return RunWithBatch(ConfigHeteroPIM, AlexNet, batch) })
-	}
-	results, err := runJobs(jobs)
+	configs := []Config{ConfigGPU, ConfigHeteroPIM}
+	grid, err := simulateMatrix(len(batches), len(configs), func(bi, ci int) BatchCell {
+		return BatchCell{Config: configs[ci], Model: AlexNet, BatchSize: batches[bi]}
+	})
 	if err != nil {
 		return nil, err
 	}
 	for bi, batch := range batches {
-		gpu, het := results[2*bi], results[2*bi+1]
+		gpu, het := grid[bi][0], grid[bi][1]
 		t.AddRow(fmt.Sprintf("%d", batch),
 			report.Seconds(gpu.StepTime),
 			report.Seconds(het.StepTime),

@@ -14,7 +14,7 @@ func TestGPUHostHetero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpuHost, err := RunGPUHostHetero(AlexNet, 1)
+	gpuHost, err := runGPUHostHetero(AlexNet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,17 +30,20 @@ func TestGPUHostHetero(t *testing.T) {
 	if gpuHost.FixedUtilization < 0.5 {
 		t.Errorf("GPU-host utilization collapsed to %.0f%%", gpuHost.FixedUtilization*100)
 	}
-	if _, err := RunGPUHostHetero("NoSuchModel", 1); err == nil {
+	if _, err := runGPUHostHetero("NoSuchModel"); err == nil {
 		t.Fatal("unknown model must error")
 	}
 }
 
 func TestBatchSweep(t *testing.T) {
-	small, err := RunWithBatch(ConfigHeteroPIM, AlexNet, 8)
+	withBatch := func(model Model, batch int) (Result, error) {
+		return Simulate(BatchCell{Config: ConfigHeteroPIM, Model: model, BatchSize: batch}, nil)
+	}
+	small, err := withBatch(AlexNet, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RunWithBatch(ConfigHeteroPIM, AlexNet, 128)
+	big, err := withBatch(AlexNet, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +54,11 @@ func TestBatchSweep(t *testing.T) {
 	if ratio < 8 || ratio > 32 {
 		t.Errorf("batch 128/8 step-time ratio = %.1f, want roughly linear", ratio)
 	}
-	if _, err := RunWithBatch(ConfigHeteroPIM, AlexNet, -1); err != nil {
+	if _, err := withBatch(AlexNet, -1); err != nil {
 		t.Fatal("non-positive batch should fall back to the default, got error:", err)
 	}
 	// Non-CNN models are batch-fixed.
-	if _, err := RunWithBatch(ConfigHeteroPIM, LSTM, 64); err == nil {
+	if _, err := withBatch(LSTM, 64); err == nil {
 		t.Fatal("LSTM batch override must error")
 	}
 }

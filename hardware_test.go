@@ -78,56 +78,3 @@ func TestRunOnHardwareUnknownModel(t *testing.T) {
 		t.Fatal("unknown model must error")
 	}
 }
-
-func TestRunCustomCNN(t *testing.T) {
-	spec := CNNSpec{
-		Name:  "TinyNet",
-		Batch: 16, InputH: 32, InputW: 32, InputC: 3, Classes: 10,
-		Layers: []LayerSpec{
-			{Kind: "conv", FH: 3, FW: 3, OutC: 16, Stride: 1, SamePad: true, Activation: "relu"},
-			{Kind: "pool", Window: 2, Stride: 2},
-			{Kind: "conv", FH: 3, FW: 3, OutC: 32, Stride: 1, SamePad: true, Activation: "relu"},
-			{Kind: "pool", Window: 2, Stride: 2},
-			{Kind: "fc", Out: 10},
-		},
-	}
-	var results []Result
-	for _, cfg := range []Config{ConfigCPU, ConfigGPU, ConfigHeteroPIM} {
-		r, err := RunCustomCNN(cfg, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.StepTime <= 0 {
-			t.Fatalf("%v: degenerate step", cfg)
-		}
-		results = append(results, r)
-	}
-	// Hetero must beat the CPU on a conv net, as for the paper models.
-	if results[2].StepTime >= results[0].StepTime {
-		t.Fatalf("custom CNN: Hetero (%g) did not beat CPU (%g)",
-			results[2].StepTime, results[0].StepTime)
-	}
-	// On custom hardware with a doubled budget the run still works; a
-	// millisecond-scale net is launch-overhead dominated, so extra
-	// units buy little (and over-eager offload of tiny ops can even
-	// cost a bit) — the flip side of the paper's "small DCGAN loses to
-	// GPU" observation.
-	big, err := DefaultHardware(ConfigHeteroPIM).WithFixedUnits(888)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rBig, err := RunCustomCNNOnHardware(big, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rBig.StepTime > results[2].StepTime*2 {
-		t.Fatalf("888 units (%g) wildly worse than 440 (%g)",
-			rBig.StepTime, results[2].StepTime)
-	}
-	if _, err := RunCustomCNN(ConfigCPU, CNNSpec{}); err == nil {
-		t.Fatal("empty spec must error")
-	}
-	if _, err := RunCustomCNNOnHardware(big, CNNSpec{}); err == nil {
-		t.Fatal("empty spec must error on hardware path")
-	}
-}

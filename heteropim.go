@@ -5,11 +5,14 @@
 //
 // The package exposes three layers:
 //
-//   - Simulation: Run and RunVariant simulate steady-state NN training
-//     of the paper's seven workload models on the five evaluated
-//     platform configurations (CPU, GPU, Progr PIM, Fixed PIM, Hetero
-//     PIM), returning step time, the Fig. 8 breakdown, whole-system
-//     energy and fixed-function utilization.
+//   - Simulation: Simulate runs one BatchCell — a workload model on one
+//     of the five evaluated platform configurations (CPU, GPU, Progr
+//     PIM, Fixed PIM, Hetero PIM), optionally at another stack
+//     frequency, batch size or stack count, with the RC/OP techniques
+//     toggled or another programmable-PIM count — and returns step time,
+//     the Fig. 8 breakdown, whole-system energy and fixed-function
+//     utilization. Run is the plain cell; BatchRun evaluates many cells
+//     on the shared worker pool.
 //
 //   - Experiments: Experiments lists a runner per paper table/figure
 //     (Table I, Figs. 2 and 8-17); each regenerates the corresponding
@@ -21,8 +24,6 @@
 package heteropim
 
 import (
-	"fmt"
-
 	"heteropim/internal/core"
 	"heteropim/internal/energy"
 	"heteropim/internal/hw"
@@ -48,8 +49,9 @@ func Parallelism() int { return runner.Workers() }
 // fingerprint of (graph, hardware configuration, effective options), so
 // repeated cells — across figures, sweeps and CLI invocations sharing a
 // cache directory — collapse to one live run. Cache hits are
-// bit-identical to cold runs. Instrumented runs (RunInstrumented, trace
-// or census options) always execute live and never touch the cache.
+// bit-identical to cold runs. Instrumented runs (Simulate with a
+// Metrics, trace or census options) always execute live and never touch
+// the cache.
 
 // EnvCacheDir is the environment variable naming the on-disk cache
 // directory (the persistent second tier); unset keeps the cache in
@@ -191,20 +193,10 @@ func wrap(r core.Result) Result {
 	}
 }
 
-// Run simulates steady-state training of model on config at PIM/stack
-// frequency scale 1.
+// Run simulates steady-state training of model on config at the
+// paper's batch size and stack frequency: Simulate of the plain cell.
 func Run(config Config, model Model) (Result, error) {
-	return RunScaled(config, model, 1)
-}
-
-// RunScaled is Run at a PIM/stack frequency multiplier (1, 2 or 4 in
-// the paper's Section VI-D study).
-func RunScaled(config Config, model Model, freqScale float64) (Result, error) {
-	r, err := core.BuildAndRun(config, model, freqScale)
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(r), nil
+	return Simulate(BatchCell{Config: config, Model: model}, nil)
 }
 
 // Variant toggles the two runtime techniques of Section VI-E.
@@ -213,44 +205,4 @@ type Variant struct {
 	RecursiveKernels bool
 	// OperationPipeline enables OP (the cross-step operation pipeline).
 	OperationPipeline bool
-}
-
-// RunVariant simulates the Hetero PIM platform with the runtime
-// techniques individually toggled (Figs. 13-15).
-func RunVariant(model Model, v Variant) (Result, error) {
-	g, err := nn.Build(model)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := core.RunHeteroVariant(g, v.RecursiveKernels, v.OperationPipeline, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(r), nil
-}
-
-// RunNeurocube simulates the Neurocube comparison point (Fig. 10).
-func RunNeurocube(model Model) (Result, error) {
-	g, err := nn.Build(model)
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(core.RunNeurocubeDefault(g)), nil
-}
-
-// RunHeteroProcessors simulates Hetero PIM with n programmable PIM
-// processors at constant logic-die area (Fig. 12: 1, 4, 16).
-func RunHeteroProcessors(model Model, n int) (Result, error) {
-	if n < 1 {
-		return Result{}, fmt.Errorf("heteropim: need at least one processor, got %d", n)
-	}
-	g, err := nn.Build(model)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := core.RunPIM(g, hw.HeteroConfigWithProcessors(n, 1), core.HeteroOptions())
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(r), nil
 }

@@ -39,11 +39,11 @@ func TestRunPublicAPI(t *testing.T) {
 }
 
 func TestRunScaledFaster(t *testing.T) {
-	r1, err := RunScaled(ConfigHeteroPIM, AlexNet, 1)
+	r1, err := Simulate(BatchCell{Config: ConfigHeteroPIM, Model: AlexNet, FreqScale: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := RunScaled(ConfigHeteroPIM, AlexNet, 4)
+	r4, err := Simulate(BatchCell{Config: ConfigHeteroPIM, Model: AlexNet, FreqScale: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestRunScaledFaster(t *testing.T) {
 }
 
 func TestRunVariantOrdering(t *testing.T) {
-	base, err := RunVariant(AlexNet, Variant{})
+	base, err := Simulate(BatchCell{Model: AlexNet, Variant: &Variant{}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunVariant(AlexNet, Variant{RecursiveKernels: true, OperationPipeline: true})
+	full, err := Simulate(BatchCell{Model: AlexNet, Variant: &Variant{RecursiveKernels: true, OperationPipeline: true}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRunVariantOrdering(t *testing.T) {
 }
 
 func TestRunNeurocubeAndProcessors(t *testing.T) {
-	nc, err := RunNeurocube(AlexNet)
+	nc, err := runNeurocube(AlexNet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,15 +81,15 @@ func TestRunNeurocubeAndProcessors(t *testing.T) {
 	if nc.StepTime <= het.StepTime {
 		t.Fatal("Neurocube must be slower than Hetero PIM")
 	}
-	p16, err := RunHeteroProcessors(AlexNet, 16)
+	p16, err := Simulate(BatchCell{Model: AlexNet, Processors: 16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p16.StepTime <= 0 {
 		t.Fatal("16P run degenerate")
 	}
-	if _, err := RunHeteroProcessors(AlexNet, 0); err == nil {
-		t.Fatal("zero processors must error")
+	if _, err := Simulate(BatchCell{Model: AlexNet, Processors: -1}, nil); err == nil {
+		t.Fatal("a negative processor count must error")
 	}
 }
 

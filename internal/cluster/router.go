@@ -303,10 +303,12 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // document with the replicas' compiler, sends each unique cell as its
 // own POST /v1/jobs body to that cell's owner (forwardJob), and replies
 // in the replicas' shape, so a scenario reaches the same jobs whether a
-// client posts it to a replica or to the router. A cell with no job
-// body form (a variant with a batch size) refuses the document before
-// any cell is sent. A replica's refusal of a cell is relayed as is; the
-// cells before it stay admitted, as they do on a replica.
+// client posts it to a replica or to the router. A cell that does not
+// validate as a job body refuses the document before any cell is sent,
+// as on a replica (the compiler already refuses the cell sets a job
+// body cannot carry, such as a variant with a batch size). A replica's
+// refusal of a cell is relayed as is; the cells before it stay
+// admitted, as they do on a replica.
 func (rt *Router) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	rt.reg.Add("cluster.requests", 1)
 	doc, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))

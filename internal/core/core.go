@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"heteropim/internal/device"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
 	"heteropim/internal/sim"
@@ -35,11 +34,11 @@ func RunOn(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig) (Result, error)
 func RunOnWithCollector(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) (Result, error) {
 	switch kind {
 	case hw.ConfigCPU:
-		return RunCPUWithCollector(g, cfg, c), nil
+		return RunCPU(g, cfg, c), nil
 	case hw.ConfigGPU:
-		return RunGPUWithCollector(g, cfg, c), nil
+		return RunGPU(g, cfg, c), nil
 	}
-	opts, ok := pimOptionsFor(kind)
+	opts, ok := PIMOptionsFor(kind)
 	if !ok {
 		return Result{}, fmt.Errorf("core: unknown configuration %v", kind)
 	}
@@ -47,9 +46,10 @@ func RunOnWithCollector(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig, c 
 	return RunPIM(g, cfg, opts)
 }
 
-// pimOptionsFor maps a PIM platform kind to its executor options; ok is
-// false for the non-PIM kinds.
-func pimOptionsFor(kind hw.ConfigKind) (Options, bool) {
+// PIMOptionsFor maps a PIM platform kind to its executor options; ok is
+// false for the non-PIM kinds. It is the only platform-to-options
+// table: RunOn, RunMulti and the public Simulate all start from it.
+func PIMOptionsFor(kind hw.ConfigKind) (Options, bool) {
 	switch kind {
 	case hw.ConfigProgrPIM:
 		// No runtime scheduling: every op runs on the programmable
@@ -64,50 +64,4 @@ func pimOptionsFor(kind hw.ConfigKind) (Options, bool) {
 	default:
 		return Options{}, false
 	}
-}
-
-// RunHeteroVariant simulates the Hetero PIM platform with the runtime
-// techniques individually toggled (the software-impact study of
-// Section VI-E: Figs. 13-15).
-func RunHeteroVariant(g *nn.Graph, rc, op bool, freqScale float64) (Result, error) {
-	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, freqScale)
-	opts := HeteroOptions()
-	opts.RC = rc
-	opts.OP = op
-	res, err := RunPIM(g, cfg, opts)
-	if err != nil {
-		return res, err
-	}
-	res.Config.Name = fmt.Sprintf("Hetero PIM(RC=%v,OP=%v)", rc, op)
-	return res, nil
-}
-
-// RunNeurocubeDefault runs the Neurocube comparison point (Fig. 10).
-func RunNeurocubeDefault(g *nn.Graph) Result {
-	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
-	return RunNeurocube(g, device.DefaultNeurocube(), cfg)
-}
-
-// RunAll runs a model across the five platform configurations and
-// returns results in figure order.
-func RunAll(g *nn.Graph) ([]Result, error) {
-	out := make([]Result, 0, 5)
-	for _, kind := range hw.AllConfigKinds() {
-		r, err := Run(kind, g, 1)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s on %v: %w", g.Model, kind, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// BuildAndRun is a convenience for tools: build the model, run one
-// configuration.
-func BuildAndRun(kind hw.ConfigKind, model nn.ModelName, freqScale float64) (Result, error) {
-	g, err := nn.Build(model)
-	if err != nil {
-		return Result{}, err
-	}
-	return Run(kind, g, freqScale)
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"heteropim/internal/device"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
 )
@@ -130,21 +131,38 @@ func TestGPURelationshipsMatchPaper(t *testing.T) {
 	}
 }
 
+// buildAndRun builds a paper model and runs it on one platform.
+func buildAndRun(kind hw.ConfigKind, m nn.ModelName, freqScale float64) (Result, error) {
+	g, err := nn.Build(m)
+	if err != nil {
+		return Result{}, err
+	}
+	return Run(kind, g, freqScale)
+}
+
+// heteroVariant runs Hetero PIM with the Section VI-E techniques
+// individually toggled (Figs. 13-15).
+func heteroVariant(g *nn.Graph, rc, op bool) (Result, error) {
+	opts := HeteroOptions()
+	opts.RC, opts.OP = rc, op
+	return RunPIM(g, hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1), opts)
+}
+
 func TestRCAndOPImproveVGG(t *testing.T) {
 	g := nn.VGG19()
-	base, err := RunHeteroVariant(g, false, false, 1)
+	base, err := heteroVariant(g, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := RunHeteroVariant(g, true, false, 1)
+	rc, err := heteroVariant(g, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := RunHeteroVariant(g, false, true, 1)
+	op, err := heteroVariant(g, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := RunHeteroVariant(g, true, true, 1)
+	both, err := heteroVariant(g, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,17 +306,21 @@ func TestRunUnknownConfigKind(t *testing.T) {
 
 func TestRunAllAndBuildAndRun(t *testing.T) {
 	g := smallGraph()
-	rs, err := RunAll(g)
-	if err != nil {
-		t.Fatal(err)
+	var rs []Result
+	for _, kind := range hw.AllConfigKinds() {
+		r, err := Run(kind, g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
 	}
 	if len(rs) != 5 {
-		t.Fatalf("RunAll returned %d results", len(rs))
+		t.Fatalf("the five platforms returned %d results", len(rs))
 	}
-	if _, err := BuildAndRun(hw.ConfigCPU, nn.AlexNetName, 1); err != nil {
+	if _, err := buildAndRun(hw.ConfigCPU, nn.AlexNetName, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildAndRun(hw.ConfigCPU, "nope", 1); err == nil {
+	if _, err := buildAndRun(hw.ConfigCPU, "nope", 1); err == nil {
 		t.Fatal("unknown model must error")
 	}
 }
@@ -310,7 +332,7 @@ func TestNeurocubeComparison(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nc := RunNeurocubeDefault(g)
+		nc := RunNeurocube(g, device.DefaultNeurocube(), hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1))
 		het, err := Run(hw.ConfigHeteroPIM, g, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -428,7 +450,7 @@ func TestStepTimeWithinAnalyticBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial := RunCPU(g, hw.PaperConfig(hw.ConfigCPU)).StepTime
+		serial := RunCPU(g, hw.PaperConfig(hw.ConfigCPU), nil).StepTime
 		cfg := hw.PaperConfig(hw.ConfigHeteroPIM)
 		poolRate := float64(cfg.FixedPIM.Units) * cfg.FixedPIM.FlopsPerUnitCycle * cfg.Stack.EffectiveFreq()
 		var decomposable float64

@@ -203,7 +203,8 @@ type allReduce struct {
 }
 
 // startPhase schedules phase p's transfers, each completing one phase
-// duration from now.
+// duration from now. Each transfer's "link" span opens here and closes
+// in HandleEvent, when its completion event fires.
 func (a *allReduce) startPhase(p int) {
 	if p >= len(a.phases) || a.err != nil {
 		return
@@ -214,18 +215,10 @@ func (a *allReduce) startPhase(p int) {
 	a.remaining = len(ph.Transfers)
 	for _, tr := range ph.Transfers {
 		if a.eng.Observing() {
-			span := sim.Task{
-				Track: "link",
-				Name:  fmt.Sprintf("allreduce %d->%d", tr[0], tr[1]),
-				Kind:  "allreduce",
-				Start: start,
-				End:   start + dur,
-			}
-			a.eng.EmitTaskStart(span)
-			a.eng.EmitTaskEnd(span)
+			a.eng.EmitTaskStart(linkSpan(tr, start))
 		}
 		a.bytes += ph.Frac * a.gradBytes
-		if err := a.eng.AfterEv(dur, sim.Ev{Kind: evTransferDone, N: int32(p)}); err != nil {
+		if err := a.eng.AfterEv(dur, sim.Ev{Kind: evTransferDone, N: int32(p), Start: start}); err != nil {
 			a.err = err
 			return
 		}
@@ -233,11 +226,29 @@ func (a *allReduce) startPhase(p int) {
 }
 
 // HandleEvent completes one transfer; the last one of its phase opens
-// the next phase.
+// the next phase. A phase's transfers share one duration and were
+// scheduled in template order, so they complete in that order: the
+// completion is transfer len(Transfers)-remaining of phase ev.N.
 func (a *allReduce) HandleEvent(ev sim.Ev) {
+	p := int(ev.N)
+	if a.eng.Observing() {
+		ph := a.phases[p]
+		a.eng.EmitTaskEnd(linkSpan(ph.Transfers[len(ph.Transfers)-a.remaining], ev.Start))
+	}
 	a.remaining--
 	if a.remaining == 0 {
-		a.startPhase(int(ev.N) + 1)
+		a.startPhase(p + 1)
+	}
+}
+
+// linkSpan is the timeline span of one all-reduce transfer started at
+// start.
+func linkSpan(tr [2]int, start hw.Seconds) sim.Task {
+	return sim.Task{
+		Track: "link",
+		Name:  fmt.Sprintf("allreduce %d->%d", tr[0], tr[1]),
+		Kind:  "allreduce",
+		Start: start,
 	}
 }
 
@@ -274,7 +285,7 @@ func RunMulti(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig, stacks int, 
 	if stacks <= 1 {
 		return RunOn(kind, g, cfg)
 	}
-	opts, ok := pimOptionsFor(kind)
+	opts, ok := PIMOptionsFor(kind)
 	if !ok {
 		return Result{}, fmt.Errorf("core: multi-stack training needs a PIM platform, got %v", kind)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
 	"heteropim/internal/runner"
+	"heteropim/internal/sim"
 )
 
 // multiGraph builds a small named-model graph; multi-stack runs rebuild
@@ -175,6 +177,64 @@ func TestAllReduceAnalyticMatchesSimulated(t *testing.T) {
 			}
 			if events == 0 {
 				t.Errorf("%s m=%d: all-reduce processed no events", sched, m)
+			}
+		}
+	}
+}
+
+// Every all-reduce transfer of an instrumented run is a "link" span
+// that lasts its phase: it opens when the phase starts and closes when
+// the transfer's completion event fires, so the link track carries the
+// synchronization time instead of zero-length markers.
+func TestAllReduceLinkSpansLastTheirPhase(t *testing.T) {
+	g := multiGraph(t, 8)
+	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
+	for _, sched := range []ReduceSchedule{ReduceRing, ReduceTree} {
+		for _, m := range []int{2, 4} {
+			c := newSpanCollector()
+			opts := heteroMultiOpts(m, sched)
+			opts.Collector = c
+			r, err := RunPIM(g, cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phases, err := nn.AllReduceTemplate(sched, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type want struct {
+				name string
+				dur  hw.Seconds
+			}
+			var wants []want
+			for _, ph := range phases {
+				for _, tr := range ph.Transfers {
+					wants = append(wants, want{fmt.Sprintf("allreduce %d->%d", tr[0], tr[1]),
+						phaseDuration(ph.Frac, g.ParamBytes, cfg.Link)})
+				}
+			}
+			var links []sim.Task
+			for _, s := range c.ends {
+				if s.Track == "link" {
+					links = append(links, s)
+				}
+			}
+			if len(links) != len(wants) {
+				t.Fatalf("%s m=%d: %d link spans, want one per transfer (%d)", sched, m, len(links), len(wants))
+			}
+			var busy hw.Seconds
+			for i, s := range links {
+				if s.Name != wants[i].name || s.End != s.Start+wants[i].dur {
+					t.Errorf("%s m=%d span %d: %s [%g, %g], want %s lasting its phase (%g)",
+						sched, m, i, s.Name, s.Start, s.End, wants[i].name, wants[i].dur)
+				}
+				busy += s.End - s.Start
+			}
+			if busy <= 0 {
+				t.Errorf("%s m=%d: link track busy %g, want > 0", sched, m, busy)
+			}
+			if last := links[len(links)-1].End; last != r.AllReduceTime {
+				t.Errorf("%s m=%d: last link span ends at %g, all-reduce takes %g", sched, m, last, r.AllReduceTime)
 			}
 		}
 	}

@@ -35,14 +35,14 @@ func TestResultCacheHitsAreBitIdentical(t *testing.T) {
 	for _, m := range nn.CNNModelNames() {
 		for _, kind := range hw.AllConfigKinds() {
 			ResetResultCache()
-			cold, err := BuildAndRun(kind, m, 1)
+			cold, err := buildAndRun(kind, m, 1)
 			if err != nil {
 				t.Fatalf("%s on %v (cold): %v", m, kind, err)
 			}
 			if st := ResultCacheStats(); st.Misses != 1 || st.Hits != 0 {
 				t.Fatalf("%s on %v: cold stats %+v, want exactly one miss", m, kind, st)
 			}
-			warm, err := BuildAndRun(kind, m, 1)
+			warm, err := buildAndRun(kind, m, 1)
 			if err != nil {
 				t.Fatalf("%s on %v (warm): %v", m, kind, err)
 			}
@@ -61,20 +61,20 @@ func TestResultCacheHitsAreBitIdentical(t *testing.T) {
 // scales and option toggles must all run live.
 func TestResultCacheDistinguishesInputs(t *testing.T) {
 	withCleanCache(t)
-	if _, err := BuildAndRun(hw.ConfigHeteroPIM, nn.AlexNetName, 1); err != nil {
+	if _, err := buildAndRun(hw.ConfigHeteroPIM, nn.AlexNetName, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildAndRun(hw.ConfigHeteroPIM, nn.VGG19Name, 1); err != nil {
+	if _, err := buildAndRun(hw.ConfigHeteroPIM, nn.VGG19Name, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildAndRun(hw.ConfigHeteroPIM, nn.AlexNetName, 2); err != nil {
+	if _, err := buildAndRun(hw.ConfigHeteroPIM, nn.AlexNetName, 2); err != nil {
 		t.Fatal(err)
 	}
 	g, err := nn.Build(nn.AlexNetName)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunHeteroVariant(g, false, true, 1); err != nil {
+	if _, err := heteroVariant(g, false, true); err != nil {
 		t.Fatal(err)
 	}
 	if st := ResultCacheStats(); st.Misses != 4 || st.Hits != 0 {

@@ -34,16 +34,11 @@ func splitWork(w device.Work) (operation, dataMove hw.Seconds) {
 }
 
 // RunCPU executes every training operation on the host CPU, one
-// training step, serially (the paper's CPU baseline).
-func RunCPU(g *nn.Graph, cfg hw.SystemConfig) Result {
-	return RunCPUWithCollector(g, cfg, nil)
-}
-
-// RunCPUWithCollector is RunCPU with instrumentation: each op becomes a
-// span on the "cpu" track at its serial position in the step.
-// Uninstrumented calls go through the result cache; instrumented ones
-// bypass it (see RunPIM).
-func RunCPUWithCollector(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
+// training step, serially (the paper's CPU baseline). A non-nil
+// collector instruments the run: each op becomes a span on the "cpu"
+// track at its serial position in the step. Uninstrumented calls go
+// through the result cache; instrumented ones bypass it (see RunPIM).
+func RunCPU(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
 	if c == nil && !resultCacheOff.Load() {
 		fp := fingerprintRun("cpu", g, cfg, Options{}, nil)
 		res, _ := cachedResult(fp, func() (Result, error) { return runCPUSerial(g, cfg, nil), nil })
@@ -52,7 +47,7 @@ func RunCPUWithCollector(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Resu
 	return runCPUSerial(g, cfg, c)
 }
 
-// runCPUSerial is the live run behind RunCPU/RunCPUWithCollector.
+// runCPUSerial is the live run behind RunCPU.
 func runCPUSerial(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
 	res := Result{Config: cfg, Model: g.Model, Steps: 1}
 	var clock hw.Seconds
@@ -87,16 +82,11 @@ func gpuEff(g *nn.Graph) float64 {
 // RunGPU executes every training operation on the GPU, one training
 // step, serially, charging kernel launches and the unhidden host<->GPU
 // transfer (the paper's GPU baseline; Section VI-A's data-movement bars
-// for GPU are exactly the unhidden transfer time).
-func RunGPU(g *nn.Graph, cfg hw.SystemConfig) Result {
-	return RunGPUWithCollector(g, cfg, nil)
-}
-
-// RunGPUWithCollector is RunGPU with instrumentation: kernels become
-// spans on the "gpu" track, the unhidden host<->GPU transfer one span
-// on the "pcie" track. Uninstrumented calls go through the result
-// cache; instrumented ones bypass it (see RunPIM).
-func RunGPUWithCollector(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
+// for GPU are exactly the unhidden transfer time). A non-nil collector
+// instruments the run: kernels become spans on the "gpu" track, the
+// unhidden transfer one span on the "pcie" track. Uninstrumented calls
+// go through the result cache; instrumented ones bypass it (see RunPIM).
+func RunGPU(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
 	if c == nil && !resultCacheOff.Load() {
 		fp := fingerprintRun("gpu", g, cfg, Options{}, nil)
 		res, _ := cachedResult(fp, func() (Result, error) { return runGPUSerial(g, cfg, nil), nil })
@@ -105,7 +95,7 @@ func RunGPUWithCollector(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Resu
 	return runGPUSerial(g, cfg, c)
 }
 
-// runGPUSerial is the live run behind RunGPU/RunGPUWithCollector.
+// runGPUSerial is the live run behind RunGPU.
 func runGPUSerial(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
 	res := Result{Config: cfg, Model: g.Model, Steps: 1}
 	var clock hw.Seconds

@@ -5,17 +5,34 @@ import (
 	"testing"
 
 	"heteropim/internal/core"
+	"heteropim/internal/device"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
 )
 
 func run(t testing.TB, kind hw.ConfigKind, m nn.ModelName) core.Result {
 	t.Helper()
-	r, err := core.BuildAndRun(kind, m, 1)
+	r, err := buildAndRun(kind, m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// buildAndRun builds a paper model and runs it on one platform.
+func buildAndRun(kind hw.ConfigKind, m nn.ModelName, freqScale float64) (core.Result, error) {
+	g, err := nn.Build(m)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return core.Run(kind, g, freqScale)
+}
+
+// heteroVariant runs Hetero PIM with RC and OP toggled (Figs. 13-15).
+func heteroVariant(g *nn.Graph, rc, op bool) (core.Result, error) {
+	opts := core.HeteroOptions()
+	opts.RC, opts.OP = rc, op
+	return core.RunPIM(g, hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1), opts)
 }
 
 func TestEnergyPartsSumToTotal(t *testing.T) {
@@ -65,7 +82,7 @@ func TestGPUPowerRatioAtHighFrequency(t *testing.T) {
 	// Fig. 17(b): GPU draws 1.5-2.6x more power than Hetero PIM at 4x.
 	for _, m := range nn.CNNModelNames() {
 		gpu := Evaluate(run(t, hw.ConfigGPU, m))
-		het4, err := core.BuildAndRun(hw.ConfigHeteroPIM, m, 4)
+		het4, err := buildAndRun(hw.ConfigHeteroPIM, m, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +99,7 @@ func TestEDPBestAtHighFrequency(t *testing.T) {
 	for _, m := range nn.CNNModelNames() {
 		edp := map[float64]float64{}
 		for _, f := range []float64{1, 2, 4} {
-			r, err := core.BuildAndRun(hw.ConfigHeteroPIM, m, f)
+			r, err := buildAndRun(hw.ConfigHeteroPIM, m, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,11 +117,11 @@ func TestEDPBestAtHighFrequency(t *testing.T) {
 func TestRCAndOPReduceEnergy(t *testing.T) {
 	// Fig. 14: the runtime techniques reduce energy.
 	g := nn.VGG19()
-	base, err := core.RunHeteroVariant(g, false, false, 1)
+	base, err := heteroVariant(g, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := core.RunHeteroVariant(g, true, true, 1)
+	full, err := heteroVariant(g, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +146,7 @@ func TestPIMTrafficCheaperThanHostTraffic(t *testing.T) {
 
 func TestNeurocubeEnergyAccounted(t *testing.T) {
 	g := nn.AlexNet()
-	nc := core.RunNeurocubeDefault(g)
+	nc := core.RunNeurocube(g, device.DefaultNeurocube(), hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1))
 	rep := Evaluate(nc)
 	if rep.Parts.Neurocube <= 0 {
 		t.Fatal("Neurocube part missing from its own energy report")

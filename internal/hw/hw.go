@@ -209,7 +209,7 @@ type SystemConfig struct {
 	FixedPIM FixedPIMSpec
 	ProgPIM  ProgPIMSpec
 	// Link is the inter-stack interconnect used when a run shards the
-	// minibatch across multiple stacks (Options.Stacks > 1). Single-stack
+	// minibatch across multiple stacks (core.Options.Stacks > 1). Single-stack
 	// runs never touch it.
 	Link InterStackLinkSpec
 	// DRAMBackgroundPower is the static+refresh power of the stack.

@@ -245,6 +245,9 @@ func expandSet(si int, cs CellSet) ([]Cell, error) {
 		if b < 0 || b > maxBatchSize {
 			return nil, fmt.Errorf("scenario: cell set %d: batch_size must be in [0, %d], got %d", si, maxBatchSize, b)
 		}
+		if b != 0 && (len(cs.Variants) > 0 || len(cs.Processors) > 0) {
+			return nil, fmt.Errorf("scenario: cell set %d: variants/processors run at the paper batch size; drop the batch_sizes axis", si)
+		}
 	}
 	stacks := cs.Stacks
 	if len(stacks) == 0 {

@@ -102,6 +102,28 @@ func TestConflictingAxesRejected(t *testing.T) {
 	}
 }
 
+// The RC/OP and processor-count studies run at the paper batch size, so
+// a cell set that also sweeps batch sizes is refused at compile time,
+// as variants x configs is; batch size 0 (the paper's) still combines.
+func TestBatchSizeWithVariantsOrProcessorsRejected(t *testing.T) {
+	for name, doc := range map[string]string{
+		"variants+batch":          `{"scenario": 1, "cells": [{"models": ["AlexNet"], "batch_sizes": [16, 128], "variants": [{"recursive_kernels": true, "operation_pipeline": true}]}]}`,
+		"processors+batch":        `{"scenario": 1, "cells": [{"models": ["AlexNet"], "batch_sizes": [16], "processors": [4]}]}`,
+		"variants+batch 0 and 16": `{"scenario": 1, "cells": [{"models": ["AlexNet"], "batch_sizes": [0, 16], "variants": [{"recursive_kernels": true, "operation_pipeline": true}]}]}`,
+	} {
+		if _, err := parseCompile(t, doc); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	p, err := parseCompile(t, `{"scenario": 1, "cells": [{"models": ["AlexNet"], "batch_sizes": [0], "processors": [4]}]}`)
+	if err != nil {
+		t.Fatalf("processors at batch size 0 refused: %v", err)
+	}
+	if len(p.Cells) != 1 || p.Cells[0].BatchSize != 0 || p.Cells[0].Processors != 4 {
+		t.Fatalf("processors at batch size 0 compiled to %+v", p.Cells)
+	}
+}
+
 func TestDuplicatesFoldedWithCount(t *testing.T) {
 	// The same 2-model set twice, plus an allreduce pair that collapses
 	// at stacks==1: 2 sets x 2 models x 2 allreduce = 8 requested, 2 unique.

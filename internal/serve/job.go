@@ -52,17 +52,10 @@ type JobRequest struct {
 	Instrument bool `json:"instrument,omitempty"`
 }
 
-// cell is a validated, canonicalized JobRequest — the unit of dedup.
+// cell is a validated, canonicalized JobRequest — the unit of dedup:
+// the simulation cell, plus whether to run it instrumented.
 type cell struct {
-	config     heteropim.Config
-	configName string
-	model      heteropim.Model
-	freqScale  float64
-	variant    *VariantSpec
-	batchSize  int
-	stacks     int    // always >= 1
-	allReduce  string // "" exactly when stacks == 1
-	processors int
+	heteropim.BatchCell
 	instrument bool
 }
 
@@ -87,7 +80,7 @@ func normalize(req JobRequest) (cell, error) {
 		return cell{}, fmt.Errorf("serve: freq_scale must be positive, got %g", fs)
 	}
 	if req.Variant != nil {
-		if !strings.EqualFold(req.Config, "hetero") {
+		if cfg != heteropim.ConfigHeteroPIM {
 			return cell{}, fmt.Errorf("serve: variant toggles need the hetero config, got %q", req.Config)
 		}
 		if req.Processors > 0 {
@@ -97,7 +90,7 @@ func normalize(req JobRequest) (cell, error) {
 	if req.Processors < 0 {
 		return cell{}, fmt.Errorf("serve: processors must be >= 0, got %d", req.Processors)
 	}
-	if req.Processors > 0 && !strings.EqualFold(req.Config, "hetero") {
+	if req.Processors > 0 && cfg != heteropim.ConfigHeteroPIM {
 		return cell{}, fmt.Errorf("serve: processors need the hetero config, got %q", req.Config)
 	}
 	if req.BatchSize < 0 {
@@ -106,39 +99,34 @@ func normalize(req JobRequest) (cell, error) {
 	if req.BatchSize > 0 && (req.Variant != nil || req.Processors > 0) {
 		return cell{}, fmt.Errorf("serve: batch_size does not combine with variant/processors")
 	}
-	stacks := req.Stacks
-	if stacks < 0 {
+	if req.Stacks < 0 {
 		return cell{}, fmt.Errorf("serve: stacks must be >= 0, got %d", req.Stacks)
 	}
-	if stacks == 0 {
-		stacks = 1
+	c := cell{
+		BatchCell: heteropim.BatchCell{Config: cfg, Model: model, FreqScale: fs,
+			BatchSize: req.BatchSize, Processors: req.Processors},
+		instrument: req.Instrument,
 	}
-	allReduce := ""
-	if stacks > 1 {
+	if req.Variant != nil {
+		c.Variant = &heteropim.Variant{
+			RecursiveKernels:  req.Variant.RecursiveKernels,
+			OperationPipeline: req.Variant.OperationPipeline,
+		}
+	}
+	if req.Stacks > 1 {
+		c.Stacks, c.AllReduce = req.Stacks, req.AllReduce
 		switch req.AllReduce {
 		case "":
-			allReduce = "ring"
-		case "ring", "tree":
-			allReduce = req.AllReduce
+			c.AllReduce = heteropim.AllReduceRing
+		case heteropim.AllReduceRing, heteropim.AllReduceTree:
 		default:
 			return cell{}, fmt.Errorf("serve: unknown allreduce %q (valid: ring, tree)", req.AllReduce)
 		}
 	}
-	if req.Instrument && (req.BatchSize > 0 || stacks > 1 || req.Processors > 0 || req.Variant != nil) {
+	if req.Instrument && (req.BatchSize > 0 || c.Stacks > 1 || req.Processors > 0 || req.Variant != nil) {
 		return cell{}, fmt.Errorf("serve: instrument needs a plain config/model/freq_scale cell")
 	}
-	return cell{
-		config:     cfg,
-		configName: strings.ToLower(req.Config),
-		model:      model,
-		freqScale:  fs,
-		variant:    req.Variant,
-		batchSize:  req.BatchSize,
-		stacks:     stacks,
-		allReduce:  allReduce,
-		processors: req.Processors,
-		instrument: req.Instrument,
-	}, nil
+	return c, nil
 }
 
 // JobID computes the content-addressed id the server assigns to req's
@@ -159,92 +147,41 @@ func JobID(req JobRequest) (string, error) {
 // byte-stable across releases (a pinned test holds them to that).
 func (c cell) id() string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%g|", c.configName, c.model, c.freqScale)
-	if c.variant != nil {
-		fmt.Fprintf(h, "rc=%t,op=%t|", c.variant.RecursiveKernels, c.variant.OperationPipeline)
+	fmt.Fprintf(h, "%s|%s|%g|", heteropim.ConfigName(c.Config), c.Model, c.FreqScale)
+	if c.Variant != nil {
+		fmt.Fprintf(h, "rc=%t,op=%t|", c.Variant.RecursiveKernels, c.Variant.OperationPipeline)
 	}
 	fmt.Fprintf(h, "ins=%t", c.instrument)
-	if c.batchSize > 0 {
-		fmt.Fprintf(h, "|batch=%d", c.batchSize)
+	if c.BatchSize > 0 {
+		fmt.Fprintf(h, "|batch=%d", c.BatchSize)
 	}
-	if c.stacks > 1 {
-		fmt.Fprintf(h, "|stacks=%d,%s", c.stacks, c.allReduce)
+	if c.Stacks > 1 {
+		fmt.Fprintf(h, "|stacks=%d,%s", c.Stacks, c.AllReduce)
 	}
-	if c.processors > 0 {
-		fmt.Fprintf(h, "|procs=%d", c.processors)
+	if c.Processors > 0 {
+		fmt.Fprintf(h, "|procs=%d", c.Processors)
 	}
 	return fmt.Sprintf("j%016x", h.Sum64())
 }
 
-// batchCell renders the cell in heteropim.BatchRun's input shape (`run`
-// executes through BatchRun, whose results are documented — and tested
-// — to be bit-identical to the per-cell Run* calls).
-func (c cell) batchCell() heteropim.BatchCell {
-	bc := heteropim.BatchCell{Config: c.config, Model: c.model, FreqScale: c.freqScale,
-		BatchSize: c.batchSize, Processors: c.processors}
-	if c.variant != nil {
-		bc.Variant = &heteropim.Variant{
-			RecursiveKernels:  c.variant.RecursiveKernels,
-			OperationPipeline: c.variant.OperationPipeline,
-		}
+// variantSpec renders a cell's RC/OP toggles in their wire form.
+func variantSpec(v *heteropim.Variant) *VariantSpec {
+	if v == nil {
+		return nil
 	}
-	if c.stacks > 1 {
-		bc.Stacks, bc.AllReduce = c.stacks, c.allReduce
-	}
-	return bc
-}
-
-// cellFromBatch builds the serving cell for one compiled scenario cell
-// (the POST /v1/scenarios fan-out). Variant and processor cells run on
-// the hetero platform by construction, so they canonicalize onto the
-// same job a direct hetero-config POST would.
-func cellFromBatch(bc heteropim.BatchCell) cell {
-	cfg := bc.Config
-	name := heteropim.ConfigName(cfg)
-	if bc.Variant != nil || bc.Processors > 0 {
-		cfg = heteropim.ConfigHeteroPIM
-		name = "hetero"
-	}
-	fs := bc.FreqScale
-	if fs == 0 {
-		fs = 1
-	}
-	c := cell{
-		config:     cfg,
-		configName: name,
-		model:      bc.Model,
-		freqScale:  fs,
-		batchSize:  bc.BatchSize,
-		stacks:     1,
-		processors: bc.Processors,
-	}
-	if bc.Variant != nil {
-		c.variant = &VariantSpec{
-			RecursiveKernels:  bc.Variant.RecursiveKernels,
-			OperationPipeline: bc.Variant.OperationPipeline,
-		}
-	}
-	if bc.Stacks > 1 {
-		c.stacks, c.allReduce = bc.Stacks, bc.AllReduce
-	}
-	return c
+	return &VariantSpec{RecursiveKernels: v.RecursiveKernels, OperationPipeline: v.OperationPipeline}
 }
 
 // RequestFromBatch renders one compiled scenario cell as the wire
-// request a client would POST for it — the scenario-driven load
-// generator submits these, so its traffic exercises exactly the public
-// job API (and dedups onto the same content-addressed ids).
+// request a client would POST for it. Both scenario endpoints (the
+// replica's and the router's) and the scenario-driven load generator
+// admit compiled cells through it, so a scenario cell becomes exactly
+// the job its own POST /v1/jobs would.
 func RequestFromBatch(bc heteropim.BatchCell) JobRequest {
 	req := JobRequest{Config: heteropim.ConfigName(bc.Config), Model: string(bc.Model),
-		BatchSize: bc.BatchSize, Processors: bc.Processors}
+		BatchSize: bc.BatchSize, Processors: bc.Processors, Variant: variantSpec(bc.Variant)}
 	if bc.Variant != nil || bc.Processors > 0 {
 		req.Config = "hetero"
-	}
-	if bc.Variant != nil {
-		req.Variant = &VariantSpec{
-			RecursiveKernels:  bc.Variant.RecursiveKernels,
-			OperationPipeline: bc.Variant.OperationPipeline,
-		}
 	}
 	if bc.FreqScale != 0 && bc.FreqScale != 1 {
 		req.FreqScale = bc.FreqScale
@@ -253,21 +190,6 @@ func RequestFromBatch(bc heteropim.BatchCell) JobRequest {
 		req.Stacks, req.AllReduce = bc.Stacks, bc.AllReduce
 	}
 	return req
-}
-
-// run executes the cell through the public API. Uninstrumented runs go
-// through BatchRun — bit-identical to the per-cell Run* entry points,
-// and riding the PR-3 result cache (and its singleflight); instrumented
-// runs record into m and always execute live.
-func (c cell) run(m *heteropim.Metrics) (heteropim.Result, error) {
-	if c.instrument {
-		return heteropim.RunObserved(c.config, c.model, c.freqScale, m)
-	}
-	results, err := heteropim.BatchRun([]heteropim.BatchCell{c.batchCell()})
-	if err != nil {
-		return heteropim.Result{}, err
-	}
-	return results[0], nil
 }
 
 // EncodeResult renders the canonical wire form of one result: compact
@@ -350,19 +272,17 @@ func (j *Job) Status() JobStatus {
 	s := JobStatus{
 		ID:         j.ID,
 		Status:     j.status,
-		Config:     j.cell.configName,
-		Model:      string(j.cell.model),
-		AllReduce:  j.cell.allReduce,
-		FreqScale:  j.cell.freqScale,
-		Variant:    j.cell.variant,
-		BatchSize:  j.cell.batchSize,
-		Processors: j.cell.processors,
+		Config:     heteropim.ConfigName(j.cell.Config),
+		Model:      string(j.cell.Model),
+		FreqScale:  j.cell.FreqScale,
+		Variant:    variantSpec(j.cell.Variant),
+		BatchSize:  j.cell.BatchSize,
+		Stacks:     j.cell.Stacks,
+		AllReduce:  j.cell.AllReduce,
+		Processors: j.cell.Processors,
 		Instrument: j.cell.instrument,
 		Requests:   j.requests,
 		Error:      j.err,
-	}
-	if j.cell.stacks > 1 {
-		s.Stacks = j.cell.stacks
 	}
 	switch j.status {
 	case StatusQueued:

@@ -201,10 +201,10 @@ func ScenarioLoadGen(baseURL string, plan *heteropim.ScenarioPlan, clients int, 
 		if err != nil {
 			return rep, fmt.Errorf("serve: scenario cell %d: %w", i, err)
 		}
-		rep.Cells = append(rep.Cells, LoadCell{Config: c.configName, Model: string(c.model)})
+		rep.Cells = append(rep.Cells, LoadCell{Config: heteropim.ConfigName(c.Config), Model: string(c.Model)})
 	}
 	// Ground truth straight from the public batch API — documented (and
-	// tested) to be bit-identical to the per-cell Run* entry points.
+	// tested) to be bit-identical to Simulate per cell.
 	results, err := heteropim.BatchRun(plan.Cells)
 	if err != nil {
 		return rep, err

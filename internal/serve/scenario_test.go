@@ -55,28 +55,51 @@ func TestJobIDsPinned(t *testing.T) {
 }
 
 // TestRequestFromBatchRoundTrip: rendering a compiled scenario cell to
-// the wire and normalizing it back must land on exactly the cell the
-// server-side fan-out builds — same dedup id from either path.
+// the wire and normalizing it back must land on the cell's canonical
+// form (hetero platform for variant and processor cells, frequency 1
+// spelled out), and rendering that cell again must give the same
+// request — so a scenario cell and its own POST /v1/jobs body share one
+// dedup id.
 func TestRequestFromBatchRoundTrip(t *testing.T) {
-	cells := []heteropim.BatchCell{
-		{Config: heteropim.ConfigHeteroPIM, Model: "VGG-19", FreqScale: 1},
-		{Config: heteropim.ConfigGPU, Model: "AlexNet", FreqScale: 2},
-		{Config: heteropim.ConfigHeteroPIM, Model: "DCGAN", BatchSize: 64},
-		{Config: heteropim.ConfigHeteroPIM, Model: "ResNet-50", Stacks: 4, AllReduce: heteropim.AllReduceTree},
-		{Model: "VGG-19", Variant: &heteropim.Variant{RecursiveKernels: true}},
-		{Model: "VGG-19", Processors: 32},
-	}
-	for _, bc := range cells {
-		got, err := normalize(RequestFromBatch(bc))
+	for _, tc := range []struct{ in, want heteropim.BatchCell }{
+		{
+			in:   heteropim.BatchCell{Config: heteropim.ConfigHeteroPIM, Model: "VGG-19", FreqScale: 1},
+			want: heteropim.BatchCell{Config: heteropim.ConfigHeteroPIM, Model: "VGG-19", FreqScale: 1},
+		},
+		{
+			in:   heteropim.BatchCell{Config: heteropim.ConfigGPU, Model: "AlexNet", FreqScale: 2},
+			want: heteropim.BatchCell{Config: heteropim.ConfigGPU, Model: "AlexNet", FreqScale: 2},
+		},
+		{
+			in:   heteropim.BatchCell{Config: heteropim.ConfigHeteroPIM, Model: "DCGAN", BatchSize: 64},
+			want: heteropim.BatchCell{Config: heteropim.ConfigHeteroPIM, Model: "DCGAN", FreqScale: 1, BatchSize: 64},
+		},
+		{
+			in: heteropim.BatchCell{Config: heteropim.ConfigHeteroPIM, Model: "ResNet-50",
+				Stacks: 4, AllReduce: heteropim.AllReduceTree},
+			want: heteropim.BatchCell{Config: heteropim.ConfigHeteroPIM, Model: "ResNet-50", FreqScale: 1,
+				Stacks: 4, AllReduce: heteropim.AllReduceTree},
+		},
+		{
+			in: heteropim.BatchCell{Model: "VGG-19", Variant: &heteropim.Variant{RecursiveKernels: true}},
+			want: heteropim.BatchCell{Config: heteropim.ConfigHeteroPIM, Model: "VGG-19", FreqScale: 1,
+				Variant: &heteropim.Variant{RecursiveKernels: true}},
+		},
+		{
+			in:   heteropim.BatchCell{Model: "VGG-19", Processors: 32},
+			want: heteropim.BatchCell{Config: heteropim.ConfigHeteroPIM, Model: "VGG-19", FreqScale: 1, Processors: 32},
+		},
+	} {
+		req := RequestFromBatch(tc.in)
+		got, err := normalize(req)
 		if err != nil {
-			t.Fatalf("normalize(RequestFromBatch(%+v)): %v", bc, err)
+			t.Fatalf("normalize(RequestFromBatch(%+v)): %v", tc.in, err)
 		}
-		want := cellFromBatch(bc)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("cell mismatch for %+v:\n wire: %+v\n fanout: %+v", bc, got, want)
+		if !reflect.DeepEqual(got.BatchCell, tc.want) || got.instrument {
+			t.Errorf("cell mismatch for %+v:\n wire: %+v\n want: %+v", tc.in, got, tc.want)
 		}
-		if got.id() != want.id() {
-			t.Errorf("id mismatch for %+v: %s vs %s", bc, got.id(), want.id())
+		if again := RequestFromBatch(got.BatchCell); !reflect.DeepEqual(again, req) {
+			t.Errorf("re-rendering %+v gave %+v, want %+v", tc.in, again, req)
 		}
 	}
 }

@@ -241,8 +241,12 @@ type ScenarioResponse struct {
 // handleScenarios accepts a scenario document as the POST body,
 // compiles it with the same strict compiler the CLIs use, and fans the
 // plan out to content-addressed jobs through the shared admission path
-// (dedup and queue limits apply per cell). The plan's cells must fit
-// the admission queue; split larger scenarios.
+// (dedup and queue limits apply per cell). Each compiled cell is
+// admitted as its own job body would be, normalize(RequestFromBatch),
+// the conversion the router uses, so both accept the same documents; a
+// cell that does not validate refuses the document before any is
+// admitted. The plan's cells must fit the admission queue; split larger
+// scenarios.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	s.reg.Add("serve.scenario_requests", 1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -262,11 +266,20 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		Requested:  plan.Requested,
 		Duplicates: plan.Duplicates,
 	}
-	for _, bc := range plan.Cells {
+	cells := make([]cell, len(plan.Cells))
+	for i, bc := range plan.Cells {
+		if cells[i], err = normalize(RequestFromBatch(bc)); err != nil {
+			s.reg.Add("serve.bad_requests", 1)
+			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: scenario cell %d of %d: %w",
+				i+1, len(plan.Cells), err))
+			return
+		}
+	}
+	for _, c := range cells {
 		// Each fanned-out cell counts as one logical submission, so
 		// dedup ratios read the same whichever endpoint carried it.
 		s.reg.Add("serve.requests", 1)
-		st, code, err := s.admit(cellFromBatch(bc))
+		st, code, err := s.admit(c)
 		if err != nil {
 			if code == http.StatusTooManyRequests {
 				w.Header().Set("Retry-After", "1")
@@ -310,7 +323,7 @@ func (s *Server) execute(j *Job, deadline time.Time) {
 	}
 	j.setRunning()
 	s.reg.Add("serve.jobs_run", 1)
-	res, err := j.cell.run(j.metrics)
+	res, err := heteropim.Simulate(j.cell.BatchCell, j.metrics)
 	if err != nil {
 		s.reg.Add("serve.jobs_failed", 1)
 		j.fail(err)

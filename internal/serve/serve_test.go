@@ -219,7 +219,7 @@ func TestValidationErrors(t *testing.T) {
 }
 
 // TestVariantJob checks a hetero variant cell runs and matches the
-// direct RunVariant encoding.
+// direct Simulate encoding.
 func TestVariantJob(t *testing.T) {
 	_, ts := start(t, Options{Workers: 2})
 	resp, data := post(t, ts.URL,
@@ -235,12 +235,13 @@ func TestVariantJob(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("result = %s: %s", resp.Status, got)
 	}
-	direct, err := heteropim.RunVariant(heteropim.AlexNet, heteropim.Variant{RecursiveKernels: true})
+	direct, err := heteropim.Simulate(heteropim.BatchCell{
+		Model: heteropim.AlexNet, Variant: &heteropim.Variant{RecursiveKernels: true}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, EncodeResult(direct)) {
-		t.Fatal("served variant result differs from direct RunVariant")
+		t.Fatal("served variant result differs from direct Simulate")
 	}
 }
 

@@ -1,10 +1,6 @@
 package heteropim
 
-import (
-	"heteropim/internal/core"
-	"heteropim/internal/hw"
-	"heteropim/internal/nn"
-)
+import "heteropim/internal/nn"
 
 // Multi-stack data-parallel training: M HMC stacks each train a shard
 // of the global minibatch and synchronize gradients over SerDes/NVLink-
@@ -13,7 +9,7 @@ import (
 // the worker pool, with a deterministic merge — results are
 // byte-identical whatever SetParallelism/HETEROPIM_WORKERS says.
 
-// AllReduce schedules for Options.AllReduce.
+// AllReduce schedules for BatchCell.AllReduce.
 const (
 	// AllReduceRing is the bandwidth-optimal ring schedule: 2(M-1)
 	// phases of P/M-byte chunks around a ring.
@@ -22,46 +18,3 @@ const (
 	// 2*ceil(log2 M) phases of full-gradient messages.
 	AllReduceTree = string(nn.AllReduceTree)
 )
-
-// Options configures a simulation run beyond the (config, model) pair.
-// The zero value reproduces Run exactly.
-type Options struct {
-	// FreqScale is the PIM/stack PLL multiplier (0 = 1).
-	FreqScale float64
-	// BatchSize overrides the model's paper batch size when > 0. For a
-	// multi-stack run this is the GLOBAL batch, split across stacks.
-	BatchSize int
-	// Stacks shards the minibatch across M stacks (data-parallel
-	// training with a per-step gradient all-reduce). 0 or 1 is the
-	// paper's single-stack system; M > 1 needs a PIM configuration
-	// (the CPU/GPU baselines have no stacks to shard across) and a
-	// global batch of at least M samples.
-	Stacks int
-	// AllReduce picks the gradient schedule for Stacks > 1:
-	// AllReduceRing (default) or AllReduceTree.
-	AllReduce string
-}
-
-// RunWithOptions simulates steady-state training of model on config
-// under the given options. With the zero Options it is byte-identical
-// to Run(config, model).
-func RunWithOptions(config Config, model Model, o Options) (Result, error) {
-	scale := o.FreqScale
-	if scale == 0 {
-		scale = 1
-	}
-	sched, err := nn.ParseAllReduceKind(o.AllReduce)
-	if err != nil {
-		return Result{}, err
-	}
-	g, err := nn.BuildWithBatch(model, o.BatchSize)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg := hw.PaperConfigScaled(config, scale)
-	r, err := core.RunMulti(config, g, cfg, o.Stacks, sched)
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(r), nil
-}

@@ -15,20 +15,25 @@ func publicResultJSON(t *testing.T, r Result) string {
 	return string(b)
 }
 
-// The zero Options must reproduce Run byte for byte — the degenerate
-// single-stack case routes through the unchanged executor.
+// A cell whose optional axes are at their defaults must reproduce Run
+// byte for byte — the degenerate single-stack case routes through the
+// unchanged executor.
 func TestRunWithOptionsZeroValueIsRun(t *testing.T) {
 	base, err := Run(ConfigHeteroPIM, AlexNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Options{{}, {Stacks: 1}, {FreqScale: 1}} {
-		r, err := RunWithOptions(ConfigHeteroPIM, AlexNet, o)
+	for _, c := range []BatchCell{
+		{Config: ConfigHeteroPIM, Model: AlexNet},
+		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 1},
+		{Config: ConfigHeteroPIM, Model: AlexNet, FreqScale: 1},
+	} {
+		r, err := Simulate(c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if publicResultJSON(t, base) != publicResultJSON(t, r) {
-			t.Errorf("RunWithOptions(%+v) diverged from Run", o)
+			t.Errorf("Simulate(%+v) diverged from Run", c)
 		}
 	}
 }
@@ -38,7 +43,7 @@ func TestRunWithOptionsMultiStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := RunWithOptions(ConfigHeteroPIM, VGG19, Options{Stacks: 4, AllReduce: AllReduceRing})
+	ring, err := Simulate(BatchCell{Config: ConfigHeteroPIM, Model: VGG19, Stacks: 4, AllReduce: AllReduceRing}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +68,7 @@ func TestRunWithOptionsMultiStack(t *testing.T) {
 	}
 	// Ring moves the same bytes in more, smaller phases; with VGG-19's
 	// large gradient it must synchronize faster than the tree.
-	tree, err := RunWithOptions(ConfigHeteroPIM, VGG19, Options{Stacks: 4, AllReduce: AllReduceTree})
+	tree, err := Simulate(BatchCell{Config: ConfigHeteroPIM, Model: VGG19, Stacks: 4, AllReduce: AllReduceTree}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,16 +87,16 @@ func TestRunWithOptionsMultiStack(t *testing.T) {
 }
 
 func TestRunWithOptionsRejects(t *testing.T) {
-	if _, err := RunWithOptions(ConfigCPU, AlexNet, Options{Stacks: 2}); err == nil {
+	if _, err := Simulate(BatchCell{Config: ConfigCPU, Model: AlexNet, Stacks: 2}, nil); err == nil {
 		t.Error("CPU multi-stack run accepted, want an error")
 	}
-	if _, err := RunWithOptions(ConfigHeteroPIM, AlexNet, Options{Stacks: 2, AllReduce: "butterfly"}); err == nil {
+	if _, err := Simulate(BatchCell{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 2, AllReduce: "butterfly"}, nil); err == nil {
 		t.Error("unknown all-reduce schedule accepted, want an error")
 	}
 }
 
-// BatchCell.Stacks must match the direct RunWithOptions path bit for
-// bit, like every other cell axis.
+// BatchCell.Stacks must match the direct Simulate path bit for bit,
+// like every other cell axis.
 func TestBatchRunMultiStackCells(t *testing.T) {
 	cells := []BatchCell{
 		{Config: ConfigHeteroPIM, Model: AlexNet},
@@ -103,12 +108,7 @@ func TestBatchRunMultiStackCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range cells {
-		var want Result
-		if c.Stacks > 1 {
-			want, err = RunWithOptions(c.Config, c.Model, Options{Stacks: c.Stacks, AllReduce: c.AllReduce})
-		} else {
-			want, err = Run(c.Config, c.Model)
-		}
+		want, err := Simulate(c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package heteropim
 import (
 	"io"
 
-	"heteropim/internal/core"
 	"heteropim/internal/hw"
 	"heteropim/internal/metrics"
 	"heteropim/internal/nn"
@@ -40,52 +39,17 @@ func (m *Metrics) Advice() string {
 }
 
 // NewMetrics returns an empty Metrics ready to receive a run via
-// RunObserved. Live readers (a serving daemon streaming progress, a
+// Simulate. Live readers (a serving daemon streaming progress, a
 // dashboard) can poll CounterValue while the run is still executing.
 func NewMetrics() *Metrics {
 	return &Metrics{c: metrics.NewCollector()}
 }
 
 // CounterValue reads one registry counter (0 when absent). Counters of
-// an in-flight RunObserved grow monotonically, so polling this is a
+// an in-flight instrumented Simulate grow monotonically, so polling this is a
 // cheap progress signal ("sim.events" counts processed engine events).
 func (m *Metrics) CounterValue(name string) float64 {
 	return m.c.Registry().CounterValue(name)
-}
-
-// RunObserved is RunScaled with the observability layer recording into
-// the caller-supplied Metrics, which may be observed concurrently while
-// the run executes. The Result is bit-identical to an uninstrumented
-// Run. Instrumented runs always execute live (never the result cache):
-// their purpose is the side effects.
-func RunObserved(config Config, model Model, freqScale float64, m *Metrics) (Result, error) {
-	g, err := nn.Build(model)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := core.RunOnWithCollector(config, g, hw.PaperConfigScaled(config, freqScale), m.c)
-	if err != nil {
-		return Result{}, err
-	}
-	return wrap(r), nil
-}
-
-// RunInstrumented is Run with the observability layer attached. The
-// Result is bit-identical to an uninstrumented Run; the Metrics carry
-// the run's per-device timeline and metrics registry.
-func RunInstrumented(config Config, model Model) (Result, *Metrics, error) {
-	return RunInstrumentedScaled(config, model, 1)
-}
-
-// RunInstrumentedScaled is RunInstrumented at a PIM/stack frequency
-// multiplier (cf. RunScaled).
-func RunInstrumentedScaled(config Config, model Model, freqScale float64) (Result, *Metrics, error) {
-	m := NewMetrics()
-	r, err := RunObserved(config, model, freqScale, m)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return r, m, nil
 }
 
 // ConfigNames lists the flag-style platform names ParseConfig accepts,

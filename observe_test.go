@@ -13,7 +13,7 @@ import (
 
 // TestRunInstrumentedTimelineSchema is the acceptance test for the
 // `pimprof -timeline VGG-19 -config hetero` path: the instrumented
-// hetero VGG-19 run must emit Chrome trace-event JSON that round-trips
+// hetero VGG-19 Simulate must emit Chrome trace-event JSON that round-trips
 // through the schema (valid JSON, X/C/M phases only, named lanes,
 // non-negative timestamps) — and the Result must be bit-identical to
 // the uninstrumented run.
@@ -22,7 +22,8 @@ func TestRunInstrumentedTimelineSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, m, err := RunInstrumented(ConfigHeteroPIM, VGG19)
+	m := NewMetrics()
+	res, err := Simulate(BatchCell{Config: ConfigHeteroPIM, Model: VGG19}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestRunInstrumentedTimelineSchema(t *testing.T) {
 // TestMetricsJSONAndAdvice checks the machine-readable dump and the
 // advisor reading of an instrumented run.
 func TestMetricsJSONAndAdvice(t *testing.T) {
-	_, m, err := RunInstrumented(ConfigHeteroPIM, AlexNet)
-	if err != nil {
+	m := NewMetrics()
+	if _, err := Simulate(BatchCell{Config: ConfigHeteroPIM, Model: AlexNet}, m); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -108,8 +109,9 @@ func TestParseModel(t *testing.T) {
 	}
 }
 
-// TestRunObserved checks the caller-supplied-Metrics path: the Result
-// matches the plain run bit-for-bit and the collector saw events.
+// TestRunObserved checks the caller-supplied-Metrics path of Simulate:
+// the Result matches the plain run bit-for-bit and the collector saw
+// events.
 func TestRunObserved(t *testing.T) {
 	plain, err := Run(ConfigHeteroPIM, AlexNet)
 	if err != nil {
@@ -119,7 +121,7 @@ func TestRunObserved(t *testing.T) {
 	if m.CounterValue("sim.events") != 0 {
 		t.Fatal("fresh Metrics must start empty")
 	}
-	res, err := RunObserved(ConfigHeteroPIM, AlexNet, 1, m)
+	res, err := Simulate(BatchCell{Config: ConfigHeteroPIM, Model: AlexNet, FreqScale: 1}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,71 @@ func TestRunObserved(t *testing.T) {
 		t.Fatalf("observed result differs from plain:\n%+v\nvs\n%+v", plain, res)
 	}
 	if m.CounterValue("sim.events") == 0 {
-		t.Fatal("RunObserved recorded no engine events")
+		t.Fatal("the instrumented Simulate recorded no engine events")
+	}
+}
+
+// TestSimulateInstrumentsEveryCellKind: Simulate with a Metrics records
+// every kind of cell — batch size, frequency, variant, processors,
+// multi-stack and the serial CPU path — and the Result is bit-identical
+// to the uninstrumented run. The recorded run is the cell's own: a
+// batch-16 run has another makespan than the paper batch, and a 2-stack
+// run's all-reduce shows on the link track.
+func TestSimulateInstrumentsEveryCellKind(t *testing.T) {
+	cells := []BatchCell{
+		{Config: ConfigHeteroPIM, Model: AlexNet},
+		{Config: ConfigHeteroPIM, Model: AlexNet, BatchSize: 16, FreqScale: 2},
+		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 2},
+		{Model: AlexNet, Variant: &Variant{RecursiveKernels: true}},
+		{Model: AlexNet, Processors: 4},
+		{Config: ConfigCPU, Model: AlexNet, BatchSize: 16},
+	}
+	snaps := make([]metrics.Snapshot, len(cells))
+	for i, c := range cells {
+		plain, err := Simulate(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewMetrics()
+		res, err := Simulate(c, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, res) {
+			t.Errorf("%+v: instrumented result differs from plain", c)
+		}
+		snaps[i] = m.c.Snapshot()
+		if snaps[i].Makespan <= 0 || len(snaps[i].Tracks) == 0 {
+			t.Errorf("%+v: nothing recorded", c)
+		}
+	}
+	if snaps[1].Makespan == snaps[0].Makespan {
+		t.Errorf("batch-16 run recorded the paper batch's makespan %g", snaps[0].Makespan)
+	}
+	link := 0.0
+	for _, tr := range snaps[2].Tracks {
+		if tr.Track == "link" {
+			link = tr.BusySeconds
+		}
+	}
+	if link <= 0 {
+		t.Errorf("2-stack run: link track busy %g, want > 0", link)
+	}
+}
+
+// TestSimulateRejectsBatchSizeWithVariantOrProcessors: the variant and
+// processor studies run at the paper batch size.
+func TestSimulateRejectsBatchSizeWithVariantOrProcessors(t *testing.T) {
+	for _, c := range []BatchCell{
+		{Model: AlexNet, BatchSize: 16, Variant: &Variant{}},
+		{Model: AlexNet, BatchSize: 16, Processors: 4},
+	} {
+		if _, err := Simulate(c, nil); err == nil {
+			t.Errorf("Simulate accepted %+v", c)
+		}
+		if _, err := Simulate(c, NewMetrics()); err == nil {
+			t.Errorf("instrumented Simulate accepted %+v", c)
+		}
 	}
 }
 

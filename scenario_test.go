@@ -85,20 +85,16 @@ func TestScenarioPlanRunsBitIdentical(t *testing.T) {
 	}
 
 	want := make([]Result, 5)
-	if want[0], err = Run(ConfigCPU, AlexNet); err != nil {
-		t.Fatal(err)
-	}
-	if want[1], err = Run(ConfigHeteroPIM, AlexNet); err != nil {
-		t.Fatal(err)
-	}
-	if want[2], err = RunScaled(ConfigHeteroPIM, AlexNet, 2); err != nil {
-		t.Fatal(err)
-	}
-	if want[3], err = RunWithOptions(ConfigHeteroPIM, AlexNet, Options{Stacks: 2, AllReduce: AllReduceTree}); err != nil {
-		t.Fatal(err)
-	}
-	if want[4], err = RunVariant(AlexNet, Variant{RecursiveKernels: true, OperationPipeline: true}); err != nil {
-		t.Fatal(err)
+	for i, c := range []BatchCell{
+		{Config: ConfigCPU, Model: AlexNet},
+		{Config: ConfigHeteroPIM, Model: AlexNet},
+		{Config: ConfigHeteroPIM, Model: AlexNet, FreqScale: 2},
+		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 2, AllReduce: AllReduceTree},
+		{Model: AlexNet, Variant: &Variant{RecursiveKernels: true, OperationPipeline: true}},
+	} {
+		if want[i], err = Simulate(c, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := range want {
 		if got[i] != want[i] {
