@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify lint vet build test race bench-check bench bench-compare servejson clusterjson fuzz golden golden-check clean
+.PHONY: verify lint vet build test race bench-check bench bench-compare clusterjson fuzz golden golden-check clean
 
 # verify is the default CI gate: static checks, a full build, the test
 # suite, and the race-detector pass (the parallel experiment runner
@@ -57,19 +57,16 @@ SECONDS ?= 20
 bench-compare:
 	$(GO) run ./cmd/benchcompare $(BASE) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
-# servejson regenerates BENCH_serve.json: the pimserve selfcheck
-# replays the committed open-loop Poisson scenario (64 requests over 8
-# cells) against an in-process server and fails on any error,
-# non-byte-identical result, dedup ratio below 4x, or unclean drain.
-servejson:
-	$(GO) run ./cmd/pimserve -selfcheck -scenario testdata/scenarios/selfcheck_poisson.json -benchout BENCH_serve.json
-
-# clusterjson regenerates BENCH_cluster.json: 3 pimserve replicas plus
-# the consistent-hash router in-process, three client waves with one
-# replica drained, killed and recovered mid-load. Fails on any client
-# error, a non-byte-identical routed result, cluster dedup below the
-# single-node baseline, or a kill path that never rehashed / retried /
-# cross-adopted a result from a peer.
+# clusterjson regenerates BENCH_cluster.json, the serving layer's one
+# acceptance check: the default 8-cell mix served by one pimserve
+# replica, then by 3 replicas behind the consistent-hash router, both
+# through the same three seeded client waves, with one replica drained,
+# killed and recovered between the fleet's waves. Fails on any client
+# error, a result not byte-identical to a direct run, a single replica
+# that ran other than one simulation per distinct job, an unclean drain
+# or shutdown, cluster dedup below the single-node baseline, or a kill
+# path that never rehashed / retried / cross-adopted a result from a
+# peer.
 clusterjson:
 	$(GO) run ./cmd/pimserve -clustercheck -benchout BENCH_cluster.json
 

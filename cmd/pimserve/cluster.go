@@ -14,7 +14,6 @@ import (
 
 	"heteropim"
 	"heteropim/internal/cluster"
-	"heteropim/internal/serve"
 )
 
 // runRouter runs pimserve as the fleet front door: consistent-hash
@@ -122,46 +121,18 @@ func departSelf(routerURL, name, baseURL string) {
 	fmt.Fprintf(os.Stderr, "pimserve: departed %s from %s\n", name, routerURL)
 }
 
-// clustercheckInputs converts a compiled scenario into the cluster
-// check's cell mix and arrival process. The check's ground truth and
-// routing keys are plain (config, model) jobs, so cells carrying the
-// batch API's extra axes (batch size, frequency, variants, processor
-// counts, sharding) are rejected rather than silently flattened.
-func clustercheckInputs(plan *heteropim.ScenarioPlan) ([]serve.LoadCell, *heteropim.Arrival, int64, error) {
-	cells := make([]serve.LoadCell, len(plan.Cells))
-	for i, bc := range plan.Cells {
-		if bc.BatchSize > 0 || (bc.FreqScale != 0 && bc.FreqScale != 1) ||
-			bc.Variant != nil || bc.Processors > 0 || bc.Stacks > 1 {
-			return nil, nil, 0, fmt.Errorf("scenario cell %d carries batch-API axes; "+
-				"-clustercheck scenarios take plain (config, model) cells", i)
-		}
-		cells[i] = serve.LoadCell{Config: heteropim.ConfigName(bc.Config), Model: string(bc.Model)}
-	}
-	return cells, plan.Arrival, plan.Seed, nil
-}
-
-// runClustercheck is the fleet's acceptance harness: replicas + router
-// in-process, three client waves with a kill-and-recover of one
-// replica mid-load, gates on zero errors / byte-identity / cluster
-// dedup >= single-node dedup, and writes BENCH_cluster.json. A non-nil
-// plan supplies the cell mix and arrival process from a scenario file.
-func runClustercheck(plan *heteropim.ScenarioPlan, nodes, clients int, benchOut string, workers, queue int, timeout time.Duration) error {
-	opts := cluster.CheckOptions{
-		Replicas:   nodes,
+// runClustercheck is the serving layer's acceptance check: the plan
+// (nil: the default 8-cell mix) served by one replica, then by three
+// replicas behind the router with one drained, killed and recovered
+// mid-load. It writes BENCH_cluster.json and fails on any gate.
+func runClustercheck(plan *heteropim.ScenarioPlan, clients int, benchOut string, workers, queue int, timeout time.Duration) error {
+	rep, checkErr := cluster.RunCheck(cluster.CheckOptions{
+		Plan:       plan,
 		Clients:    clients,
 		Workers:    workers,
 		Queue:      queue,
 		JobTimeout: timeout,
-	}
-	if plan != nil {
-		cells, arr, seed, err := clustercheckInputs(plan)
-		if err != nil {
-			return err
-		}
-		opts.Cells, opts.Arrival, opts.Seed = cells, arr, seed
-		fmt.Fprintf(os.Stderr, "pimserve: clustercheck scenario %q: %d cells\n", plan.Name, len(cells))
-	}
-	rep, checkErr := cluster.RunCheck(opts)
+	})
 
 	f, err := os.Create(benchOut)
 	if err != nil {

@@ -12,9 +12,8 @@
 //	pimserve -router -backends URL1,URL2,URL3 # route jobs across a replica fleet
 //	pimserve -router                          # empty router; replicas self-register
 //	pimserve -announce http://router:8080     # replica: POST itself to the router's /v1/replicas
-//	pimserve -selfcheck                       # built-in load generator, writes BENCH_serve.json
-//	pimserve -selfcheck -scenario f.json      # load generator driven by a scenario file (open-loop arrivals)
-//	pimserve -clustercheck                    # 3 replicas + router + kill-and-recover, writes BENCH_cluster.json
+//	pimserve -clustercheck                    # serving check: 1 replica, then 3 + router with kill-and-recover; writes BENCH_cluster.json
+//	pimserve -clustercheck -scenario f.json   # the same check over a scenario file's cells and arrival process
 //	pimserve -print hetero,VGG-19             # canonical result JSON of one direct run
 //
 // Endpoints:
@@ -50,6 +49,7 @@ import (
 
 	"heteropim"
 	"heteropim/internal/cliutil"
+	"heteropim/internal/cluster"
 	"heteropim/internal/serve"
 )
 
@@ -93,12 +93,9 @@ func main() {
 	announce := flag.String("announce", "", "replica: self-register with this router's /v1/replicas on startup")
 	name := flag.String("name", "", "replica: fleet name used with -announce (default: the listen address)")
 	healthEvery := flag.Duration("healthevery", 500*time.Millisecond, "router: replica readiness-probe period")
-	selfcheck := flag.Bool("selfcheck", false, "run the built-in load generator against an in-process server and exit")
-	clustercheck := flag.Bool("clustercheck", false, "run the in-process cluster load test (replicas + router, kill-and-recover) and exit")
-	nodes := flag.Int("nodes", 3, "clustercheck: replica count")
-	clients := flag.Int("clients", 64, "selfcheck/clustercheck: concurrent clients")
-	dedupMin := flag.Float64("dedupmin", 4, "selfcheck: minimum accepted dedup ratio")
-	benchOut := flag.String("benchout", "", "benchmark JSON output path (default BENCH_serve.json or BENCH_cluster.json per mode)")
+	clustercheck := flag.Bool("clustercheck", false, "run the in-process serving check (1 replica, then 3 + router with kill-and-recover) and exit")
+	clients := flag.Int("clients", cluster.DefaultClients, "clustercheck: client total over the three waves")
+	benchOut := flag.String("benchout", "BENCH_cluster.json", "clustercheck: report output path")
 	printCell := flag.String("print", "", "print the canonical result JSON of one direct run (\"config,model\") and exit")
 	loadScenario := cliutil.ScenarioFlag(flag.CommandLine)
 	applyCache := cliutil.CacheFlags(flag.CommandLine)
@@ -111,33 +108,19 @@ func main() {
 		printDirect(*printCell)
 		return
 	}
-	// -scenario swaps the selfcheck's embedded load document for a file:
-	// its cell mix and arrival process (closed-loop clients, open-loop
-	// Poisson/diurnal/burst offsets) drive the generator.
+	// -scenario swaps the check's embedded default mix for a file: its
+	// cells and arrival process (closed-loop clients, open-loop
+	// Poisson/diurnal/burst offsets) drive the waves.
 	plan, err := loadScenario()
 	if err != nil {
 		fail(err)
 	}
-	if plan != nil && !*selfcheck && !*clustercheck {
-		fail(fmt.Errorf("-scenario drives the load generators; combine it with -selfcheck or " +
-			"-clustercheck (daemons accept scenario documents on POST /v1/scenarios)"))
-	}
-	if *selfcheck {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_serve.json"
-		}
-		if err := runSelfcheck(plan, *clients, *dedupMin, out, *workers, *queue, *timeout); err != nil {
-			fail(err)
-		}
-		return
+	if plan != nil && !*clustercheck {
+		fail(fmt.Errorf("-scenario drives the serving check; combine it with -clustercheck " +
+			"(daemons accept scenario documents on POST /v1/scenarios)"))
 	}
 	if *clustercheck {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_cluster.json"
-		}
-		if err := runClustercheck(plan, *nodes, *clients, out, *workers, *queue, *timeout); err != nil {
+		if err := runClustercheck(plan, *clients, *benchOut, *workers, *queue, *timeout); err != nil {
 			fail(err)
 		}
 		return

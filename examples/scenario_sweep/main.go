@@ -9,7 +9,7 @@
 // It also compiles an open-loop arrival clause to show that the same
 // document format drives load generation: a seeded Poisson process
 // yields a deterministic request-offset schedule, the thing
-// `pimserve -selfcheck -scenario ...` fires at a live daemon.
+// `pimserve -clustercheck -scenario ...` fires at its replicas.
 package main
 
 import (

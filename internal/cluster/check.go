@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,7 +10,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"heteropim"
@@ -17,47 +18,56 @@ import (
 	"heteropim/internal/serve"
 )
 
-// The clustercheck: the serving fleet's acceptance harness. It builds
-// a real cluster in one process — N replicas on real TCP listeners, a
-// consistent-hash router in front — drives three client waves through
-// the router, SIGTERM-equivalently drains one replica between waves 1
-// and 2 (exercising the rehash-and-retry path), fully kills and then
-// recovers it between waves 2 and 3 (exercising recovery and
-// cross-replica dedup from an empty replica), and gates on:
+// The cluster check: the serving layer's one acceptance harness. It
+// serves a compiled scenario twice, through real TCP listeners in one
+// process. Phase 1 is a single replica; phase 2 is a fleet of replicas
+// behind the consistent-hash router. Both phases fire the same three
+// seeded client waves. Between the fleet's waves 1 and 2 one replica is
+// drained (the SIGTERM path: rehash and retry); between waves 2 and 3
+// it is killed and recovered empty (recovery and cross-replica dedup).
+// The gates:
 //
-//   - zero client errors across every wave,
-//   - every result body byte-identical to a direct single-process run,
+//   - zero client errors in either phase,
+//   - every result body byte-identical to a direct BatchRun,
+//   - the single replica runs exactly one simulation per distinct job
+//     id, and both phases drain and shut down cleanly,
 //   - cluster-wide dedup (client submissions per local simulation,
-//     summed fleet-wide) at least the single-node baseline's,
+//     summed fleet-wide) at least the single replica's,
 //   - the kill actually happened: >= 1 rehash, >= 1 retried
 //     submission, >= 1 cross-replica adoption, and the recovered
 //     replica back in the ring.
 
+const (
+	// DefaultClients is the default client total over the three waves.
+	DefaultClients = 64
+	// checkReplicas is the fleet size: a victim and two survivors.
+	checkReplicas = 3
+	// checkHealthInterval is the router's readiness-probe period: longer
+	// than any check runs, so the choreography (a 503'd submission, the
+	// departure, the announcement) moves the ring, never a probe racing
+	// wave 2's first submission to the drained replica.
+	checkHealthInterval = time.Minute
+)
+
 // CheckOptions configures RunCheck.
 type CheckOptions struct {
-	// Replicas is the fleet size (<= 0: 3; the gate requires >= 3).
-	Replicas int
+	// Plan is the scenario served: its cells are the load mix, its
+	// arrival process and seed drive every wave (nil: the default
+	// 8-cell mix, serve.DefaultLoadPlan). A plan without an arrival
+	// block arrives open-loop Poisson at 600 req/s: the router's rehash
+	// and dedup machinery is gated under load that keeps arriving while
+	// a replica dies, not a closed loop that self-throttles. Rate-driven
+	// processes are resized to each wave's request count; a burst wave
+	// replays the trace verbatim.
+	Plan *heteropim.ScenarioPlan
 	// Clients is the total client count, split over three waves
-	// (<= 0: 96). Each wave covers every cell.
+	// (<= 0: DefaultClients). Each wave covers every cell. A burst
+	// arrival ignores it: its waves are as long as the trace.
 	Clients int
-	// Cells overrides the load mix (nil: serve.DefaultLoadCells()).
-	Cells []serve.LoadCell
-	// Arrival is the per-wave arrival process (nil: open-loop Poisson
-	// at 600 req/s — the router's rehash and dedup machinery is gated
-	// under load that keeps arriving while a replica dies, not a
-	// closed loop that self-throttles). Rate-driven processes are
-	// resized to each wave's request count; a burst trace must have
-	// exactly one offset per wave request.
-	Arrival *scenario.Arrival
-	// Seed drives the arrival schedules (0: 1). Each wave offsets the
-	// seed so the waves differ but the whole check replays identically.
-	Seed int64
 	// Workers / Queue / JobTimeout are passed through to each replica.
 	Workers    int
 	Queue      int
 	JobTimeout time.Duration
-	// HealthInterval is the router's probe period (<= 0: 100ms).
-	HealthInterval time.Duration
 	// Log receives progress lines (nil: os.Stderr).
 	Log io.Writer
 }
@@ -77,26 +87,23 @@ type PhaseStats struct {
 
 // CheckReport is the BENCH_cluster.json shape.
 type CheckReport struct {
-	Replicas      int              `json:"replicas"`
-	Clients       int              `json:"clients"`
-	Arrival       string           `json:"arrival"`
-	Cells         []serve.LoadCell `json:"cells"`
-	Single        PhaseStats       `json:"single"`
-	Cluster       PhaseStats       `json:"cluster"`
-	Killed        string           `json:"killed_replica"`
-	Recovered     bool             `json:"recovered_in_ring"`
-	Announces     float64          `json:"replica_announces"`
-	Departures    float64          `json:"replica_departures"`
-	Rehashes      float64          `json:"rehashes"`
-	Retries       float64          `json:"retried_submissions"`
-	Reroutes      float64          `json:"read_reroutes"`
-	Errors        int64            `json:"errors"`
-	ByteIdentical bool             `json:"byte_identical"`
-	DedupOK       bool             `json:"cluster_dedup_ge_single"`
-	WallSeconds   float64          `json:"wall_seconds"`
-	ThroughputRPS float64          `json:"throughput_rps"`
-	LatencyP50Ms  float64          `json:"latency_p50_ms"`
-	LatencyP99Ms  float64          `json:"latency_p99_ms"`
+	Replicas      int                `json:"replicas"`
+	Clients       int                `json:"clients"`
+	Arrival       string             `json:"arrival"`
+	Cells         []serve.JobRequest `json:"cells"`
+	Single        PhaseStats         `json:"single"`
+	Cluster       PhaseStats         `json:"cluster"`
+	Killed        string             `json:"killed_replica"`
+	Recovered     bool               `json:"recovered_in_ring"`
+	Announces     float64            `json:"replica_announces"`
+	Departures    float64            `json:"replica_departures"`
+	Rehashes      float64            `json:"rehashes"`
+	Retries       float64            `json:"retried_submissions"`
+	Reroutes      float64            `json:"read_reroutes"`
+	Errors        int64              `json:"errors"`
+	ByteIdentical bool               `json:"byte_identical"`
+	DedupOK       bool               `json:"cluster_dedup_ge_single"`
+	LatencyP50Ms  float64            `json:"latency_p50_ms"`
 }
 
 // WriteJSON writes the report as indented JSON plus newline.
@@ -141,10 +148,22 @@ func (p *replicaProc) shutdown(ctx context.Context, fleet *Fleet) error {
 	return p.hs.Shutdown(ctx)
 }
 
+// stop drains the replica and shuts its listener down: the clean exit
+// every replica still standing at the end of a phase must make.
+func (p *replicaProc) stop(ctx context.Context) error {
+	if err := p.drain(ctx); err != nil {
+		return fmt.Errorf("clustercheck: drain %s: %w", p.name, err)
+	}
+	if err := p.hs.Shutdown(ctx); err != nil {
+		return fmt.Errorf("clustercheck: shutdown %s: %w", p.name, err)
+	}
+	return nil
+}
+
 // waveOffsets builds one wave's arrival schedule: n requests through
 // the configured process. Rate-driven open-loop processes are resized
-// to exactly n requests; closed-loop waves fire everything at once
-// (all-zero offsets) — the pre-scenario behavior.
+// to exactly n requests, a burst replays its trace (n is its length),
+// and closed-loop waves fire everything at once (all-zero offsets).
 func waveOffsets(arr *scenario.Arrival, n int, seed int64) ([]float64, error) {
 	if !arr.Open() {
 		return make([]float64, n), nil
@@ -158,199 +177,229 @@ func waveOffsets(arr *scenario.Arrival, n int, seed int64) ([]float64, error) {
 		return nil, err
 	}
 	if len(offsets) != n {
-		return nil, fmt.Errorf("clustercheck: %s arrival produced %d offsets for a %d-request wave (raise duration_sec or fix the trace length)",
+		return nil, fmt.Errorf("clustercheck: %s arrival produced %d offsets for a %d-request wave (raise duration_sec)",
 			a.Normalized(), len(offsets), n)
 	}
 	return offsets, nil
 }
 
-// runWave fires one request per arrival offset at baseURL — request i
-// targeting cells[i%len(cells)] — through the shared open-loop driver,
-// and verifies each body against expected. Requests fire on schedule
+// load is one phase's client side: the wire request and ground-truth
+// bytes of each cell, and the outcome of the waves fired so far.
+type load struct {
+	reqs     []serve.JobRequest
+	expected [][]byte
+	errs     int64
+	mismatch atomic.Bool
+	lats     []time.Duration
+}
+
+// wave fires one request per arrival offset at baseURL — request i
+// targeting cell i%len(cells) — through scenario.Drive, and checks
+// each body against the cell's ground truth. Requests fire on schedule
 // even when earlier ones are still in flight.
-func runWave(baseURL string, offsets []float64, cells []serve.LoadCell, expected [][]byte) (errs int64, identical bool, lats []float64) {
+func (l *load) wave(baseURL string, offsets []float64) {
 	client := &http.Client{Timeout: 2 * time.Minute}
-	identical = true
-	var mu sync.Mutex
+	// A connection the transport dialed but never used would hold the
+	// server's Shutdown for Go's 5 s grace on new connections.
+	defer client.CloseIdleConnections()
 	res := scenario.Drive(offsets, func(i int) error {
-		cell := cells[i%len(cells)]
-		got, err := serve.SubmitAndFetch(client, baseURL, cell)
+		k := i % len(l.reqs)
+		got, err := submitAndFetch(client, baseURL, l.reqs[k])
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "clustercheck client %d (%s/%s): %v\n", i, cell.Config, cell.Model, err)
+			fmt.Fprintf(os.Stderr, "clustercheck client %d (%s/%s): %v\n", i, l.reqs[k].Config, l.reqs[k].Model, err)
 			return err
 		}
-		if !sameBytes(got, expected[i%len(cells)]) {
-			mu.Lock()
-			identical = false
-			mu.Unlock()
+		if !bytes.Equal(got, l.expected[k]) {
+			l.mismatch.Store(true)
 		}
 		return nil
 	})
-	lats = make([]float64, 0, len(res.Latencies))
-	for _, d := range res.Latencies {
-		lats = append(lats, d.Seconds())
-	}
-	return int64(res.Errors), identical, lats
+	l.errs += int64(res.Errors)
+	l.lats = append(l.lats, res.Latencies...)
 }
 
-func sameBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// submitAndFetch POSTs one job and long-polls its result bytes — one
+// whole client interaction.
+func submitAndFetch(client *http.Client, baseURL string, req serve.JobRequest) ([]byte, error) {
+	body, _ := json.Marshal(req)
+	var id string
+	// A 429 is the admission controller doing its job; honor the
+	// Retry-After budget a few times before giving up.
+	for attempt := 0; ; attempt++ {
+		resp, err := client.Post(baseURL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
 		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode == http.StatusTooManyRequests && attempt < 50 {
+			time.Sleep(20 * time.Millisecond)
+			continue
+		}
+		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("POST /v1/jobs: %s: %s", resp.Status, data)
+		}
+		var st serve.JobStatus
+		if err := json.Unmarshal(data, &st); err != nil {
+			return nil, err
+		}
+		id = st.ID
+		break
 	}
-	return true
+	resp, err := client.Get(baseURL + "/v1/jobs/" + id + "/result?wait=90s")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET result: %s: %s", resp.Status, data)
+	}
+	return data, nil
 }
 
-func percentileMs(lats []float64, p float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), lats...)
-	sort.Float64s(sorted)
-	return sorted[int(p*float64(len(sorted)-1))] * 1e3
-}
-
-// sumStats folds the fleet's serving counters into one PhaseStats
-// (Requests is filled by the caller from the client side).
-func sumStats(servers []*serve.Server) PhaseStats {
-	var ps PhaseStats
+// phaseStats folds servers' serving counters into one PhaseStats over
+// `requests` client submissions.
+func phaseStats(requests int, servers ...*serve.Server) PhaseStats {
+	ps := PhaseStats{Requests: int64(requests)}
 	for _, s := range servers {
 		st := s.Stats()
 		ps.LiveRuns += st.JobsRun
 		ps.DedupHits += st.DedupHits
 		ps.PeerHits += st.PeerHits
 	}
+	if ps.LiveRuns > 0 {
+		ps.Dedup = float64(requests) / float64(ps.LiveRuns)
+	}
 	return ps
 }
 
-// RunCheck builds the cluster, drives the kill-and-recover load, and
+// RunCheck serves the plan on one replica and then on the fleet, and
 // returns the report plus the first gate violation (the report is
 // valid — and worth writing — either way).
 func RunCheck(opts CheckOptions) (CheckReport, error) {
-	nrep := opts.Replicas
-	if nrep <= 0 {
-		nrep = 3
+	plan := opts.Plan
+	if plan == nil {
+		var err error
+		if plan, err = serve.DefaultLoadPlan(); err != nil {
+			return CheckReport{}, err
+		}
 	}
 	clients := opts.Clients
 	if clients <= 0 {
-		clients = 96
-	}
-	cells := opts.Cells
-	if cells == nil {
-		cells = serve.DefaultLoadCells()
-	}
-	health := opts.HealthInterval
-	if health <= 0 {
-		health = 100 * time.Millisecond
+		clients = DefaultClients
 	}
 	logw := opts.Log
 	if logw == nil {
 		logw = os.Stderr
 	}
-	arr := opts.Arrival
+	arr := plan.Arrival
 	if arr == nil {
 		arr = &scenario.Arrival{Process: scenario.ArrivalPoisson, RatePerSec: 600}
 	}
-	seed := opts.Seed
+	seed := plan.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	rep := CheckReport{Replicas: nrep, Clients: clients, Arrival: arr.Normalized(), Cells: cells}
+	rep := CheckReport{Replicas: checkReplicas, Arrival: arr.Normalized()}
+	cells := len(plan.Cells)
+	if cells == 0 {
+		return rep, fmt.Errorf("clustercheck: scenario %q compiled to no cells", plan.Name)
+	}
 
-	// Ground truth: the canonical bytes of each cell from direct
-	// public-API runs — what `pimserve -print` emits.
-	expected := make([][]byte, len(cells))
-	jobIDs := make([]string, len(cells))
-	for i, c := range cells {
-		cfg, err := heteropim.ParseConfig(c.Config)
+	// The wire request of each cell, and the distinct job ids among
+	// them: the single replica must run one simulation per id.
+	rep.Cells = make([]serve.JobRequest, cells)
+	ids := map[string]bool{}
+	for i, bc := range plan.Cells {
+		rep.Cells[i] = serve.RequestFromBatch(bc)
+		id, err := serve.JobID(rep.Cells[i])
 		if err != nil {
-			return rep, err
+			return rep, fmt.Errorf("clustercheck: scenario cell %d: %w", i, err)
 		}
-		model, err := heteropim.ParseModel(c.Model)
-		if err != nil {
-			return rep, err
-		}
-		r, err := heteropim.Run(cfg, model)
-		if err != nil {
-			return rep, err
-		}
+		ids[id] = true
+	}
+	// Ground truth straight from the public batch API, which is
+	// bit-identical to Simulate per cell — what `pimserve -print` emits.
+	results, err := heteropim.BatchRun(plan.Cells)
+	if err != nil {
+		return rep, err
+	}
+	expected := make([][]byte, cells)
+	for i, r := range results {
 		expected[i] = serve.EncodeResult(r)
-		if jobIDs[i], err = serve.JobID(serve.JobRequest{Config: c.Config, Model: c.Model}); err != nil {
+	}
+	// The replicas share this process's result cache: evict the truth,
+	// or the served jobs would be hits on the very bytes they are
+	// checked against.
+	heteropim.DropSimulationCacheMemory()
+
+	// Three waves, each covering every cell, seeded apart so they differ
+	// while the whole check replays from (arrival, seed). Both phases
+	// fire the same three, so their dedup ratios compare like for like.
+	wave := max((clients+2)/3, cells)
+	if arr.Normalized() == scenario.ArrivalBurst {
+		if wave = len(arr.TraceSec); wave < cells {
+			return rep, fmt.Errorf("clustercheck: a %d-offset burst trace cannot cover %d cells per wave", wave, cells)
+		}
+	}
+	var waves [3][]float64
+	for w := range waves {
+		if waves[w], err = waveOffsets(arr, wave, seed+int64(w)+1); err != nil {
 			return rep, err
 		}
 	}
-	// The replicas share this process's result cache: evict the truth,
-	// or the baseline's jobs would be hits on the very bytes they are
-	// checked against.
-	heteropim.DropSimulationCacheMemory()
+	rep.Clients = 3 * wave
 
 	sopts := serve.Options{Workers: opts.Workers, QueueCapacity: opts.Queue, JobTimeout: opts.JobTimeout}
 	dctx, dcancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer dcancel()
 
-	// Both phases serve exactly the same client total — 3 waves' worth —
-	// so the dedup ratios compare like for like.
-	wave := (clients + 2) / 3
-	if wave < len(cells) {
-		wave = len(cells) // every wave must cover every cell
-	}
-	totalClients := 3 * wave
-	rep.Clients = totalClients
-
-	// ---- Phase 1: single-node baseline (no peers) over the same client
-	// count.
+	// ---- Phase 1: one replica, no peers.
 	single, err := startReplica("single", NewFleet(), sopts)
 	if err != nil {
 		return rep, err
 	}
-	fmt.Fprintf(logw, "pimserve: clustercheck baseline: 1 node, %d requests (%s arrivals), %d cells\n",
-		totalClients, arr.Normalized(), len(cells))
-	baseOffsets, err := waveOffsets(arr, totalClients, seed)
-	if err != nil {
+	fmt.Fprintf(logw, "pimserve: clustercheck %q, 1 node: 3 waves x %d requests (%s arrivals), %d cells, %d distinct jobs\n",
+		plan.Name, wave, arr.Normalized(), cells, len(ids))
+	base := &load{reqs: rep.Cells, expected: expected}
+	for _, offsets := range waves {
+		base.wave(single.url, offsets)
+	}
+	rep.Single = phaseStats(rep.Clients, single.srv)
+	if err := single.stop(dctx); err != nil {
 		return rep, err
 	}
-	sErrs, sIdent, _ := runWave(single.url, baseOffsets, cells, expected)
-	st := single.srv.Stats()
-	rep.Single = PhaseStats{
-		Requests: int64(totalClients), LiveRuns: st.JobsRun,
-		DedupHits: st.DedupHits, PeerHits: st.PeerHits,
+	if base.errs > 0 || base.mismatch.Load() {
+		return rep, fmt.Errorf("clustercheck: single-node phase failed (%d errors, identical=%t)", base.errs, !base.mismatch.Load())
 	}
-	if st.JobsRun > 0 {
-		rep.Single.Dedup = float64(totalClients) / float64(st.JobsRun)
-	}
-	if err := single.drain(dctx); err != nil {
-		return rep, fmt.Errorf("clustercheck: baseline drain: %w", err)
-	}
-	if err := single.hs.Shutdown(dctx); err != nil {
-		return rep, fmt.Errorf("clustercheck: baseline shutdown: %w", err)
-	}
-	if sErrs > 0 || !sIdent {
-		return rep, fmt.Errorf("clustercheck: baseline phase failed (%d errors, identical=%t)", sErrs, sIdent)
+	if rep.Single.LiveRuns != int64(len(ids)) {
+		return rep, fmt.Errorf("clustercheck: single node ran %d simulations for %d distinct jobs", rep.Single.LiveRuns, len(ids))
 	}
 
-	// The baseline warmed the process-wide memory cache; drop it so the
-	// cluster phase re-earns every result through its own dedup
-	// machinery (and the shared L2 disk tier when HETEROPIM_CACHE_DIR
-	// is set), the way separate replica processes would.
+	// Phase 1 warmed the process-wide memory cache; drop it so the
+	// fleet re-earns every result through its own dedup machinery (and
+	// the shared L2 disk tier when HETEROPIM_CACHE_DIR is set), the way
+	// separate replica processes would.
 	heteropim.DropSimulationCacheMemory()
 
 	// ---- Phase 2: the fleet.
 	fleet := NewFleet()
-	replicas := make([]*replicaProc, nrep)
+	replicas := make([]*replicaProc, checkReplicas)
+	members := make([]Replica, checkReplicas)
 	for i := range replicas {
 		if replicas[i], err = startReplica(fmt.Sprintf("replica-%d", i), fleet, sopts); err != nil {
 			return rep, err
 		}
+		members[i] = Replica{Name: replicas[i].name, BaseURL: replicas[i].url}
 	}
-	members := make([]Replica, nrep)
-	for i, p := range replicas {
-		members[i] = Replica{Name: p.name, BaseURL: p.url}
-	}
-	router := NewRouter(RouterOptions{Replicas: members, HealthInterval: health})
+	router := NewRouter(RouterOptions{Replicas: members, HealthInterval: checkHealthInterval})
 	defer router.Close()
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -361,20 +410,11 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 	routerURL := "http://" + rln.Addr().String()
 	defer rhs.Shutdown(context.Background())
 
-	fmt.Fprintf(logw, "pimserve: clustercheck cluster: %d replicas behind %s, 3 waves x %d requests (%s arrivals)\n",
-		nrep, routerURL, wave, arr.Normalized())
+	fmt.Fprintf(logw, "pimserve: clustercheck %q, %d replicas behind %s: the same 3 waves\n",
+		plan.Name, checkReplicas, routerURL)
 
-	// One schedule per wave, seeded apart so the waves differ while the
-	// whole check replays deterministically from (arrival, seed).
-	waves := make([][]float64, 3)
-	for w := range waves {
-		if waves[w], err = waveOffsets(arr, wave, seed+int64(w)+1); err != nil {
-			return rep, err
-		}
-	}
-
-	t0 := time.Now()
-	e1, i1, l1 := runWave(routerURL, waves[0], cells, expected)
+	routed := &load{reqs: rep.Cells, expected: expected}
+	routed.wave(routerURL, waves[0])
 
 	// Kill: pick the replica owning the most job ids and drain it — the
 	// SIGTERM path. Its readyz flips to 503 immediately, so wave 2's
@@ -382,7 +422,7 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 	// router while the drained replica's results stay readable for
 	// cross-replica adoption.
 	owned := map[string]int{}
-	for _, id := range jobIDs {
+	for id := range ids {
 		if o, ok := router.Owner(id); ok {
 			owned[o]++
 		}
@@ -395,7 +435,7 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 	}
 	rep.Killed = victim.name
 	fmt.Fprintf(logw, "pimserve: clustercheck: draining %s (owns %d/%d job ids)\n",
-		victim.name, owned[victim.name], len(jobIDs))
+		victim.name, owned[victim.name], len(ids))
 	// The drain is deliberately silent — no departure announcement — so
 	// wave 2 exercises the lost-announcement path: the router discovers
 	// the drain from a 503'd submission and retries it on the new owner.
@@ -403,17 +443,15 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 		return rep, fmt.Errorf("clustercheck: victim drain: %w", err)
 	}
 
-	e2, i2, l2 := runWave(routerURL, waves[1], cells, expected)
+	routed.wave(routerURL, waves[1])
 
 	// Full kill, then recovery under the same name (same shard range)
-	// on a fresh port with empty state. The recovered replica rejoins by
-	// announcing itself over the wire — the same POST /v1/replicas a
-	// `pimserve -announce` replica sends — not by the harness reaching
-	// into the router, so the check covers self-registration end to end.
-	// This time the victim announces its departure over the wire first —
-	// the same DELETE /v1/replicas/{name} a SIGTERM'd `pimserve
-	// -announce` sends — so the graceful-exit path is covered end to end
-	// alongside wave 2's unannounced drain.
+	// on a fresh port with empty state. This time the victim announces
+	// its departure over the wire first — the same DELETE
+	// /v1/replicas/{name} a SIGTERM'd `pimserve -announce` sends — and
+	// the recovered replica rejoins by announcing itself with the same
+	// POST /v1/replicas, not by the harness reaching into the router, so
+	// the check covers graceful exit and self-registration end to end.
 	if err := Depart(nil, routerURL, victim.name); err != nil {
 		return rep, fmt.Errorf("clustercheck: victim depart: %w", err)
 	}
@@ -430,62 +468,49 @@ func RunCheck(opts CheckOptions) (CheckReport, error) {
 	}
 	fmt.Fprintf(logw, "pimserve: clustercheck: recovered %s at %s (self-announced)\n", recovered.name, recovered.url)
 
-	e3, i3, l3 := runWave(routerURL, waves[2], cells, expected)
-	rep.WallSeconds = time.Since(t0).Seconds()
+	routed.wave(routerURL, waves[2])
 
-	// Collect before draining the fleet (counters survive drain anyway).
+	// Collect before stopping the fleet (counters survive drain anyway).
 	servers := []*serve.Server{victim.srv, recovered.srv}
+	standing := []*replicaProc{recovered}
 	for _, p := range replicas {
 		if p != victim {
 			servers = append(servers, p.srv)
+			standing = append(standing, p)
 		}
 	}
-	rep.Cluster = sumStats(servers)
-	rep.Cluster.Requests = int64(totalClients)
-	if rep.Cluster.LiveRuns > 0 {
-		rep.Cluster.Dedup = float64(totalClients) / float64(rep.Cluster.LiveRuns)
-	}
-	rep.Errors = e1 + e2 + e3
-	rep.ByteIdentical = i1 && i2 && i3
-	rep.Announces = router.Registry().CounterValue("cluster.announces")
-	rep.Departures = router.Registry().CounterValue("cluster.departures")
-	rep.Rehashes = router.Registry().CounterValue("cluster.rehashes")
-	rep.Retries = router.Registry().CounterValue("cluster.retries")
-	rep.Reroutes = router.Registry().CounterValue("cluster.reroutes")
+	rep.Cluster = phaseStats(rep.Clients, servers...)
+	rep.Errors = routed.errs
+	rep.ByteIdentical = !routed.mismatch.Load()
+	reg := router.Registry()
+	rep.Announces = reg.CounterValue("cluster.announces")
+	rep.Departures = reg.CounterValue("cluster.departures")
+	rep.Rehashes = reg.CounterValue("cluster.rehashes")
+	rep.Retries = reg.CounterValue("cluster.retries")
+	rep.Reroutes = reg.CounterValue("cluster.reroutes")
 	rep.DedupOK = rep.Cluster.Dedup >= rep.Single.Dedup-1e-9
 	for _, n := range router.ReadyReplicas() {
 		if n == victim.name {
 			rep.Recovered = true
 		}
 	}
-	lats := append(append(l1, l2...), l3...)
-	rep.LatencyP50Ms = percentileMs(lats, 0.50)
-	rep.LatencyP99Ms = percentileMs(lats, 0.99)
-	if rep.WallSeconds > 0 {
-		rep.ThroughputRPS = float64(totalClients) / rep.WallSeconds
+	if n := len(routed.lats); n > 0 {
+		sort.Slice(routed.lats, func(i, j int) bool { return routed.lats[i] < routed.lats[j] })
+		rep.LatencyP50Ms = float64(routed.lats[(n-1)/2]) / float64(time.Millisecond)
 	}
 
-	// Tear the fleet down cleanly.
-	for _, p := range append([]*replicaProc{recovered}, replicas...) {
-		if p == victim {
-			continue
-		}
-		if err := p.drain(dctx); err != nil {
-			return rep, fmt.Errorf("clustercheck: drain %s: %w", p.name, err)
-		}
-		if err := p.hs.Shutdown(dctx); err != nil {
-			return rep, fmt.Errorf("clustercheck: shutdown %s: %w", p.name, err)
+	for _, p := range standing {
+		if err := p.stop(dctx); err != nil {
+			return rep, err
 		}
 	}
 
 	// ---- Gates.
 	switch {
-	case nrep < 3:
-		return rep, fmt.Errorf("clustercheck: %d replicas; the gate needs >= 3", nrep)
 	case rep.Errors > 0:
 		return rep, fmt.Errorf("clustercheck: %d client errors", rep.Errors)
 	case !rep.ByteIdentical:
-		return rep, fmt.Errorf("clustercheck: routed results not byte-identical to single-node runs")
+		return rep, fmt.Errorf("clustercheck: routed results not byte-identical to direct runs")
 	case !rep.DedupOK:
 		return rep, fmt.Errorf("clustercheck: cluster dedup %.2fx below single-node %.2fx",
 			rep.Cluster.Dedup, rep.Single.Dedup)

@@ -229,20 +229,25 @@ func TestFrequencyScalingSaturatesForVGG(t *testing.T) {
 }
 
 func TestProgPIMScaling(t *testing.T) {
-	// Fig. 12: 1P vs 16P within ~12-14%; 16P never catastrophically
-	// worse (constant die area).
-	g := nn.VGG19()
-	r1, err := RunPIM(g, hw.HeteroConfigWithProcessors(1, 1), HeteroOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r16, err := RunPIM(g, hw.HeteroConfigWithProcessors(16, 1), HeteroOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := math.Abs(r16.StepTime-r1.StepTime) / r1.StepTime
-	if diff > 0.20 {
-		t.Errorf("1P vs 16P differ by %.0f%%, paper says 12-14%%", diff*100)
+	// Fig. 12: at constant logic-die area 16P is slower than 1P on every
+	// CNN (16 processors cost 60 fixed units), but not by much: the paper
+	// says 12-14%, `pimbench -only F12` measures 1.02-1.16x.
+	for _, m := range nn.CNNModelNames() {
+		g, err := nn.Build(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, err := RunPIM(g, hw.HeteroConfigWithProcessors(1, 1), HeteroOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r16, err := RunPIM(g, hw.HeteroConfigWithProcessors(16, 1), HeteroOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := r16.StepTime / r1.StepTime; r <= 1 || r > 1.20 {
+			t.Errorf("%s: 16P/1P step time = %.3f, want slower by at most 1.20x", m, r)
+		}
 	}
 }
 

@@ -55,8 +55,11 @@ func TestEnergyPartsSumToTotal(t *testing.T) {
 }
 
 func TestPaperEnergyBands(t *testing.T) {
-	// Fig. 9: CPU 3-24x and GPU 1.3-5x above Hetero; Progr PIM highest
-	// or near-highest; Fixed between Hetero and GPU.
+	// Fig. 9: CPU 3-24x and GPU 1.3-5x above Hetero, in the order
+	// CPU > GPU > Fixed > Hetero, with Progr PIM above the GPU. Progr PIM
+	// is the most energy-hungry platform on every CNN but Inception-v3,
+	// where the CPU draws more (1,233.7 J vs 1,128.9 J): a documented
+	// deviation (EXPERIMENTS.md), pinned so that it cannot move unnoticed.
 	for _, m := range nn.CNNModelNames() {
 		het := Evaluate(run(t, hw.ConfigHeteroPIM, m)).Dynamic
 		cpu := Evaluate(run(t, hw.ConfigCPU, m)).Dynamic
@@ -66,14 +69,21 @@ func TestPaperEnergyBands(t *testing.T) {
 		if r := cpu / het; r < 3 || r > 24 {
 			t.Errorf("%s: CPU/Hetero energy = %.2f, want 3-24", m, r)
 		}
-		if r := gpu / het; r < 1.3 || r > 6 {
-			t.Errorf("%s: GPU/Hetero energy = %.2f, want ~1.3-5", m, r)
+		if r := gpu / het; r < 1.3 || r > 5 {
+			t.Errorf("%s: GPU/Hetero energy = %.2f, want 1.3-5", m, r)
 		}
-		if fixed <= het {
-			t.Errorf("%s: Fixed energy (%.1f) should exceed Hetero (%.1f)", m, fixed, het)
+		if !(cpu > gpu && gpu > fixed && fixed > het) {
+			t.Errorf("%s: want CPU > GPU > Fixed > Hetero, got %.1f, %.1f, %.1f, %.1f J", m, cpu, gpu, fixed, het)
 		}
-		if prog < cpu*0.8 {
-			t.Errorf("%s: Progr PIM energy (%.1f) should be near the top (CPU %.1f)", m, prog, cpu)
+		if prog <= gpu {
+			t.Errorf("%s: Progr PIM energy (%.1f J) should exceed the GPU's (%.1f J)", m, prog, gpu)
+		}
+		if m == nn.InceptionV3Name {
+			if prog >= cpu {
+				t.Errorf("%s: Progr PIM (%.1f J) no longer below the CPU (%.1f J): update EXPERIMENTS.md's Fig. 9 deviation", m, prog, cpu)
+			}
+		} else if prog <= cpu {
+			t.Errorf("%s: Progr PIM energy (%.1f J) should be the highest (CPU %.1f J)", m, prog, cpu)
 		}
 	}
 }

@@ -174,9 +174,9 @@ func variantSpec(v *heteropim.Variant) *VariantSpec {
 
 // RequestFromBatch renders one compiled scenario cell as the wire
 // request a client would POST for it. Both scenario endpoints (the
-// replica's and the router's) and the scenario-driven load generator
-// admit compiled cells through it, so a scenario cell becomes exactly
-// the job its own POST /v1/jobs would.
+// replica's and the router's) and the cluster check admit compiled
+// cells through it, so a scenario cell becomes exactly the job its own
+// POST /v1/jobs would.
 func RequestFromBatch(bc heteropim.BatchCell) JobRequest {
 	req := JobRequest{Config: heteropim.ConfigName(bc.Config), Model: string(bc.Model),
 		BatchSize: bc.BatchSize, Processors: bc.Processors, Variant: variantSpec(bc.Variant)}

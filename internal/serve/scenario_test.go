@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -188,49 +187,11 @@ func TestScenarioEndpoint(t *testing.T) {
 	}
 }
 
-// TestScenarioLoadGenPoisson drives the committed open-loop selfcheck
-// scenario against a live daemon: the Poisson schedule's request count
-// comes from the document, every body matches the BatchRun encoding,
-// and the 64-requests-over-8-cells mix preserves the dedup floor.
-func TestScenarioLoadGenPoisson(t *testing.T) {
-	data, err := os.ReadFile("../../testdata/scenarios/selfcheck_poisson.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := heteropim.CompileScenario(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Options{Workers: 2, QueueCapacity: 64, JobTimeout: time.Minute})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	rep, err := ScenarioLoadGen(ts.URL, plan, 0, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Scenario != "selfcheck-poisson" || rep.Arrival != "poisson" {
-		t.Fatalf("report header: %+v", rep)
-	}
-	if rep.Clients != 64 {
-		t.Fatalf("open-loop request count %d, want 64 from the document", rep.Clients)
-	}
-	if rep.Errors != 0 || !rep.ByteIdentical {
-		t.Fatalf("errors=%d identical=%t", rep.Errors, rep.ByteIdentical)
-	}
-	if rep.LiveRuns != 8 {
-		t.Fatalf("live_runs=%d, want 8 unique cells", rep.LiveRuns)
-	}
-	if rep.DedupRatio < 4 {
-		t.Fatalf("dedup ratio %.2f below the selfcheck floor of 4", rep.DedupRatio)
-	}
-}
-
-// TestDefaultSelfcheckPlanMatchesLoadCells keeps the embedded scenario
-// and the legacy cell list in lockstep — the scenario document is the
-// single source of truth for the selfcheck mix.
-func TestDefaultSelfcheckPlanMatchesLoadCells(t *testing.T) {
-	plan, err := DefaultSelfcheckPlan()
+// TestDefaultLoadPlanMatchesLoadCells keeps the embedded scenario and
+// the cell list in lockstep — the scenario document is the single
+// source of truth for the default mix.
+func TestDefaultLoadPlanMatchesLoadCells(t *testing.T) {
+	plan, err := DefaultLoadPlan()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -567,8 +567,8 @@ func (s *Server) handleStatusPage(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, t.String())
 }
 
-// Stats summarizes serving-layer traffic (the selfcheck and the
-// clustercheck gate on it). JobsRun counts only jobs that executed a
+// Stats summarizes serving-layer traffic (the cluster check gates on
+// it). JobsRun counts only jobs that executed a
 // simulation locally; peer-adopted and deduplicated jobs do not.
 type Stats struct {
 	Requests  int64 `json:"requests"`
