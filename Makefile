@@ -48,8 +48,9 @@ bench:
 # and on the working tree, PAIRS pairs of SECONDS-second WORKLOAD runs
 # on seeds 1..PAIRS, alternating which side goes first, and prints per
 # BENCHMARK.json end-to-end metric each side's median and q1–q3, the
-# change, the pairs won and the bound verdict. It fails if any run is
-# not correct or has failed operations.
+# change, the pairs won and the bound verdict. WORKLOAD=all compares
+# every BENCHMARK.json workload in pairs of its own, one table each. It
+# fails if any run is not correct or has failed operations.
 BASE ?= HEAD
 WORKLOAD ?= serve
 PAIRS ?= 10

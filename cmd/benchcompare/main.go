@@ -15,9 +15,11 @@
 // checkouts with --workload WORKLOAD --seed i --seconds SECONDS
 // --trace 0. Odd pairs run the base first and even pairs the working
 // tree first, so a host whose speed drifts over time does not favour
-// one side. The clone lives in a temporary directory outside the tree
-// and is deleted on exit. The command exits 1 if any run fails, or
-// reports "correct": false or "failed" > 0.
+// one side. WORKLOAD all compares every workload BENCHMARK.json lists,
+// one after the other, each in PAIRS pairs of its own, and prints one
+// table per workload. The clone lives in a temporary directory outside
+// the tree and is deleted on exit. The command exits 1 if any run
+// fails, or reports "correct": false or "failed" > 0.
 package main
 
 import (
@@ -41,8 +43,24 @@ import (
 
 // spec is the part of BENCHMARK.json this command reads.
 type spec struct {
-	Command  []string `json:"command"`
+	Command   []string `json:"command"`
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
 	EndToEnd []metric `json:"end_to_end"`
+}
+
+// workloads expands a WORKLOAD argument: "all" is every workload the
+// spec lists, in its order; any other name stands for itself.
+func (sp spec) workloads(name string) []string {
+	if name != "all" {
+		return []string{name}
+	}
+	var out []string
+	for _, w := range sp.Workloads {
+		out = append(out, w.Name)
+	}
+	return out
 }
 
 // metric is one end-to-end metric declaration.
@@ -97,6 +115,10 @@ func compare(base, workload string, pairs, seconds int, stdout, stderr io.Writer
 	if len(sp.Command) == 0 {
 		return errors.New("BENCHMARK.json declares no command")
 	}
+	workloads := sp.workloads(workload)
+	if len(workloads) == 0 {
+		return errors.New("BENCHMARK.json declares no workloads")
+	}
 	root, err := os.Getwd()
 	if err != nil {
 		return err
@@ -123,43 +145,58 @@ func compare(base, workload string, pairs, seconds int, stdout, stderr io.Writer
 	fmt.Fprintf(stderr, "benchcompare: %s, %d pairs of %d s: base %.12s (%s) vs the working tree\n",
 		workload, pairs, seconds, rev, base)
 
-	var runs [2][]result // [0] base, [1] working tree
-	var bad []string
-	for seed := 1; seed <= pairs; seed++ {
-		order := []int{0, 1}
-		if seed%2 == 0 {
-			order = []int{1, 0}
-		}
-		for _, side := range order {
-			dir := []string{baseDir, root}[side]
-			args := append(sp.Command[1:len(sp.Command):len(sp.Command)], "--workload", workload,
-				"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(seconds), "--trace", "0")
-			out, err := output(ctx, stderr, dir, sp.Command[0], args...)
-			res, perr := lastResult(out)
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			name := []string{"base", "change"}[side]
-			switch {
-			case perr != nil:
-				return fmt.Errorf("%s seed %d: %w", name, seed, errors.Join(err, perr))
-			case !res.Correct || res.Failed > 0:
-				bad = append(bad, fmt.Sprintf("%s seed %d: correct=%t failed=%d", name, seed, res.Correct, res.Failed))
-			}
-			runs[side] = append(runs[side], res)
-			fmt.Fprintf(stderr, "benchcompare: seed %d %-6s %s\n", seed, name, brief(sp.EndToEnd, res))
-		}
+	bench := func(side int, workload string, seed int) (string, error) {
+		dir := []string{baseDir, root}[side]
+		args := append(sp.Command[1:len(sp.Command):len(sp.Command)], "--workload", workload,
+			"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(seconds), "--trace", "0")
+		return output(ctx, stderr, dir, sp.Command[0], args...)
 	}
+	return comparePairs(ctx, sp, workloads, pairs, bench, stdout, stderr)
+}
 
-	tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "metric\tbase median (q1–q3)\tchange median (q1–q3)\tchange\twon\tbound\tverdict\tgap > base q1–q3")
-	for _, m := range sp.EndToEnd {
-		r := summarize(m, values(runs[0], m.Name), values(runs[1], m.Name))
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d/%d\t%g%%\t%s\t%t\n", m.Name+" ("+m.Unit+")",
-			r.base, r.change, pct(r.delta), r.won, r.pairs, m.Bound*100, r.verdict, r.gapBeyondIQR)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
+// comparePairs runs pairs of every workload through bench, which runs
+// one side (0 base, 1 working tree) on one workload and seed and
+// returns its standard output, and prints one table per workload.
+func comparePairs(ctx context.Context, sp spec, workloads []string, pairs int,
+	bench func(side int, workload string, seed int) (string, error), stdout, stderr io.Writer) error {
+	var bad []string
+	for _, workload := range workloads {
+		var runs [2][]result // [0] base, [1] working tree
+		for seed := 1; seed <= pairs; seed++ {
+			order := []int{0, 1}
+			if seed%2 == 0 {
+				order = []int{1, 0}
+			}
+			for _, side := range order {
+				out, err := bench(side, workload, seed)
+				res, perr := lastResult(out)
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				name := []string{"base", "change"}[side]
+				switch {
+				case perr != nil:
+					return fmt.Errorf("%s %s seed %d: %w", workload, name, seed, errors.Join(err, perr))
+				case !res.Correct || res.Failed > 0:
+					bad = append(bad, fmt.Sprintf("%s %s seed %d: correct=%t failed=%d", workload, name, seed, res.Correct, res.Failed))
+				}
+				runs[side] = append(runs[side], res)
+				fmt.Fprintf(stderr, "benchcompare: %s seed %d %-6s %s\n", workload, seed, name, brief(sp.EndToEnd, res))
+			}
+		}
+
+		fmt.Fprintf(stdout, "workload %s, %d pairs\n", workload, pairs)
+		tw := tabwriter.NewWriter(stdout, 0, 0, 2, ' ', 0)
+		fmt.Fprintln(tw, "metric\tbase median (q1–q3)\tchange median (q1–q3)\tchange\twon\tbound\tverdict\tgap > base q1–q3")
+		for _, m := range sp.EndToEnd {
+			r := summarize(m, values(runs[0], m.Name), values(runs[1], m.Name))
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d/%d\t%g%%\t%s\t%t\n", m.Name+" ("+m.Unit+")",
+				r.base, r.change, pct(r.delta), r.won, r.pairs, m.Bound*100, r.verdict, r.gapBeyondIQR)
+		}
+		if err := tw.Flush(); err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout)
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("%d runs were not clean:\n  %s", len(bad), strings.Join(bad, "\n  "))

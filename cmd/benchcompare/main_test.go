@@ -1,8 +1,12 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -111,6 +115,70 @@ func TestUsage(t *testing.T) {
 	for _, args := range [][]string{nil, {"HEAD", "serve", "ten", "20"}, {"HEAD", "serve", "10", "0"}} {
 		if code := run(args, &out, &errs); code != 2 {
 			t.Errorf("run(%q) = %d, want 2", args, code)
+		}
+	}
+}
+
+// TestAllComparesEveryWorkload runs WORKLOAD all against a fake
+// benchmark: every workload BENCHMARK.json lists gets pairs of its own,
+// with the side that runs first alternating, and a table of its own.
+func TestAllComparesEveryWorkload(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp spec
+	if err := json.Unmarshal(raw, &sp); err != nil {
+		t.Fatal(err)
+	}
+	names := sp.workloads("all")
+	if len(names) < 2 || len(names) != len(sp.Workloads) {
+		t.Fatalf("all expands to %q, want the %d workloads BENCHMARK.json lists", names, len(sp.Workloads))
+	}
+	if got := sp.workloads("serve"); !reflect.DeepEqual(got, []string{"serve"}) {
+		t.Fatalf("serve expands to %q", got)
+	}
+
+	// Workload i reports cold_ms 100(i+1) on the base and 50(i+1) on the
+	// change, so each table can only show its own workload's runs.
+	index := map[string]int{}
+	for i, w := range names {
+		index[w] = i
+	}
+	var calls []string
+	bench := func(side int, workload string, seed int) (string, error) {
+		calls = append(calls, fmt.Sprintf("%s/%d/%d", workload, seed, side))
+		scale := float64(index[workload] + 1)
+		return runOutput(100*scale/float64(side+1), 1, true), nil
+	}
+	var out, errs strings.Builder
+	if err := comparePairs(context.Background(), sp, names, 2, bench, &out, &errs); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, w := range names {
+		want = append(want, w+"/1/0", w+"/1/1", w+"/2/1", w+"/2/0")
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("runs %q, want %q", calls, want)
+	}
+	tables := strings.Split(out.String(), "workload ")[1:]
+	if len(tables) != len(names) {
+		t.Fatalf("%d tables for %d workloads:\n%s", len(tables), len(names), out.String())
+	}
+	for i, w := range names {
+		scale := float64(i + 1)
+		want := strings.Fields(fmt.Sprintf("cold_ms (ms) %.4g (%.4g–%.4g) %.4g (%.4g–%.4g) -50.0%% 2/2",
+			100*scale, 100*scale, 100*scale, 50*scale, 50*scale, 50*scale))
+		var cold []string
+		for _, line := range strings.Split(tables[i], "\n") {
+			if strings.HasPrefix(line, "cold_ms") {
+				cold = strings.Fields(line)
+			}
+		}
+		if !strings.HasPrefix(tables[i], w+", 2 pairs\n") || len(cold) < len(want) ||
+			!reflect.DeepEqual(cold[:len(want)], want) {
+			t.Errorf("table %d is not %s's:\n%s", i, w, tables[i])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
@@ -24,12 +25,13 @@ import (
 // to a from-scratch run of the same candidate (checkpoint_test.go pins
 // this across platforms and models):
 //
-//   - the engine restores its heap slab verbatim and continues the
+//   - the engine restores its event heap verbatim and continues the
 //     sequence counter, so event order and tie-breaks match exactly
 //     (sim.Checkpoint);
 //   - the task DAG is rebuilt by the same template path and its mutable
-//     scalars overwritten from the snapshot; event payload pointers are
-//     remapped through slab indices;
+//     scalars overwritten from the snapshot; events, queued work items
+//     and the fixed-pool wait queue name tasks by slab index, which
+//     resolves to the same task in the fork's own DAG;
 //   - the register file resumes from a deep copy with token numbering
 //     continued (pim.RegistersSnapshot);
 //   - the pool's utilization integral is replayed advance-by-advance so
@@ -184,21 +186,12 @@ type taskSnap struct {
 	syncPerFlop        float64
 }
 
-// itemSnap is one queued device work item, its task as a slab index.
-type itemSnap struct {
-	dur      hw.Seconds
-	opT, dmT hw.Seconds
-	slots    int
-	bypassed int
-	task     int32
-}
-
 // devSnap freezes a serial device: occupancy, energy integral and the
 // live queue window.
 type devSnap struct {
 	busy        int
 	busySeconds float64
-	items       []itemSnap
+	items       []workItem
 }
 
 // RunCheckpoint is a frozen executor prefix, reusable across the unit
@@ -224,7 +217,7 @@ type RunCheckpoint struct {
 	poolAdv   []pim.PoolAdvance
 	poolBusy  int
 	poolGrant int
-	fixedWait []int32 // tasks queued on the fixed pool, as slab indices
+	fixedWait []int32 // the fixed pool's wait queue
 
 	bk      Breakdown
 	usage   Usage
@@ -252,44 +245,17 @@ func maskedConfigJSON(cfg hw.SystemConfig) []byte {
 	return b
 }
 
-// taskIdx flattens a task to its slab index (the template slab is laid
-// out step-major, opID-minor).
-func taskIdx(t *task, n int) int32 { return int32(t.step*n + t.op.ID) }
-
-// taskAt resolves a slab index in this executor's DAG.
-func (x *exec) taskAt(idx int32) *task {
-	n := len(x.g.Ops)
-	return x.tasks[int(idx)/n][int(idx)%n]
-}
-
 // snapDevice freezes a serial device's live state.
-func snapDevice(d *serialDevice, n int) devSnap {
-	s := devSnap{busy: d.busy, busySeconds: d.busySeconds}
-	if live := len(d.queue) - d.head; live > 0 {
-		s.items = make([]itemSnap, 0, live)
-	}
-	for k := d.head; k < len(d.queue); k++ {
-		w := d.queue[k]
-		s.items = append(s.items, itemSnap{
-			dur: w.dur, opT: w.opT, dmT: w.dmT,
-			slots: w.slots, bypassed: w.bypassed, task: taskIdx(w.t, n),
-		})
-	}
-	return s
+func snapDevice(d *serialDevice) devSnap {
+	return devSnap{busy: d.busy, busySeconds: d.busySeconds, items: slices.Clone(d.queue[d.head:])}
 }
 
 // restoreDevice loads a device snapshot into a fresh device.
-func (x *exec) restoreDevice(d *serialDevice, s devSnap) {
+func restoreDevice(d *serialDevice, s devSnap) {
 	d.busy = s.busy
 	d.busySeconds = s.busySeconds
-	d.queue = d.queue[:0]
+	d.queue = append(d.queue[:0], s.items...)
 	d.head = 0
-	for _, it := range s.items {
-		d.queue = append(d.queue, workItem{
-			dur: it.dur, opT: it.opT, dmT: it.dmT,
-			slots: it.slots, bypassed: it.bypassed, t: x.taskAt(it.task),
-		})
-	}
 }
 
 // CheckpointRun simulates (g, cfg, opts) to completion while watching
@@ -378,31 +344,24 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 			w.minUnits, w.maxUnits)
 	}
 	n := len(g.Ops)
-	// Detach payload pointers from this run's (pooled, about to be
-	// released) arena: slab indices survive the teardown.
-	engCp := x.eng.Checkpoint().Remap(func(ev sim.Ev) sim.Ev {
-		if t, ok := ev.Ptr.(*task); ok {
-			ev.Ptr = taskIdx(t, n)
-		}
-		return ev
-	})
 	cp := &RunCheckpoint{
 		g:         g,
 		opts:      opts,
 		maskedCfg: maskedConfigJSON(cfg),
 		minUnits:  w.minUnits,
 		maxUnits:  w.maxUnits,
-		eng:       engCp,
+		eng:       x.eng.Checkpoint(),
 		tasks:     make([]taskSnap, opts.Steps*n),
 		stepLeft:  append([]int(nil), x.stepLeft...),
 		heldBack:  make([][]int32, len(x.heldBack)),
 		firstOpen: x.firstOpen,
-		cpu:       snapDevice(x.cpu, n),
-		prog:      snapDevice(x.prog, n),
+		cpu:       snapDevice(x.cpu),
+		prog:      snapDevice(x.prog),
 		regs:      x.regs.Snapshot(),
 		poolAdv:   x.pool.AdvanceHistory(),
 		poolBusy:  x.pool.Busy(),
 		poolGrant: x.pool.Grants(),
+		fixedWait: slices.Clone(x.fixedPending[x.fixedHead:]),
 		bk:        x.bk,
 		usage:     x.usage,
 		offload:   x.offload,
@@ -420,11 +379,8 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 	}
 	for s, held := range x.heldBack {
 		for _, t := range held {
-			cp.heldBack[s] = append(cp.heldBack[s], taskIdx(t, n))
+			cp.heldBack[s] = append(cp.heldBack[s], x.ref(t))
 		}
-	}
-	for k := x.fixedHead; k < len(x.fixedPending); k++ {
-		cp.fixedWait = append(cp.fixedWait, taskIdx(x.fixedPending[k], n))
 	}
 	return cp, nil
 }
@@ -473,32 +429,24 @@ func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
 	for s := range x.heldBack {
 		hb := x.heldBack[s][:0]
 		for _, idx := range c.heldBack[s] {
-			hb = append(hb, x.taskAt(idx))
+			hb = append(hb, x.all[idx])
 		}
 		x.heldBack[s] = hb
 	}
 	x.firstOpen = c.firstOpen
-	x.restoreDevice(x.cpu, c.cpu)
-	x.restoreDevice(x.prog, c.prog)
+	restoreDevice(x.cpu, c.cpu)
+	restoreDevice(x.prog, c.prog)
 	x.regs = c.regs.NewRegisters()
 	if err := x.pool.ReplayHistory(c.poolAdv, c.poolBusy, c.poolGrant); err != nil {
 		return Result{}, err
 	}
-	x.fixedPending = x.fixedPending[:0]
+	x.fixedPending = append(x.fixedPending[:0], c.fixedWait...)
 	x.fixedHead = 0
-	for _, idx := range c.fixedWait {
-		x.fixedPending = append(x.fixedPending, x.taskAt(idx))
-	}
 	x.bk = c.bk
 	x.usage = c.usage
 	x.offload = c.offload
 	x.cpuOps = c.cpuOps
-	if err := x.eng.Restore(c.eng, func(ev sim.Ev) sim.Ev {
-		if idx, ok := ev.Ptr.(int32); ok {
-			ev.Ptr = x.taskAt(idx)
-		}
-		return ev
-	}); err != nil {
+	if err := x.eng.Restore(c.eng); err != nil {
 		return Result{}, err
 	}
 	res, err := x.drainRun()

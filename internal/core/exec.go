@@ -155,11 +155,12 @@ const fixedKernelQuantumFlops = 1e6
 const fixedTimeQuantum hw.Seconds = 2e-3
 
 // Event kinds of the PIM executor, numbered from 1 so a zero sim.Ev is
-// never a real event. Every kind carries its *task in Ptr; the scalar
-// operands are documented per kind. Scheduling these allocates nothing —
-// the payload travels by value inside the engine's heap slab — which is
+// never a real event. Every kind names its task in Ref, as the task's
+// slab index (exec.ref); the scalar operands are documented per kind.
+// Scheduling these allocates nothing and stores no pointer — the
+// payload travels by value inside the engine's payload slab — which is
 // what makes the steady-state inner loop allocation-free (the
-// AllocsPerRun pin in exec_alloc_test.go).
+// AllocsPerRun pin in exec_alloc_test.go) and free of GC write barriers.
 const (
 	// evItemDone: a serial-device work item finished. A = device index
 	// (devCPU/devProg), N = slots to release, Start = span start.
@@ -212,11 +213,11 @@ type workItem struct {
 	// bypassed counts how many shorter items jumped ahead (SJF aging:
 	// after maxBypass jumps the item cannot be overtaken again).
 	bypassed int
-	// t is the task this item executes. The completion action is derived
-	// from t.path when the item's evItemDone fires (prog items clear
-	// their status register before waking dependents), so the item needs
-	// no callback.
-	t *task
+	// t is the slab index of the task this item executes. The
+	// completion action is derived from the task's path when the item's
+	// evItemDone fires (prog items clear their status register before
+	// waking dependents), so the item needs no callback.
+	t int32
 }
 
 // maxBypass bounds SJF queue jumping so long operations cannot starve.
@@ -254,7 +255,6 @@ func (d *serialDevice) pending() int { return len(d.queue) - d.head }
 // when the queue drains.
 func (d *serialDevice) pop() workItem {
 	w := d.queue[d.head]
-	d.queue[d.head] = workItem{} // drop the task reference for the GC
 	d.head++
 	switch {
 	case d.head == len(d.queue):
@@ -264,10 +264,6 @@ func (d *serialDevice) pop() workItem {
 		// Compact a mostly-consumed queue so a long run that never
 		// fully drains still reuses the front of the array.
 		n := copy(d.queue, d.queue[d.head:])
-		clearTail := d.queue[n:]
-		for i := range clearTail {
-			clearTail[i] = workItem{}
-		}
 		d.queue = d.queue[:n]
 		d.head = 0
 	}
@@ -307,12 +303,16 @@ type exec struct {
 	// status registers for fixed-function offloads.
 	fixedBanks []int
 
-	// fixedPending is the FIFO of tasks waiting for fixed units. It is
-	// head-indexed like the device queues: pops advance fixedHead so the
-	// backing array is reused instead of re-sliced away.
-	fixedPending []*task
+	// fixedPending is the FIFO of tasks (slab indices) waiting for fixed
+	// units. It is head-indexed like the device queues: pops advance
+	// fixedHead so the backing array is reused instead of re-sliced away.
+	fixedPending []int32
 	fixedHead    int
 
+	// all holds every task at its slab index (step*len(g.Ops) + opID),
+	// the index events, work items and fixedPending name tasks by;
+	// tasks[step] is its row for one step.
+	all       []*task
 	tasks     [][]*task // [step][opID]
 	stepLeft  []int
 	heldBack  [][]*task // dep-free tasks awaiting step admission
@@ -542,6 +542,7 @@ func (x *exec) buildTasks() {
 	if !templatesOff.Load() {
 		x.tpl = templateFor(x.g, x.opts.Steps, x.opts.OP)
 		x.arena = x.tpl.acquire(x.g)
+		x.all = x.arena.all
 		x.tasks = x.arena.byStep
 		x.stepLeft = x.arena.stepLeft
 		x.heldBack = x.arena.heldBack
@@ -576,14 +577,14 @@ func (x *exec) buildTasksScratch() {
 		}
 	}
 	slab := make([]task, steps*n)
-	ptrs := make([]*task, steps*n)
+	x.all = make([]*task, steps*n)
 	edgeSlab := make([]*task, steps*sameEdges+max0(steps-1)*crossEdges)
 	x.tasks = make([][]*task, steps)
 	x.stepLeft = make([]int, steps)
 	x.heldBack = make([][]*task, steps)
 	off := 0
 	for s := 0; s < steps; s++ {
-		x.tasks[s] = ptrs[s*n : (s+1)*n]
+		x.tasks[s] = x.all[s*n : (s+1)*n]
 		x.stepLeft[s] = n
 		for _, op := range x.g.Ops {
 			t := &slab[s*n+op.ID]
@@ -622,6 +623,9 @@ func (x *exec) buildTasksScratch() {
 		}
 	}
 }
+
+// ref returns the task's slab index, the name events carry for it.
+func (x *exec) ref(t *task) int32 { return int32(t.step*len(x.g.Ops) + t.op.ID) }
 
 // admitted reports whether tasks of the given step may start.
 func (x *exec) admitted(step int) bool {
@@ -795,10 +799,11 @@ func (x *exec) pumpDevice(d *serialDevice) {
 		d.busySeconds += w.dur * float64(w.slots)
 		if x.eng.Observing() {
 			x.eng.EmitSample(d.queueMetric, float64(d.pending()))
-			x.eng.EmitTaskStart(sim.Task{Track: d.name, Name: w.t.op.Name, Kind: "op", Step: w.t.step})
+			t := x.all[w.t]
+			x.eng.EmitTaskStart(sim.Task{Track: d.name, Name: t.op.Name, Kind: "op", Step: t.step})
 		}
 		if err := x.eng.AfterEv(w.dur, sim.Ev{
-			Kind: evItemDone, A: d.idx, N: int32(w.slots), Start: x.eng.Now(), Ptr: w.t,
+			Kind: evItemDone, A: d.idx, N: int32(w.slots), Start: x.eng.Now(), Ref: w.t,
 		}); err != nil {
 			x.err = err
 		}
@@ -826,7 +831,7 @@ func (x *exec) residualTrack() string {
 // within each case is part of the contract: the golden tables are
 // bit-sensitive to it.
 func (x *exec) HandleEvent(ev sim.Ev) {
-	t := ev.Ptr.(*task)
+	t := x.all[ev.Ref]
 	switch ev.Kind {
 	case evItemDone:
 		d := x.cpu
@@ -864,7 +869,7 @@ func (x *exec) HandleEvent(ev sim.Ev) {
 		// Completion: with RC the programmable PIM notifies the host
 		// once; without RC the host already synchronized per kernel.
 		if x.opts.RC {
-			x.delayEv(x.cfg.FixedPIM.HostSyncOverhead, sim.Ev{Kind: evStartResidual, Flag: false, Ptr: t})
+			x.delayEv(x.cfg.FixedPIM.HostSyncOverhead, sim.Ev{Kind: evStartResidual, Flag: false, Ref: ev.Ref})
 		} else {
 			x.runResidual(t, false)
 		}
@@ -891,7 +896,7 @@ func (x *exec) startCPU(t *task) {
 	}
 	opT, dmT := splitWork(w)
 	x.bk.Sync += overhead
-	x.enqueue(x.cpu, workItem{dur: w.Time() + overhead, opT: opT, dmT: dmT, t: t})
+	x.enqueue(x.cpu, workItem{dur: w.Time() + overhead, opT: opT, dmT: dmT, t: x.ref(t)})
 }
 
 // startProg runs the whole op on programmable PIM processors. If all
@@ -910,23 +915,18 @@ func (x *exec) startProg(t *task) {
 	// Track the op in the status registers (pimOffload on the
 	// programmable processor); completion clears it.
 	x.registerOffload(t, pim.Location{OnProgrammable: true, Processor: 0})
+	// A wide op runs on as many processors as its parallelism allows,
+	// and occupies that many slots.
 	procs := 1
 	if x.opts.WideProgOps {
-		procs = nn.ProgParallelismFor(t.op.Type)
-		if procs > x.prog.slots {
-			procs = x.prog.slots
-		}
+		procs = min(nn.ProgParallelismFor(t.op.Type), x.prog.slots)
 	}
 	w := device.ProgOp(t.op, &x.ops[t.op.ID].prof, x.cfg.ProgPIM, procs, x.stack)
 	opT, dmT := splitWork(w)
 	x.usage.PIMBytes += t.op.Bytes
 	launch := x.cfg.ProgPIM.KernelLaunchOverhead + x.cfg.FixedPIM.HostSyncOverhead
 	x.bk.Sync += launch
-	procs2 := 1
-	if x.opts.WideProgOps {
-		procs2 = nn.ProgParallelismFor(t.op.Type)
-	}
-	x.enqueue(x.prog, workItem{dur: w.Time() + launch, opT: opT, dmT: dmT, slots: procs2, t: t})
+	x.enqueue(x.prog, workItem{dur: w.Time() + launch, opT: opT, dmT: dmT, slots: procs, t: x.ref(t)})
 }
 
 // registerOffload records the op in the hardware status registers
@@ -992,7 +992,7 @@ func (x *exec) startFixed(t *task) {
 	// recursive kernel on the programmable PIM; without RC the host
 	// drives every small kernel itself (charged per kernel, below).
 	if x.opts.RC {
-		x.delayEv(x.cfg.ProgPIM.KernelLaunchOverhead, sim.Ev{Kind: evStartResidual, Flag: true, Ptr: t})
+		x.delayEv(x.cfg.ProgPIM.KernelLaunchOverhead, sim.Ev{Kind: evStartResidual, Flag: true, Ref: x.ref(t)})
 	} else {
 		x.runResidual(t, true)
 	}
@@ -1027,7 +1027,7 @@ func (x *exec) runResidual(t *task, before bool) {
 		x.eng.EmitTaskStart(sim.Task{Track: x.residualTrack(), Name: t.op.Name, Kind: "residual", Step: t.step})
 	}
 	if err := x.eng.AfterEv(half.Time(), sim.Ev{
-		Kind: evResidualDone, Flag: before, Start: x.eng.Now(), Ptr: t,
+		Kind: evResidualDone, Flag: before, Start: x.eng.Now(), Ref: x.ref(t),
 	}); err != nil {
 		x.err = err
 	}
@@ -1046,7 +1046,7 @@ func (x *exec) requestSection(t *task) {
 	granules := avail / granule
 	x.watchQuotient(x.pool.Busy(), granule, granules)
 	if granules == 0 {
-		x.fixedPending = append(x.fixedPending, t)
+		x.fixedPending = append(x.fixedPending, x.ref(t))
 		return
 	}
 	granted := x.pool.Grant(granules * granule)
@@ -1054,15 +1054,12 @@ func (x *exec) requestSection(t *task) {
 }
 
 // popFixedPending removes the head of the fixed-pool wait queue.
-func (x *exec) popFixedPending() *task {
-	t := x.fixedPending[x.fixedHead]
-	x.fixedPending[x.fixedHead] = nil // drop the task reference for the GC
+func (x *exec) popFixedPending() {
 	x.fixedHead++
 	if x.fixedHead == len(x.fixedPending) {
 		x.fixedPending = x.fixedPending[:0]
 		x.fixedHead = 0
 	}
-	return t
 }
 
 // runSection executes one time-quantum chunk on granted units.
@@ -1104,7 +1101,7 @@ func (x *exec) runSection(t *task, granted int) {
 	if err := x.eng.AfterEv(dur, sim.Ev{
 		Kind: evSectionDone, N: int32(granted),
 		F1: chunkFlops, F2: chunkBytes, F3: syncCost,
-		Start: x.eng.Now(), Ptr: t,
+		Start: x.eng.Now(), Ref: x.ref(t),
 	}); err != nil {
 		x.err = err
 	}
@@ -1131,7 +1128,7 @@ func (x *exec) sectionDone(t *task, ev sim.Ev) {
 	}
 	x.pumpFixedPending()
 	// The synchronization gap runs with the units already released.
-	if err := x.eng.AfterEv(ev.F3, sim.Ev{Kind: evSyncGap, Ptr: t}); err != nil {
+	if err := x.eng.AfterEv(ev.F3, sim.Ev{Kind: evSyncGap, Ref: ev.Ref}); err != nil {
 		x.err = err
 	}
 }
@@ -1142,7 +1139,7 @@ func (x *exec) sectionDone(t *task, ev sim.Ev) {
 func (x *exec) pumpFixedPending() {
 	for x.fixedHead < len(x.fixedPending) {
 		x.markGrant()
-		t := x.fixedPending[x.fixedHead]
+		t := x.all[x.fixedPending[x.fixedHead]]
 		granule := t.op.UnitGranule
 		if granule <= 0 {
 			granule = 1

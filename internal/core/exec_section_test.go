@@ -117,7 +117,8 @@ func TestSectionContentionFIFOAndOrdering(t *testing.T) {
 // newSectionExec builds an executor over the section graph through the
 // same initialisation as a run (newExec), for direct unit tests of the
 // request/pump path. Nothing is seeded: the tests drive requestSection
-// with tasks of their own.
+// with tasks of the run's own slab (sectionTask), since events name a
+// task by its slab index.
 func newSectionExec(t *testing.T, units int) *exec {
 	t.Helper()
 	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
@@ -130,13 +131,20 @@ func newSectionExec(t *testing.T, units int) *exec {
 	return x
 }
 
+// sectionTask readies step 0's task of op id for a section request.
+func sectionTask(x *exec, id int) *task {
+	t := x.tasks[0][id]
+	t.remFlops, t.remBytes = 1e9, 1e7
+	return t
+}
+
 // TestRequestSectionZeroGrantQueues checks the zero-granted-units edge
 // directly: a request against a fully busy pool joins the FIFO and is
 // served, in order, by pumpFixedPending once units free up.
 func TestRequestSectionZeroGrantQueues(t *testing.T) {
 	x := newSectionExec(t, 34) // two granules of 17
-	a := &task{op: x.g.Ops[0], remFlops: 1e9, remBytes: 1e7}
-	b := &task{op: x.g.Ops[1], remFlops: 1e9, remBytes: 1e7}
+	a := sectionTask(x, 0)
+	b := sectionTask(x, 1)
 
 	x.pool.Grant(34) // saturate the pool externally
 	x.requestSection(a)
@@ -156,7 +164,7 @@ func TestRequestSectionZeroGrantQueues(t *testing.T) {
 	if got := len(x.fixedPending) - x.fixedHead; got != 1 {
 		t.Fatalf("%d tasks pending after one-granule release, want 1", got)
 	}
-	if x.fixedPending[x.fixedHead] != b {
+	if x.all[x.fixedPending[x.fixedHead]] != b {
 		t.Fatal("FIFO violated: task B served before task A")
 	}
 	if x.pool.Available() != 0 {
@@ -172,7 +180,7 @@ func TestRequestSectionZeroGrantQueues(t *testing.T) {
 // forever.
 func TestRequestSectionGranuleClampedToPool(t *testing.T) {
 	x := newSectionExec(t, 8) // pool smaller than the op granule (17)
-	a := &task{op: x.g.Ops[0], remFlops: 1e9, remBytes: 1e7}
+	a := sectionTask(x, 0)
 	x.requestSection(a)
 	if got := len(x.fixedPending) - x.fixedHead; got != 0 {
 		t.Fatalf("request queued (%d pending) instead of running on the clamped granule", got)

@@ -1,0 +1,194 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"heteropim/internal/hw"
+	"heteropim/internal/nn"
+	"heteropim/internal/sim"
+)
+
+// spanKey identifies one open span; a TaskEnd must name exactly the
+// span its TaskStart opened.
+type spanKey struct {
+	track, name, kind string
+	step              int
+	start             hw.Seconds
+}
+
+// oracle is a checking sim.Collector: attached to a PIM run, it asserts
+// the simulator's invariants while the run happens, event by event.
+//
+//   - Emitted timestamps (span starts and ends, samples) never decrease.
+//   - Every TaskEnd closes an open TaskStart on its track with the same
+//     name, kind, step and Start, so the operands an event carries
+//     through the engine's payload slab arrive intact; at the end no
+//     span is left open.
+//   - fixed.busy_units stays within [0, Units].
+//   - Concurrent spans on the host track (cpu or gpu) never exceed its
+//     2 slots, and on prog never exceed the P processors.
+type oracle struct {
+	t     testing.TB
+	label string
+	units int
+	slots map[string]int // per-track span limit
+	last  hw.Seconds
+	open  map[spanKey]int
+	live  map[string]int // open spans per track
+	spans int
+	fails int
+}
+
+// newOracle builds the checker for one run on cfg.
+func newOracle(t testing.TB, label string, cfg hw.SystemConfig) *oracle {
+	return &oracle{
+		t:     t,
+		label: label,
+		units: cfg.FixedPIM.Units,
+		slots: map[string]int{"cpu": 2, "gpu": 2, "prog": cfg.ProgPIM.Processors},
+		open:  map[spanKey]int{},
+		live:  map[string]int{},
+	}
+}
+
+// fail reports one violation; a broken run stops reporting after a few.
+func (o *oracle) fail(format string, args ...any) {
+	if o.fails++; o.fails <= 5 {
+		o.t.Errorf("%s: %s", o.label, fmt.Sprintf(format, args...))
+	}
+}
+
+// at checks that time has not gone backwards.
+func (o *oracle) at(what string, t hw.Seconds) {
+	if t < o.last {
+		o.fail("%s at %.12g, after an emission at %.12g", what, t, o.last)
+	}
+	o.last = t
+}
+
+func (o *oracle) TaskStart(s sim.Task) {
+	o.at("span start "+s.Track+"/"+s.Name, s.Start)
+	o.open[spanKey{s.Track, s.Name, s.Kind, s.Step, s.Start}]++
+	o.live[s.Track]++
+	o.spans++
+	if n, ok := o.slots[s.Track]; ok && o.live[s.Track] > n {
+		o.fail("%d concurrent spans on %s, which has %d slots", o.live[s.Track], s.Track, n)
+	}
+}
+
+func (o *oracle) TaskEnd(s sim.Task) {
+	o.at("span end "+s.Track+"/"+s.Name, s.End)
+	k := spanKey{s.Track, s.Name, s.Kind, s.Step, s.Start}
+	if o.open[k] == 0 {
+		o.fail("span end %+v closes no open span", s)
+		return
+	}
+	if o.open[k]--; o.open[k] == 0 {
+		delete(o.open, k)
+	}
+	o.live[s.Track]--
+}
+
+func (o *oracle) Sample(name string, at hw.Seconds, v float64) {
+	o.at("sample "+name, at)
+	if name == "fixed.busy_units" && (v < 0 || v > float64(o.units)) {
+		o.fail("fixed.busy_units %g outside [0, %d]", v, o.units)
+	}
+}
+
+func (o *oracle) Count(string, float64) {}
+
+// done checks that the finished run emitted spans and left none open.
+func (o *oracle) done() {
+	if o.spans == 0 {
+		o.fail("the run emitted no spans")
+	}
+	for k, n := range o.open {
+		o.fail("%d span(s) %+v never ended", n, k)
+	}
+}
+
+// runChecked runs (g, cfg, opts) with an oracle attached.
+func runChecked(t testing.TB, label string, g *nn.Graph, cfg hw.SystemConfig, opts Options) Result {
+	t.Helper()
+	o := newOracle(t, label, cfg)
+	opts.Collector = o
+	r, err := RunPIM(g, cfg, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	o.done()
+	return r
+}
+
+// TestOracleCNNs attaches the oracle to the five CNNs on the three PIM
+// platforms, each with RC and OP switched on and off.
+func TestOracleCNNs(t *testing.T) {
+	kinds := []hw.ConfigKind{hw.ConfigProgrPIM, hw.ConfigFixedPIM, hw.ConfigHeteroPIM}
+	for _, name := range nn.CNNModelNames() {
+		g, err := nn.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range kinds {
+			cfg := hw.PaperConfigScaled(kind, 1)
+			for _, rc := range []bool{false, true} {
+				for _, op := range []bool{false, true} {
+					opts, _ := PIMOptionsFor(kind)
+					opts.RC, opts.OP = rc, op
+					runChecked(t, fmt.Sprintf("%s on %v RC=%t OP=%t", name, kind, rc, op), g, cfg, opts)
+				}
+			}
+		}
+	}
+}
+
+// TestOracleCatchesBrokenRuns feeds the oracle emissions that break each
+// invariant, so a checker that accepts everything cannot pass.
+func TestOracleCatchesBrokenRuns(t *testing.T) {
+	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
+	for _, c := range []struct {
+		name string
+		emit func(o *oracle)
+	}{
+		{"time goes back", func(o *oracle) {
+			o.Sample("queue.cpu", 2, 0)
+			o.Sample("queue.cpu", 1, 0)
+		}},
+		{"end without start", func(o *oracle) {
+			o.TaskEnd(sim.Task{Track: "cpu", Name: "a", Kind: "op", Start: 0, End: 1})
+		}},
+		{"end with another start", func(o *oracle) {
+			o.TaskStart(sim.Task{Track: "fixed", Name: "a", Kind: "section", Step: 1, Start: 1})
+			o.TaskEnd(sim.Task{Track: "fixed", Name: "a", Kind: "section", Step: 1, Start: 0.5, End: 2})
+		}},
+		{"span left open", func(o *oracle) {
+			o.TaskStart(sim.Task{Track: "prog", Name: "a", Kind: "op", Start: 1})
+		}},
+		{"pool over-granted", func(o *oracle) {
+			o.Sample("fixed.busy_units", 0, float64(cfg.FixedPIM.Units+1))
+		}},
+		{"third host span", func(o *oracle) {
+			for _, n := range []string{"a", "b", "c"} {
+				o.TaskStart(sim.Task{Track: "cpu", Name: n, Kind: "op"})
+			}
+		}},
+	} {
+		rec := &recordingTB{TB: t}
+		o := newOracle(rec, c.name, cfg)
+		c.emit(o)
+		o.done()
+		if rec.errors == 0 {
+			t.Errorf("%s: the oracle reported nothing", c.name)
+		}
+	}
+}
+
+// recordingTB counts Errorf calls instead of failing the test.
+type recordingTB struct {
+	testing.TB
+	errors int
+}
+
+func (r *recordingTB) Errorf(string, ...any) { r.errors++ }

@@ -62,7 +62,8 @@ func randomGraph(rng *rand.Rand, nOps int) *nn.Graph {
 // TestRandomGraphsNeverDeadlock drives the DES executor over many random
 // DAGs under every option combination and checks the global invariants:
 // completion, positive step time, exact breakdown accounting, bounded
-// utilization.
+// utilization. The oracle (oracle_test.go) checks every run as it
+// happens, here and in the other random-graph tests.
 func TestRandomGraphsNeverDeadlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	kinds := []hw.ConfigKind{hw.ConfigProgrPIM, hw.ConfigFixedPIM, hw.ConfigHeteroPIM}
@@ -72,10 +73,8 @@ func TestRandomGraphsNeverDeadlock(t *testing.T) {
 			t.Fatalf("trial %d: generator produced an invalid graph: %v", trial, err)
 		}
 		for _, kind := range kinds {
-			r, err := Run(kind, g, 1)
-			if err != nil {
-				t.Fatalf("trial %d on %v: %v", trial, kind, err)
-			}
+			opts, _ := PIMOptionsFor(kind)
+			r := runChecked(t, fmt.Sprintf("trial %d on %v", trial, kind), g, hw.PaperConfigScaled(kind, 1), opts)
 			if r.StepTime <= 0 || math.IsNaN(r.StepTime) || math.IsInf(r.StepTime, 0) {
 				t.Fatalf("trial %d on %v: step time %v", trial, kind, r.StepTime)
 			}
@@ -105,10 +104,7 @@ func TestRandomGraphsOptionMatrix(t *testing.T) {
 				if trial%3 == 0 {
 					opts.HostOnlyOps = map[int]bool{0: true, 1: true}
 				}
-				r, err := RunPIM(g, cfg, opts)
-				if err != nil {
-					t.Fatalf("trial %d RC=%v OP=%v: %v", trial, rc, op, err)
-				}
+				r := runChecked(t, fmt.Sprintf("trial %d RC=%v OP=%v", trial, rc, op), g, cfg, opts)
 				if r.StepTime <= 0 {
 					t.Fatalf("trial %d RC=%v OP=%v: degenerate step", trial, rc, op)
 				}
@@ -126,10 +122,7 @@ func TestRandomGraphsWorkConservation(t *testing.T) {
 		g := randomGraph(rng, 40)
 		opts := HeteroOptions()
 		opts.Steps = 2
-		r, err := RunPIM(g, cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := runChecked(t, fmt.Sprintf("trial %d", trial), g, cfg, opts)
 		makespan := r.StepTime * float64(r.Steps)
 		// The host has 2 op-level slots; prog has its processor count;
 		// the pool has its unit count.

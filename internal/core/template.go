@@ -71,7 +71,8 @@ type taskTemplate struct {
 // re-acquiring an arena only resets scalar fields.
 type taskArena struct {
 	slab     []task
-	byStep   [][]*task // [step][opID], aliasing one ptrs slab
+	all      []*task   // [step*n + opID]: &slab[i], the executor's exec.all
+	byStep   [][]*task // [step][opID], rows of all
 	stepLeft []int
 	heldBack [][]*task
 }
@@ -164,23 +165,23 @@ func buildTemplate(g *nn.Graph, steps int, op bool) *taskTemplate {
 }
 
 // newArena clones the template into fresh slabs: one task slab, one
-// pointer slab (shared by every byStep row) and one edge slab every
+// pointer slab (all, shared by every byStep row) and one edge slab every
 // task's outs alias.
 func (tpl *taskTemplate) newArena() *taskArena {
 	slabLen := tpl.steps * tpl.n
 	a := &taskArena{
 		slab:     make([]task, slabLen),
+		all:      make([]*task, slabLen),
 		byStep:   make([][]*task, tpl.steps),
 		stepLeft: make([]int, tpl.steps),
 		heldBack: make([][]*task, tpl.steps),
 	}
-	ptrs := make([]*task, slabLen)
 	for i := range a.slab {
-		ptrs[i] = &a.slab[i]
+		a.all[i] = &a.slab[i]
 	}
 	edges := make([]*task, len(tpl.outIdx))
 	for i, d := range tpl.outIdx {
-		edges[i] = ptrs[d]
+		edges[i] = a.all[d]
 	}
 	for i := range a.slab {
 		t := &a.slab[i]
@@ -188,7 +189,7 @@ func (tpl *taskTemplate) newArena() *taskArena {
 		t.outs = edges[tpl.outStart[i]:tpl.outStart[i+1]]
 	}
 	for s := 0; s < tpl.steps; s++ {
-		a.byStep[s] = ptrs[s*tpl.n : (s+1)*tpl.n]
+		a.byStep[s] = a.all[s*tpl.n : (s+1)*tpl.n]
 	}
 	return a
 }

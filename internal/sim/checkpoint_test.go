@@ -78,7 +78,7 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 		dstH := &cpHandler{log: append([]cpEntry(nil), srcH.log...), feed: srcH.feed}
 		dst.SetHandler(dstH)
 		dstH.eng = dst
-		if err := dst.Restore(cp, nil); err != nil {
+		if err := dst.Restore(cp); err != nil {
 			t.Fatal(err)
 		}
 		if err := dst.Run(); err != nil {
@@ -105,16 +105,16 @@ func TestRestoreNeedsFreshEngine(t *testing.T) {
 	if err := dirty.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dirty.Restore(cp, nil); err == nil {
+	if err := dirty.Restore(cp); err == nil {
 		t.Fatal("expected refusal: engine not fresh")
 	}
 	fresh := New()
-	if err := fresh.Restore(cp, nil); err != nil {
+	if err := fresh.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestCheckpointRemapAndConcurrentRestores(t *testing.T) {
+func TestCheckpointConcurrentRestores(t *testing.T) {
 	src := New()
 	h := &cpHandler{}
 	seedEngine(t, src, h)
@@ -122,11 +122,6 @@ func TestCheckpointRemapAndConcurrentRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := src.Checkpoint()
-	// Remap returns a detached copy; the original stays untouched.
-	marked := cp.Remap(func(ev Ev) Ev { ev.A = 7; return ev })
-	if marked.Pending() != cp.Pending() {
-		t.Fatal("Remap changed the pending count")
-	}
 
 	var wg sync.WaitGroup
 	logs := make([][]cpEntry, 4)
@@ -138,7 +133,7 @@ func TestCheckpointRemapAndConcurrentRestores(t *testing.T) {
 			eh := &cpHandler{feed: h.feed}
 			e.SetHandler(eh)
 			eh.eng = e
-			if err := e.Restore(marked, nil); err != nil {
+			if err := e.Restore(cp); err != nil {
 				panic(err)
 			}
 			if err := e.Run(); err != nil {

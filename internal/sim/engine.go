@@ -13,58 +13,63 @@ import (
 	"heteropim/internal/hw"
 )
 
-// event is one scheduled entry: a typed payload (event.go) at a time,
-// dispatched through the engine's Handler.
-type event struct {
-	at  hw.Seconds
-	seq uint64
-	ev  Ev
+// key is one heap entry: a scheduled event's order key and the slot
+// its payload (event.go) occupies in the engine's payload slab. Keys
+// and payloads hold no pointer, so moving them is a plain copy — no GC
+// write barrier on the heap's sift path, and nothing for the collector
+// to scan in a pooled engine's storage.
+type key struct {
+	at   hw.Seconds
+	seq  uint64
+	slot int32
 }
 
 // before is the heap order: time first, insertion sequence as the tie
 // break, which is what makes same-time events run in schedule order.
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+func (k key) before(o key) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return e.seq < o.seq
+	return k.seq < o.seq
 }
 
-// eventHeap is a typed 4-ary implicit heap. The previous container/heap
-// implementation boxed every event through `any` on Push/Pop (one heap
-// allocation per scheduled event) and dispatched Len/Less/Swap through
-// an interface; the typed heap does neither. A 4-ary layout halves the
+// eventHeap is a typed 4-ary implicit heap of 24-byte keys. The
+// payloads stay put in the slab while the keys sift, so a level costs a
+// third of the bytes a full event would move. A 4-ary layout halves the
 // tree depth of the binary heap, trading slightly more sibling
 // comparisons per level for fewer cache-missing levels — the right
 // trade for the tens of thousands of events a steady-state run pushes.
 // Children of node i live at 4i+1..4i+4; the parent of i is (i-1)/4.
-type eventHeap []event
+//
+// push and pop re-slice *h in place (`*h = append(*h, k)`,
+// `*h = (*h)[:n]`), which the compiler lowers to a length store while
+// the backing array has room: steady-state scheduling stores no slice
+// header.
+type eventHeap []key
 
-// push inserts ev, sifting it up to its heap position.
-func (h *eventHeap) push(ev event) {
-	a := append(*h, ev)
+// push inserts k, sifting it up to its heap position.
+func (h *eventHeap) push(k key) {
+	*h = append(*h, k)
+	a := *h
 	i := len(a) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !ev.before(a[p]) {
+		if !k.before(a[p]) {
 			break
 		}
 		a[i] = a[p]
 		i = p
 	}
-	a[i] = ev
-	*h = a
+	a[i] = k
 }
 
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() event {
+// pop removes and returns the minimum key.
+func (h *eventHeap) pop() key {
 	a := *h
 	top := a[0]
 	n := len(a) - 1
 	last := a[n]
-	a[n] = event{} // drop the payload's pointer reference for the GC
-	a = a[:n]
-	*h = a
+	*h = (*h)[:n]
 	if n > 0 {
 		i := 0
 		for {
@@ -99,6 +104,10 @@ type Engine struct {
 	now    hw.Seconds
 	seq    uint64
 	events eventHeap
+	// slab holds the payload of every pending event at its key's slot;
+	// free lists the slots of dispatched events for reuse.
+	slab []Ev
+	free []int32
 	// processed counts executed events (for runaway detection).
 	processed uint64
 	// MaxEvents guards against schedule loops; 0 means the default.
@@ -135,6 +144,18 @@ func (e *Engine) checkTime(t hw.Seconds) error {
 	return nil
 }
 
+// store places a payload in a free slab slot and returns the slot.
+func (e *Engine) store(ev Ev) int32 {
+	if n := len(e.free); n > 0 {
+		s := e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slab[s] = ev
+		return s
+	}
+	e.slab = append(e.slab, ev)
+	return int32(len(e.slab) - 1)
+}
+
 // drain is the execution loop behind Run and RunUntil: it executes
 // events until the queue empties or the total processed count reaches
 // stopAfter, returning an error if the event budget is exhausted (a
@@ -148,13 +169,16 @@ func (e *Engine) drain(stopAfter uint64) error {
 		if e.processed >= max {
 			return fmt.Errorf("sim: event budget (%d) exhausted at t=%.9g — scheduling loop?", max, e.now)
 		}
-		ev := e.events.pop()
-		e.now = ev.at
+		k := e.events.pop()
+		ev := e.slab[k.slot]
+		// The payload is copied out, so the handler may reuse the slot.
+		e.free = append(e.free, k.slot)
+		e.now = k.at
 		e.processed++
 		if e.handler == nil {
-			return fmt.Errorf("sim: event kind %d at t=%.9g with no handler attached", ev.ev.Kind, e.now)
+			return fmt.Errorf("sim: event kind %d at t=%.9g with no handler attached", ev.Kind, e.now)
 		}
-		e.handler.HandleEvent(ev.ev)
+		e.handler.HandleEvent(ev)
 	}
 	return nil
 }
@@ -163,8 +187,9 @@ func (e *Engine) drain(stopAfter uint64) error {
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Reset returns the engine to its initial state (time zero, no events,
-// default budget) while keeping the event heap's backing array, so a
-// recycled engine runs its next simulation without re-growing the heap.
+// default budget) while keeping the heap's and the slab's backing
+// arrays, so a recycled engine runs its next simulation without
+// re-growing either.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
@@ -172,10 +197,9 @@ func (e *Engine) Reset() {
 	e.MaxEvents = 0
 	e.obs = nil
 	e.handler = nil
-	for i := range e.events {
-		e.events[i] = event{} // drop payload pointer references for the GC
-	}
 	e.events = e.events[:0]
+	e.slab = e.slab[:0]
+	e.free = e.free[:0]
 }
 
 // enginePool recycles engines (and their grown heap arrays) across

@@ -7,22 +7,24 @@ import (
 )
 
 // Typed event payloads. An event is a small value struct carried
-// inside the event heap's own slab, so scheduling one touches no
+// inside the engine's own payload slab, so scheduling one touches no
 // allocator at all.
 //
 // The payload is deliberately generic — a kind tag plus a handful of
-// scalar operands and one pointer slot — so internal/sim stays free of
-// executor types. Each engine user defines its own EventKind values and
-// implements Handler; the engine routes every event there.
+// scalar operands and one owner-defined reference — so internal/sim
+// stays free of executor types. Each engine user defines its own
+// EventKind values and implements Handler; the engine routes every
+// event there. The payload holds no pointer: an event names the object
+// it acts on by an index into its owner's own storage (Ref), so no
+// scheduling step writes a pointer the GC must track.
 
 // EventKind discriminates events; its values are owner-defined.
 type EventKind uint8
 
 // Ev is one typed event payload. Field meaning is owner-defined per
-// Kind; the struct is sized so the common cases (a task pointer, a
+// Kind; the struct is sized so the common cases (a task reference, a
 // device index, a few work scalars, a recorded start time) fit without
-// any side allocation. Storing a pointer-shaped value (e.g. *task) in
-// Ptr does not allocate.
+// any side allocation.
 type Ev struct {
 	Kind EventKind
 	// A is a small operand (e.g. a device index).
@@ -35,8 +37,9 @@ type Ev struct {
 	F1, F2, F3 float64
 	// Start is a recorded timestamp operand (e.g. a span's start).
 	Start hw.Seconds
-	// Ptr is the pointer operand (e.g. a *task).
-	Ptr any
+	// Ref names the object the event acts on, as an index into the
+	// owner's storage (e.g. a task's slab index).
+	Ref int32
 }
 
 // Handler dispatches events. The engine calls it synchronously
@@ -51,14 +54,14 @@ type Handler interface {
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
 // AtEv schedules an event at an absolute time, which must be finite and
-// not in the past. It performs no allocation beyond (amortized)
-// heap-slab growth.
+// not in the past. It performs no allocation beyond (amortized) heap
+// and slab growth.
 func (e *Engine) AtEv(t hw.Seconds, ev Ev) error {
 	if err := e.checkTime(t); err != nil {
 		return err
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, ev: ev})
+	e.events.push(key{at: t, seq: e.seq, slot: e.store(ev)})
 	return nil
 }
 

@@ -66,41 +66,41 @@ func TestResetDetachesHandler(t *testing.T) {
 type chainHandler struct {
 	eng  *Engine
 	left int
-	task *int // pointer payload, checks Ptr round-trips without boxing
+	ref  int32 // reference operand, checks Ref round-trips
 }
 
 func (h *chainHandler) HandleEvent(ev Ev) {
-	if ev.Ptr != h.task {
-		panic("payload pointer lost")
+	if ev.Ref != h.ref {
+		panic("payload reference lost")
 	}
 	if h.left == 0 {
 		return
 	}
 	h.left--
-	if err := h.eng.AfterEv(1e-3, Ev{Kind: 1, N: int32(h.left), F1: 0.5, Ptr: h.task}); err != nil {
+	if err := h.eng.AfterEv(1e-3, Ev{Kind: 1, N: int32(h.left), F1: 0.5, Ref: h.ref}); err != nil {
 		panic(err)
 	}
 }
 
 // TestTypedEventSchedulingAllocsFree pins the tentpole property at the
-// engine level: once the heap slab has grown, scheduling and
-// dispatching typed events performs ZERO heap allocations — no closure,
-// no boxing of the payload or its pointer operand.
+// engine level: once the heap and payload slab have grown, scheduling
+// and dispatching typed events performs ZERO heap allocations — no
+// closure, no boxing of the payload.
 func TestTypedEventSchedulingAllocsFree(t *testing.T) {
 	e := New()
-	tk := new(int)
+	const ref = 41
 	run := func() {
 		h := e.handler.(*chainHandler)
 		h.left = 500
-		if err := e.AtEv(e.Now()+1e-3, Ev{Kind: 1, Ptr: tk}); err != nil {
+		if err := e.AtEv(e.Now()+1e-3, Ev{Kind: 1, Ref: ref}); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.SetHandler(&chainHandler{eng: e, task: tk})
-	run() // grow the heap slab
+	e.SetHandler(&chainHandler{eng: e, ref: ref})
+	run() // grow the heap and the payload slab
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Fatalf("typed event scheduling allocates %.2f objects per 500-event run, want 0", allocs)
 	}
