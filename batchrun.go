@@ -66,7 +66,9 @@ func Simulate(c BatchCell, m *Metrics) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	g, err := nn.BuildWithBatch(c.Model, c.BatchSize)
+	// The graph is looked up by its memoized digest and built only if
+	// the cell runs: a cached cell builds none.
+	src, err := nn.Named(c.Model, c.BatchSize)
 	if err != nil {
 		return Result{}, err
 	}
@@ -91,7 +93,7 @@ func Simulate(c BatchCell, m *Metrics) (Result, error) {
 		if c.Stacks > 1 {
 			return Result{}, fmt.Errorf("core: multi-stack training needs a PIM platform, got %v", kind)
 		}
-		r, err := core.RunOnWithCollector(kind, g, cfg, obs)
+		r, err := core.RunOnWithCollector(kind, src, cfg, obs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -104,7 +106,7 @@ func Simulate(c BatchCell, m *Metrics) (Result, error) {
 		opts.Stacks, opts.AllReduce = c.Stacks, sched
 	}
 	opts.Collector = obs
-	r, err := core.RunPIM(g, cfg, opts)
+	r, err := core.RunPIM(src, cfg, opts)
 	if err != nil {
 		return Result{}, err
 	}

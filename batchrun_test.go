@@ -1,6 +1,9 @@
 package heteropim
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestBatchRunMatchesSequentialRuns pins the BatchRun contract: results
 // are bit-identical to calling Simulate per cell sequentially, in input
@@ -79,5 +82,93 @@ func TestBatchRunStatsCountGroups(t *testing.T) {
 	// adds a third group.
 	if st.Groups != 3 || st.Leaders != 3 {
 		t.Errorf("groups=%d leaders=%d, want 3/3", st.Groups, st.Leaders)
+	}
+}
+
+// memoryCacheOnly enables the simulation cache without its disk tier
+// for the test, so hit and miss counts do not depend on the
+// environment's HETEROPIM_CACHE_DIR.
+func memoryCacheOnly(t *testing.T) {
+	prevOn := SetSimulationCache(true)
+	prevDir := SetSimulationCacheDir("")
+	t.Cleanup(func() {
+		SetSimulationCache(prevOn)
+		SetSimulationCacheDir(prevDir)
+	})
+}
+
+// TestSimulateHitBuildsNothing: a cached cell is looked up by its
+// model's memoized digest before any graph is built, so a second
+// Simulate of a warm cell costs a hash of the cell's configuration —
+// a handful of allocations, where building the graph takes hundreds —
+// returns the first Result bit for bit and counts as one cache hit.
+func TestSimulateHitBuildsNothing(t *testing.T) {
+	memoryCacheOnly(t)
+	cells := []BatchCell{
+		{Config: ConfigCPU, Model: AlexNet},
+		{Config: ConfigGPU, Model: VGG19},
+		{Config: ConfigHeteroPIM, Model: DCGAN},
+		{Config: ConfigHeteroPIM, Model: AlexNet, FreqScale: 2},
+		{Config: ConfigHeteroPIM, Model: AlexNet, BatchSize: 16},
+		{Model: AlexNet, Variant: &Variant{RecursiveKernels: true}},
+		{Model: DCGAN, Processors: 4},
+		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 2, AllReduce: AllReduceTree},
+	}
+	for _, c := range cells {
+		first, err := Simulate(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := SimulationCacheStats()
+		again, err := Simulate(c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := SimulationCacheStats()
+		if again != first {
+			t.Errorf("%+v: hit %+v differs from the first run %+v", c, again, first)
+		}
+		if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+			t.Errorf("%+v: second run moved the cache stats %+v -> %+v, want exactly one hit", c, before, after)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Simulate(c, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 10 {
+			t.Errorf("%+v: a cache hit allocates %.0f times, want at most 10 (no graph build)", c, allocs)
+		}
+	}
+}
+
+// TestConcurrentColdSimulate runs one cold cell from 8 goroutines at
+// once: they race on the model-digest memo and on the cell's cache
+// entry, and all must get the same Result from one simulation.
+func TestConcurrentColdSimulate(t *testing.T) {
+	memoryCacheOnly(t)
+	ResetSimulationCache()
+	c := BatchCell{Config: ConfigHeteroPIM, Model: DCGAN, BatchSize: 48}
+	results := make([]Result, 8)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = Simulate(c, nil)
+		}(i)
+	}
+	wg.Wait()
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if results[i] != results[0] {
+			t.Errorf("goroutine %d got %+v, goroutine 0 %+v", i, results[i], results[0])
+		}
+	}
+	if st := SimulationCacheStats(); st.Misses != 1 || st.Hits != int64(len(results)-1) {
+		t.Errorf("8 concurrent runs of one cold cell gave stats %+v, want 1 miss and 7 hits", st)
 	}
 }

@@ -290,12 +290,12 @@ func Fig9Energy() (*Table, error) {
 // runNeurocube simulates the Neurocube comparison point of Fig. 10 — a
 // platform outside the cell axes, so it bypasses Simulate.
 func runNeurocube(model Model) (Result, error) {
-	g, err := nn.Build(model)
+	src, err := nn.Named(model, 0)
 	if err != nil {
 		return Result{}, err
 	}
 	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
-	return wrap(core.RunNeurocube(g, device.DefaultNeurocube(), cfg)), nil
+	return wrap(core.RunNeurocube(src, device.DefaultNeurocube(), cfg)), nil
 }
 
 // Fig10Neurocube reproduces the Neurocube comparison.

@@ -32,13 +32,13 @@ func ExtensionExperiments() []Experiment {
 // kernel-launch granularity. A GPU host is not a cell axis, so it
 // bypasses Simulate.
 func runGPUHostHetero(model Model) (Result, error) {
-	g, err := nn.Build(model)
+	src, err := nn.Named(model, 0)
 	if err != nil {
 		return Result{}, err
 	}
 	opts := core.HeteroOptions()
 	opts.GPUHost = true
-	r, err := core.RunPIM(g, hw.GPUHostHeteroConfig(1), opts)
+	r, err := core.RunPIM(src, hw.GPUHostHeteroConfig(1), opts)
 	if err != nil {
 		return Result{}, err
 	}

@@ -67,11 +67,11 @@ func (h HardwareConfig) WithStackFrequencyScale(scale float64) (HardwareConfig, 
 // RunOnHardware simulates a model on a custom platform under the full
 // heterogeneous-PIM runtime (profiling, selection, RC, OP).
 func RunOnHardware(h HardwareConfig, model Model) (Result, error) {
-	g, err := nn.Build(model)
+	src, err := nn.Named(model, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	r, err := core.RunPIM(g, h.cfg, core.HeteroOptions())
+	r, err := core.RunPIM(src, h.cfg, core.HeteroOptions())
 	if err != nil {
 		return Result{}, err
 	}

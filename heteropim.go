@@ -48,8 +48,9 @@ func Parallelism() int { return runner.Workers() }
 // Uninstrumented simulations are memoized by a content-addressed
 // fingerprint of (graph, hardware configuration, effective options), so
 // repeated cells — across figures, sweeps and CLI invocations sharing a
-// cache directory — collapse to one live run. Cache hits are
-// bit-identical to cold runs. Instrumented runs (Simulate with a
+// cache directory — collapse to one live run. A cell is looked up by
+// its model's memoized graph digest before any graph is built, so a hit
+// builds none. Cache hits are bit-identical to cold runs. Instrumented runs (Simulate with a
 // Metrics, trace or census options) always execute live and never touch
 // the cache.
 
@@ -72,8 +73,9 @@ type CacheStats = core.CacheStats
 // SimulationCacheStats reads the process's cache counters.
 func SimulationCacheStats() CacheStats { return core.ResultCacheStats() }
 
-// ResetSimulationCache drops every memoized result and zeroes the
-// counters (benchmark harnesses isolating cold-path timing).
+// ResetSimulationCache drops every memoized result and the model and
+// configuration digests their lookups hash, and zeroes the counters
+// (benchmark harnesses isolating cold-path timing).
 func ResetSimulationCache() { core.ResetResultCache() }
 
 // DropSimulationCacheMemory evicts the in-memory cache tier only,

@@ -417,14 +417,14 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 				if mgr != nil {
 					return mgr.run(model, c)
 				}
-				// Each cell builds its own graph: cells must be
-				// independent, and the result cache is content-keyed so
-				// rebuilt graphs still hit.
-				cg, err := nn.Build(model)
+				// Each cell has its own source, so cells stay
+				// independent; it builds a graph only if the result
+				// cache misses.
+				src, err := nn.Named(model, 0)
 				if err != nil {
 					return core.Result{}, err
 				}
-				return core.RunPIM(cg, c.Config(), opts)
+				return core.RunPIM(src, c.Config(), opts)
 			}}
 		}
 		results, err := Eval(ctx, cells)

@@ -17,33 +17,33 @@ func HeteroOptions() Options {
 // Run simulates steady-state training of a model on one of the five
 // evaluated platform configurations (Section VI) at the given PIM/stack
 // frequency scale.
-func Run(kind hw.ConfigKind, g *nn.Graph, freqScale float64) (Result, error) {
+func Run(kind hw.ConfigKind, src nn.Source, freqScale float64) (Result, error) {
 	cfg := hw.PaperConfigScaled(kind, freqScale)
-	return RunOn(kind, g, cfg)
+	return RunOn(kind, src, cfg)
 }
 
 // RunOn is Run with an explicit (possibly customized) configuration.
-func RunOn(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig) (Result, error) {
-	return RunOnWithCollector(kind, g, cfg, nil)
+func RunOn(kind hw.ConfigKind, src nn.Source, cfg hw.SystemConfig) (Result, error) {
+	return RunOnWithCollector(kind, src, cfg, nil)
 }
 
 // RunOnWithCollector is RunOn with the observability layer attached:
 // the run's task spans, queue depths and scheduling counters are
 // delivered to c (nil behaves exactly like RunOn — attaching a
 // collector never changes simulation results).
-func RunOnWithCollector(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) (Result, error) {
+func RunOnWithCollector(kind hw.ConfigKind, src nn.Source, cfg hw.SystemConfig, c sim.Collector) (Result, error) {
 	switch kind {
 	case hw.ConfigCPU:
-		return RunCPU(g, cfg, c), nil
+		return RunCPU(src, cfg, c), nil
 	case hw.ConfigGPU:
-		return RunGPU(g, cfg, c), nil
+		return RunGPU(src, cfg, c), nil
 	}
 	opts, ok := PIMOptionsFor(kind)
 	if !ok {
 		return Result{}, fmt.Errorf("core: unknown configuration %v", kind)
 	}
 	opts.Collector = c
-	return RunPIM(g, cfg, opts)
+	return RunPIM(src, cfg, opts)
 }
 
 // PIMOptionsFor maps a PIM platform kind to its executor options; ok is

@@ -344,20 +344,19 @@ type exec struct {
 //
 // Uninstrumented runs are served through the cross-run result cache
 // (result_cache.go): identical (graph, config, options) cells collapse
-// to a single live simulation. Instrumented runs — any run with a
-// Collector, Trace writer or Census attached — bypass the cache in both
-// directions, because their value is the side effects.
-func RunPIM(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, error) {
+// to a single live simulation, and a hit is found by src's digest
+// alone, so an nn.Named source builds no graph for it. Instrumented
+// runs — any run with a Collector, Trace writer or Census attached —
+// bypass the cache in both directions, because their value is the side
+// effects.
+func RunPIM(src nn.Source, cfg hw.SystemConfig, opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	run := func() (Result, error) { return runPIM(g, cfg, opts) }
-	if opts.Stacks > 1 {
-		run = func() (Result, error) { return runMultiPIM(g, cfg, opts) }
-	}
-	if resultCacheUsable(opts) {
-		fp := fingerprintRun("pim", g, cfg, opts, nil)
-		return cachedResult(fp, run)
-	}
-	return run()
+	return cachedRun("pim", src, cfg, opts, nil, func(g *nn.Graph) (Result, error) {
+		if opts.Stacks > 1 {
+			return runMultiPIM(g, cfg, opts)
+		}
+		return runPIM(g, cfg, opts)
+	})
 }
 
 // runPIM is the live (uncached) simulation behind RunPIM; opts must

@@ -21,7 +21,8 @@ import (
 //
 //   - shard i runs batch ShardBatches(B, M)[i] of the global batch B
 //     through the unmodified single-stack executor (its own pooled
-//     engine, slab task graph and result-cache entry);
+//     engine, slab task graph and result-cache entry), as an nn.Named
+//     source, so a cached shard builds no graph;
 //   - the merged compute phase is the slowest stack's step (argmax over
 //     StepTime, lowest stack index on ties), because data-parallel
 //     peers proceed in lockstep at all-reduce barriers;
@@ -61,17 +62,17 @@ func runMultiPIM(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, error)
 	if err != nil {
 		return Result{}, err
 	}
-	// Shard graphs are rebuilt per stack from the model name, so the
+	// Each shard runs the model by name at its own batch size, so the
 	// input graph must be a named model, unmodified at its batch size —
 	// otherwise the shards would silently simulate a different network.
 	name := nn.ModelName(g.Model)
-	shardOpts := opts
-	shardOpts.Stacks, shardOpts.AllReduce = 1, ""
-	if ref, rerr := nn.BuildWithBatch(name, g.BatchSize); rerr != nil {
+	if ref, _, rerr := nn.ModelDigest(name, g.BatchSize); rerr != nil {
 		return Result{}, fmt.Errorf("core: multi-stack run needs a named model graph: %v", rerr)
-	} else if fingerprintRun("pim", ref, cfg, shardOpts, nil) != fingerprintRun("pim", g, cfg, shardOpts, nil) {
+	} else if ref != g.Digest() {
 		return Result{}, fmt.Errorf("core: multi-stack run of %q: graph differs from the named model at batch %d", g.Model, g.BatchSize)
 	}
+	shardOpts := opts
+	shardOpts.Stacks, shardOpts.AllReduce = 1, ""
 	// One engine per stack, advanced in parallel. runner.Map reassembles
 	// results in input (= stack index) order whatever the completion
 	// order, which is half of the determinism story; the other half is
@@ -83,11 +84,11 @@ func runMultiPIM(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, error)
 		if i > 0 {
 			so.Collector, so.Trace, so.Census = nil, nil, nil
 		}
-		sg, berr := nn.BuildWithBatch(name, shards[i])
-		if berr != nil {
-			return Result{}, berr
+		src, err := nn.Named(name, shards[i])
+		if err != nil {
+			return Result{}, err
 		}
-		return RunPIM(sg, cfg, so)
+		return RunPIM(src, cfg, so)
 	})
 	if err != nil {
 		return Result{}, err
@@ -281,14 +282,14 @@ func stackMaxTemp(cfg hw.SystemConfig, opts Options) (float64, error) {
 // platform with the chosen all-reduce schedule. stacks <= 1 falls back
 // to the single-stack RunOn path (bit-identical to it); the CPU and GPU
 // baselines have no stacks to shard across and are rejected.
-func RunMulti(kind hw.ConfigKind, g *nn.Graph, cfg hw.SystemConfig, stacks int, sched ReduceSchedule) (Result, error) {
+func RunMulti(kind hw.ConfigKind, src nn.Source, cfg hw.SystemConfig, stacks int, sched ReduceSchedule) (Result, error) {
 	if stacks <= 1 {
-		return RunOn(kind, g, cfg)
+		return RunOn(kind, src, cfg)
 	}
 	opts, ok := PIMOptionsFor(kind)
 	if !ok {
 		return Result{}, fmt.Errorf("core: multi-stack training needs a PIM platform, got %v", kind)
 	}
 	opts.Stacks, opts.AllReduce = stacks, sched
-	return RunPIM(g, cfg, opts)
+	return RunPIM(src, cfg, opts)
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"math"
 	"sync"
 
+	"heteropim/internal/fnv1a"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
 )
@@ -20,16 +20,12 @@ import (
 // HostOnlyOps path in RunPIM) must build its own copy.
 
 // profileKey identifies one profiling input. Graphs are rebuilt per
-// experiment cell, so identity is by content: the model name, batch
-// size, op count and a 64-bit FNV-1a digest of every descriptor field
-// the profiler reads (op type, flop counts, bytes). Synthetic graphs
-// (combined co-run steps, scaled or replayed traces) hash to their own
-// keys and simply occupy extra entries.
+// experiment cell, so identity is by content: the graph's digest
+// (nn.Graph.Digest), which covers every descriptor field the profiler
+// reads. Synthetic graphs (combined co-run steps, scaled or replayed
+// traces) hash to their own keys and simply occupy extra entries.
 type profileKey struct {
-	model  string
-	batch  int
-	ops    int
-	digest uint64
+	digest fnv1a.Sum128
 	cpu    hw.CPUSpec
 }
 
@@ -41,57 +37,16 @@ type profileEntry struct {
 
 var profileCache sync.Map // profileKey -> *profileEntry
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-func fnvMixFloat(h uint64, f float64) uint64 { return fnvMix(h, math.Float64bits(f)) }
-
-func fnvMixString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
-
-// graphDigest hashes the descriptor fields ProfileStep depends on.
-func graphDigest(g *nn.Graph) uint64 {
-	h := uint64(fnvOffset)
-	for _, op := range g.Ops {
-		h = fnvMix(h, uint64(op.ID))
-		h = fnvMixString(h, string(op.Type))
-		h = fnvMixFloat(h, op.Muls)
-		h = fnvMixFloat(h, op.Adds)
-		h = fnvMixFloat(h, op.OtherFlops)
-		h = fnvMixFloat(h, op.Bytes)
-	}
-	return h
-}
-
 // CachedProfileStep returns the memoized step profile for (g, cpu),
 // computing it at most once per distinct input across all goroutines.
 // The returned profile is shared: callers must not modify it or its
 // Entries. Use ProfileStep directly for a private copy.
 func CachedProfileStep(g *nn.Graph, cpu hw.CPUSpec) StepProfile {
-	key := profileKey{
-		model:  g.Model,
-		batch:  g.BatchSize,
-		ops:    len(g.Ops),
-		digest: graphDigest(g),
-		cpu:    cpu,
+	key := profileKey{digest: g.Digest(), cpu: cpu}
+	v, ok := profileCache.Load(key)
+	if !ok {
+		v, _ = profileCache.LoadOrStore(key, &profileEntry{})
 	}
-	v, _ := profileCache.LoadOrStore(key, &profileEntry{})
 	e := v.(*profileEntry)
 	e.once.Do(func() { e.prof = ProfileStep(g, cpu) })
 	return e.prof

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"heteropim/internal/fnv1a"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
 )
@@ -48,43 +48,6 @@ type Fingerprint struct{ Hi, Lo uint64 }
 // String renders the fingerprint as 32 hex digits (the disk file name).
 func (f Fingerprint) String() string { return fmt.Sprintf("%016x%016x", f.Hi, f.Lo) }
 
-// fpHash is a two-lane FNV-1a accumulator; the lanes mix the same input
-// stream with different seeds and a per-word permutation, which is
-// plenty of independence for a 128-bit cache address.
-type fpHash struct{ hi, lo uint64 }
-
-func newFpHash() fpHash {
-	return fpHash{hi: fnvOffset, lo: fnvOffset ^ 0x9e3779b97f4a7c15}
-}
-
-func (h *fpHash) u64(v uint64) {
-	h.hi = fnvMix(h.hi, v)
-	h.lo = fnvMix(h.lo, v*0x9e3779b97f4a7c15+1)
-}
-
-func (h *fpHash) i(v int)     { h.u64(uint64(int64(v))) }
-func (h *fpHash) f(v float64) { h.u64(math.Float64bits(v)) }
-func (h *fpHash) b(v bool) {
-	if v {
-		h.u64(1)
-	} else {
-		h.u64(0)
-	}
-}
-func (h *fpHash) str(s string) {
-	h.i(len(s))
-	h.hi = fnvMixString(h.hi, s)
-	h.lo = fnvMixString(h.lo, s)
-}
-func (h *fpHash) bytes(b []byte) {
-	h.i(len(b))
-	for _, c := range b {
-		h.u64(uint64(c))
-	}
-}
-
-func (h *fpHash) sum() Fingerprint { return Fingerprint{Hi: h.hi, Lo: h.lo} }
-
 // resultCacheUsable reports whether a RunPIM call may go through the
 // cache: the cache must be enabled and the run uninstrumented.
 func resultCacheUsable(opts Options) bool {
@@ -95,39 +58,32 @@ func resultCacheUsable(opts Options) bool {
 // mode tags the executor ("pim", "cpu", "gpu", "neurocube"), extra is
 // executor-specific input (the Neurocube spec); opts must already be
 // normalized so default and explicit option spellings share an address.
-func fingerprintRun(mode string, g *nn.Graph, cfg hw.SystemConfig, opts Options, extra []byte) Fingerprint {
-	h := newFpHash()
-	h.str("heteropim-result/" + mode)
-	// The hardware configuration, via its JSON form: field order is the
-	// declaration order, and a new SystemConfig field changes the bytes —
-	// automatic invalidation instead of a silently incomplete hash.
-	cfgJSON, err := json.Marshal(cfg)
-	if err != nil {
-		// Unreachable for the plain-value SystemConfig; keep the address
-		// well-defined anyway.
-		h.str("cfg-marshal-error")
-	}
-	h.bytes(cfgJSON)
-	h.bytes(extra)
+// The graph enters through its digest, so a Named source is looked up
+// without building its graph.
+func fingerprintRun(mode string, src nn.Source, cfg hw.SystemConfig, opts Options, extra []byte) Fingerprint {
+	h := fnv1a.New128()
+	h.Str("heteropim-result/" + mode)
+	h.Sum128(cfgDigest(cfg))
+	h.Bytes(extra)
 	// Effective options (the instrumentation fields are nil by
 	// resultCacheUsable). HostOnlyOps hashes as its sorted true IDs.
 	// The multi-stack axis (Stacks, AllReduce) must be part of the
 	// address: an M-stack run of the same graph on the same config is a
 	// different cell than the single-stack run (the link parameters ride
 	// in via the cfg JSON above).
-	h.i(opts.Stacks)
-	h.str(string(opts.AllReduce))
-	h.b(opts.RC)
-	h.b(opts.OP)
-	h.i(opts.PipelineDepth)
-	h.i(opts.Steps)
-	h.b(opts.UseSelection)
-	h.f(opts.XPercent)
-	h.b(opts.NoCPUFallback)
-	h.b(opts.WideProgOps)
-	h.b(opts.UniformPlacement)
-	h.b(opts.GPUHost)
-	h.b(opts.DisableOpportunistic)
+	h.Int(opts.Stacks)
+	h.Str(string(opts.AllReduce))
+	h.Bool(opts.RC)
+	h.Bool(opts.OP)
+	h.Int(opts.PipelineDepth)
+	h.Int(opts.Steps)
+	h.Bool(opts.UseSelection)
+	h.Float(opts.XPercent)
+	h.Bool(opts.NoCPUFallback)
+	h.Bool(opts.WideProgOps)
+	h.Bool(opts.UniformPlacement)
+	h.Bool(opts.GPUHost)
+	h.Bool(opts.DisableOpportunistic)
 	if len(opts.HostOnlyOps) > 0 {
 		ids := make([]int, 0, len(opts.HostOnlyOps))
 		for id, on := range opts.HostOnlyOps {
@@ -136,42 +92,70 @@ func fingerprintRun(mode string, g *nn.Graph, cfg hw.SystemConfig, opts Options,
 			}
 		}
 		sort.Ints(ids)
-		h.i(len(ids))
+		h.Int(len(ids))
 		for _, id := range ids {
-			h.i(id)
+			h.Int(id)
 		}
 	} else {
-		h.i(0)
+		h.Int(0)
 	}
-	// Full graph content: every field the executors read.
-	h.str(g.Model)
-	h.i(g.BatchSize)
-	h.f(g.InputBytes)
-	h.f(g.ParamBytes)
-	h.f(g.ActivationBytes)
-	h.f(g.GPUUnhiddenTransferFrac)
-	h.f(g.GPUUtilization)
-	h.f(g.GPUEffFactor)
-	h.i(len(g.Ops))
-	for _, op := range g.Ops {
-		h.str(op.Name)
-		h.str(string(op.Type))
-		h.f(op.Muls)
-		h.f(op.Adds)
-		h.f(op.OtherFlops)
-		h.f(op.Bytes)
-		h.i(op.UnitGranule)
-		h.b(op.Params)
-		h.i(len(op.Inputs))
-		for _, in := range op.Inputs {
-			h.i(in)
-		}
-		h.i(len(op.CrossStep))
-		for _, cs := range op.CrossStep {
-			h.i(cs)
-		}
+	// Full graph content, hashed once per graph (nn.Graph.Digest).
+	h.Sum128(src.Digest())
+	return Fingerprint(h.Sum())
+}
+
+// cfgDigest hashes the hardware configuration via its JSON form: field
+// order is the declaration order, and a new SystemConfig field changes
+// the bytes — automatic invalidation instead of a silently incomplete
+// hash. Encoding is the costliest step of a lookup, so digests are
+// memoized per configuration value; the memo empties itself at
+// cfgMemoCap entries, because a DSE sweep visits thousands of
+// configurations once each. Configurations equal under == share a
+// digest; their JSON could differ only in a -0 against a 0 field.
+func cfgDigest(cfg hw.SystemConfig) fnv1a.Sum128 {
+	cfgMu.Lock()
+	d, ok := cfgMemo[cfg]
+	cfgMu.Unlock()
+	if ok {
+		return d
 	}
-	return h.sum()
+	h := fnv1a.New128()
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		// Unreachable for the plain-value SystemConfig; keep the address
+		// well-defined anyway.
+		h.Str("cfg-marshal-error")
+	}
+	h.Bytes(cfgJSON)
+	d = h.Sum()
+	cfgMu.Lock()
+	if len(cfgMemo) >= cfgMemoCap {
+		clear(cfgMemo)
+	}
+	cfgMemo[cfg] = d
+	cfgMu.Unlock()
+	return d
+}
+
+const cfgMemoCap = 16
+
+var (
+	cfgMu   sync.Mutex
+	cfgMemo = map[hw.SystemConfig]fnv1a.Sum128{}
+)
+
+// cachedRun is the one path of the cached entry points (RunPIM, RunCPU,
+// RunGPU, RunNeurocube) through the result cache. It looks the cell up
+// by its fingerprint before resolving src's graph, so a hit builds
+// nothing, and it counts the cell exactly once. An instrumented or
+// cache-disabled run goes live.
+func cachedRun(mode string, src nn.Source, cfg hw.SystemConfig, opts Options, extra []byte,
+	run func(*nn.Graph) (Result, error)) (Result, error) {
+	if !resultCacheUsable(opts) {
+		return run(src.Graph())
+	}
+	fp := fingerprintRun(mode, src, cfg, opts, extra)
+	return cachedResult(fp, func() (Result, error) { return run(src.Graph()) })
 }
 
 // resultEntry is one in-memory cache slot; once gives singleflight
@@ -246,13 +230,19 @@ func ResultCacheStats() CacheStats {
 	}
 }
 
-// ResetResultCache drops every memoized result and zeroes the counters
-// (benchmarks isolating cold-path timing, tests).
+// ResetResultCache drops every memoized result and the model and
+// configuration digests their keys are made from (nn.ModelDigest,
+// cfgDigest), and zeroes the counters (benchmarks isolating cold-path
+// timing, tests).
 func ResetResultCache() {
 	resultCache.Range(func(k, _ any) bool {
 		resultCache.Delete(k)
 		return true
 	})
+	nn.ResetModelDigests()
+	cfgMu.Lock()
+	clear(cfgMemo)
+	cfgMu.Unlock()
 	cacheHits.Store(0)
 	cacheMisses.Store(0)
 	cacheDiskHits.Store(0)
@@ -281,7 +271,10 @@ func DropResultCacheMemory() {
 // memory (repeating a failing cell re-fails identically) but never
 // written to disk.
 func cachedResult(fp Fingerprint, run func() (Result, error)) (Result, error) {
-	v, _ := resultCache.LoadOrStore(fp, &resultEntry{})
+	v, ok := resultCache.Load(fp)
+	if !ok {
+		v, _ = resultCache.LoadOrStore(fp, &resultEntry{})
+	}
 	e := v.(*resultEntry)
 	ran := false
 	e.once.Do(func() {
@@ -326,18 +319,18 @@ func storeResult(fp Fingerprint, res Result) {
 }
 
 // PeekPIMResult reports whether the result cache already holds the
-// outcome of RunPIM(g, cfg, opts), without running anything and without
+// outcome of RunPIM(src, cfg, opts), without running anything and without
 // blocking on in-flight computations. A disk-tier hit is promoted into
 // the memory tier so the eventual RunPIM for the same cell is a memory
 // hit. The design-space explorer uses this to seed its surrogate model
 // from the cross-run corpus — ordering information only, so a miss is
 // never worth a simulation.
-func PeekPIMResult(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, bool) {
+func PeekPIMResult(src nn.Source, cfg hw.SystemConfig, opts Options) (Result, bool) {
 	opts = opts.withDefaults()
 	if !resultCacheUsable(opts) {
 		return Result{}, false
 	}
-	fp := fingerprintRun("pim", g, cfg, opts, nil)
+	fp := fingerprintRun("pim", src, cfg, opts, nil)
 	if v, ok := resultCache.Load(fp); ok {
 		e := v.(*resultEntry)
 		if e.done.Load() && e.err == nil {
@@ -372,7 +365,7 @@ const resultSchemaVersion = "1"
 // reflected signature of the Result type, so adding, removing, renaming
 // or retyping any (nested) field moves the tier to a fresh directory.
 var resultSchemaHash = fmt.Sprintf("%016x",
-	fnvMixString(fnvOffset, resultSchemaVersion+":"+typeSig(reflect.TypeOf(Result{}), 0)))
+	fnv1a.MixBytes(fnv1a.Offset, resultSchemaVersion+":"+typeSig(reflect.TypeOf(Result{}), 0)))
 
 // typeSig renders a type's structural signature.
 func typeSig(t reflect.Type, depth int) string {

@@ -38,13 +38,11 @@ func splitWork(w device.Work) (operation, dataMove hw.Seconds) {
 // collector instruments the run: each op becomes a span on the "cpu"
 // track at its serial position in the step. Uninstrumented calls go
 // through the result cache; instrumented ones bypass it (see RunPIM).
-func RunCPU(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
-	if c == nil && !resultCacheOff.Load() {
-		fp := fingerprintRun("cpu", g, cfg, Options{}, nil)
-		res, _ := cachedResult(fp, func() (Result, error) { return runCPUSerial(g, cfg, nil), nil })
-		return res
-	}
-	return runCPUSerial(g, cfg, c)
+func RunCPU(src nn.Source, cfg hw.SystemConfig, c sim.Collector) Result {
+	res, _ := cachedRun("cpu", src, cfg, Options{Collector: c}, nil, func(g *nn.Graph) (Result, error) {
+		return runCPUSerial(g, cfg, c), nil
+	})
+	return res
 }
 
 // runCPUSerial is the live run behind RunCPU.
@@ -86,13 +84,11 @@ func gpuEff(g *nn.Graph) float64 {
 // instruments the run: kernels become spans on the "gpu" track, the
 // unhidden transfer one span on the "pcie" track. Uninstrumented calls
 // go through the result cache; instrumented ones bypass it (see RunPIM).
-func RunGPU(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
-	if c == nil && !resultCacheOff.Load() {
-		fp := fingerprintRun("gpu", g, cfg, Options{}, nil)
-		res, _ := cachedResult(fp, func() (Result, error) { return runGPUSerial(g, cfg, nil), nil })
-		return res
-	}
-	return runGPUSerial(g, cfg, c)
+func RunGPU(src nn.Source, cfg hw.SystemConfig, c sim.Collector) Result {
+	res, _ := cachedRun("gpu", src, cfg, Options{Collector: c}, nil, func(g *nn.Graph) (Result, error) {
+		return runGPUSerial(g, cfg, c), nil
+	})
+	return res
 }
 
 // runGPUSerial is the live run behind RunGPU.
@@ -127,15 +123,16 @@ func runGPUSerial(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
 // array, serially with a per-op launch (its execution model is static:
 // no dynamic runtime scheduling — Section VI-C). Runs go through the
 // result cache, with the spec folded into the fingerprint.
-func RunNeurocube(g *nn.Graph, spec device.NeurocubeSpec, cfg hw.SystemConfig) Result {
-	if !resultCacheOff.Load() {
-		if specJSON, err := json.Marshal(spec); err == nil {
-			fp := fingerprintRun("neurocube", g, cfg, Options{}, specJSON)
-			res, _ := cachedResult(fp, func() (Result, error) { return runNeurocubeSerial(g, spec, cfg), nil })
-			return res
-		}
+func RunNeurocube(src nn.Source, spec device.NeurocubeSpec, cfg hw.SystemConfig) Result {
+	run := func(g *nn.Graph) (Result, error) { return runNeurocubeSerial(g, spec, cfg), nil }
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		// Unreachable for the plain-value spec; run uncached.
+		res, _ := run(src.Graph())
+		return res
 	}
-	return runNeurocubeSerial(g, spec, cfg)
+	res, _ := cachedRun("neurocube", src, cfg, Options{}, specJSON, run)
+	return res
 }
 
 // runNeurocubeSerial is the live run behind RunNeurocube.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"heteropim/internal/fnv1a"
 	"heteropim/internal/nn"
 )
 
@@ -37,15 +38,15 @@ type templateKey struct {
 
 // structDigest hashes the graph fields that determine task-DAG shape.
 func structDigest(g *nn.Graph) uint64 {
-	h := uint64(fnvOffset)
+	h := uint64(fnv1a.Offset)
 	for _, op := range g.Ops {
-		h = fnvMix(h, uint64(len(op.Inputs)))
+		h = fnv1a.Mix(h, uint64(len(op.Inputs)))
 		for _, in := range op.Inputs {
-			h = fnvMix(h, uint64(in))
+			h = fnv1a.Mix(h, uint64(in))
 		}
-		h = fnvMix(h, uint64(len(op.CrossStep)))
+		h = fnv1a.Mix(h, uint64(len(op.CrossStep)))
 		for _, cs := range op.CrossStep {
-			h = fnvMix(h, uint64(cs))
+			h = fnv1a.Mix(h, uint64(cs))
 		}
 	}
 	return h

@@ -3,6 +3,9 @@ package nn
 import (
 	"fmt"
 	"sort"
+	"sync"
+
+	"heteropim/internal/fnv1a"
 )
 
 // Op is one operation instance inside a training step graph.
@@ -66,6 +69,10 @@ type Graph struct {
 	// constant (cuDNN efficiency varies strongly with layer geometry);
 	// it multiplies the per-op GPU compute efficiency. Zero means 1.
 	GPUEffFactor float64
+
+	// digest is the content hash Digest computes on its first call.
+	digestOnce sync.Once
+	digest     fnv1a.Sum128
 }
 
 // AddOp appends an op, assigning its ID, and returns it.

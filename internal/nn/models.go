@@ -53,32 +53,49 @@ func Build(name ModelName) (*Graph, error) {
 // BuildWithBatch builds a model at an explicit batch size (0 = the
 // paper's default) — the batch-size sensitivity extension study.
 func BuildWithBatch(name ModelName, batch int) (*Graph, error) {
+	batch, err := checkModel(name, batch)
+	if err != nil {
+		return nil, err
+	}
+	return build(name, batch), nil
+}
+
+// checkModel validates a model and batch size the way BuildWithBatch
+// does and returns the batch size it builds (0 becomes the paper's).
+func checkModel(name ModelName, batch int) (int, error) {
 	if batch <= 0 {
 		batch = DefaultBatch(name)
 	}
 	switch name {
-	case VGG19Name:
-		return buildVGG19(batch), nil
-	case AlexNetName:
-		return buildAlexNet(batch), nil
-	case DCGANName:
-		return buildDCGAN(batch), nil
-	case ResNet50Name:
-		return buildResNet50(batch), nil
-	case InceptionV3Name:
-		return buildInceptionV3(batch), nil
-	case LSTMName:
-		if batch != DefaultBatch(LSTMName) {
-			return nil, fmt.Errorf("nn: LSTM is fixed at batch %d", DefaultBatch(LSTMName))
+	case VGG19Name, AlexNetName, DCGANName, ResNet50Name, InceptionV3Name:
+		return batch, nil
+	case LSTMName, Word2VecName:
+		if batch != DefaultBatch(name) {
+			return 0, fmt.Errorf("nn: %s is fixed at batch %d", name, DefaultBatch(name))
 		}
-		return LSTM(), nil
-	case Word2VecName:
-		if batch != DefaultBatch(Word2VecName) {
-			return nil, fmt.Errorf("nn: Word2vec is fixed at batch %d", DefaultBatch(Word2VecName))
-		}
-		return Word2Vec(), nil
+		return batch, nil
 	default:
-		return nil, fmt.Errorf("nn: unknown model %q", name)
+		return 0, fmt.Errorf("nn: unknown model %q", name)
+	}
+}
+
+// build constructs a model that checkModel accepted.
+func build(name ModelName, batch int) *Graph {
+	switch name {
+	case VGG19Name:
+		return buildVGG19(batch)
+	case AlexNetName:
+		return buildAlexNet(batch)
+	case DCGANName:
+		return buildDCGAN(batch)
+	case ResNet50Name:
+		return buildResNet50(batch)
+	case InceptionV3Name:
+		return buildInceptionV3(batch)
+	case LSTMName:
+		return LSTM()
+	default:
+		return Word2Vec()
 	}
 }
 

@@ -139,12 +139,15 @@ func Parse(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// axis limits: generous for every real study, tight enough that a
-// fuzzer (or a hostile POST body) cannot make Compile explode.
+// Axis limits of a cell, shared by both decoders of external cells
+// (Compile and POST /v1/jobs): generous for every real study, tight
+// enough that a fuzzer or a hostile body cannot make a cell fan out
+// into thousands of shard runs, or grow the per-(model, batch) caches
+// without bound.
 const (
-	maxBatchSize  = 1 << 16
-	maxStacks     = 64
-	maxProcessors = 256
+	MaxBatchSize  = 1 << 16
+	MaxStacks     = 64
+	MaxProcessors = 256
 )
 
 func validFreq(v float64) bool {
@@ -242,8 +245,8 @@ func expandSet(si int, cs CellSet) ([]Cell, error) {
 		batches = []int{0}
 	}
 	for _, b := range batches {
-		if b < 0 || b > maxBatchSize {
-			return nil, fmt.Errorf("scenario: cell set %d: batch_size must be in [0, %d], got %d", si, maxBatchSize, b)
+		if b < 0 || b > MaxBatchSize {
+			return nil, fmt.Errorf("scenario: cell set %d: batch_size must be in [0, %d], got %d", si, MaxBatchSize, b)
 		}
 		if b != 0 && (len(cs.Variants) > 0 || len(cs.Processors) > 0) {
 			return nil, fmt.Errorf("scenario: cell set %d: variants/processors run at the paper batch size; drop the batch_sizes axis", si)
@@ -254,8 +257,8 @@ func expandSet(si int, cs CellSet) ([]Cell, error) {
 		stacks = []int{1}
 	}
 	for _, m := range stacks {
-		if m < 1 || m > maxStacks {
-			return nil, fmt.Errorf("scenario: cell set %d: stacks must be in [1, %d], got %d", si, maxStacks, m)
+		if m < 1 || m > MaxStacks {
+			return nil, fmt.Errorf("scenario: cell set %d: stacks must be in [1, %d], got %d", si, MaxStacks, m)
 		}
 	}
 	allreduce := cs.AllReduce
@@ -268,8 +271,8 @@ func expandSet(si int, cs CellSet) ([]Cell, error) {
 		}
 	}
 	for _, p := range cs.Processors {
-		if p < 1 || p > maxProcessors {
-			return nil, fmt.Errorf("scenario: cell set %d: processors must be in [1, %d], got %d", si, maxProcessors, p)
+		if p < 1 || p > MaxProcessors {
+			return nil, fmt.Errorf("scenario: cell set %d: processors must be in [1, %d], got %d", si, MaxProcessors, p)
 		}
 	}
 

@@ -31,6 +31,12 @@ var jobRequestSeeds = []string{
 	`{"config":"progr","model":"Word2vec","freq_scale":5e-324,"stacks":0}`,
 	`{"config":"hetero","model":"AlexNet","unknown":1}`,
 	`{"config":"hetero","model":"AlexNet"} trailing`,
+	`{"config":"hetero","model":"AlexNet","batch_size":65536}`,
+	`{"config":"hetero","model":"AlexNet","batch_size":65537}`,
+	`{"config":"hetero","model":"VGG-19","batch_size":64,"stacks":64}`,
+	`{"config":"hetero","model":"VGG-19","stacks":65}`,
+	`{"config":"hetero","model":"ResNet-50","processors":256}`,
+	`{"config":"hetero","model":"ResNet-50","processors":257}`,
 }
 
 // JobRequestSeeds returns every FuzzJobRequest seed by name: the inline

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"heteropim"
+	"heteropim/internal/scenario"
 )
 
 // Job lifecycle states.
@@ -87,20 +88,20 @@ func normalize(req JobRequest) (cell, error) {
 			return cell{}, fmt.Errorf("serve: variant and processors are mutually exclusive")
 		}
 	}
-	if req.Processors < 0 {
-		return cell{}, fmt.Errorf("serve: processors must be >= 0, got %d", req.Processors)
+	if req.Processors < 0 || req.Processors > scenario.MaxProcessors {
+		return cell{}, fmt.Errorf("serve: processors must be in [0, %d], got %d", scenario.MaxProcessors, req.Processors)
 	}
 	if req.Processors > 0 && cfg != heteropim.ConfigHeteroPIM {
 		return cell{}, fmt.Errorf("serve: processors need the hetero config, got %q", req.Config)
 	}
-	if req.BatchSize < 0 {
-		return cell{}, fmt.Errorf("serve: batch_size must be >= 0, got %d", req.BatchSize)
+	if req.BatchSize < 0 || req.BatchSize > scenario.MaxBatchSize {
+		return cell{}, fmt.Errorf("serve: batch_size must be in [0, %d], got %d", scenario.MaxBatchSize, req.BatchSize)
 	}
 	if req.BatchSize > 0 && (req.Variant != nil || req.Processors > 0) {
 		return cell{}, fmt.Errorf("serve: batch_size does not combine with variant/processors")
 	}
-	if req.Stacks < 0 {
-		return cell{}, fmt.Errorf("serve: stacks must be >= 0, got %d", req.Stacks)
+	if req.Stacks < 0 || req.Stacks > scenario.MaxStacks {
+		return cell{}, fmt.Errorf("serve: stacks must be in [0, %d], got %d", scenario.MaxStacks, req.Stacks)
 	}
 	c := cell{
 		BatchCell: heteropim.BatchCell{Config: cfg, Model: model, FreqScale: fs,

@@ -5,15 +5,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"heteropim"
+	"heteropim/internal/scenario"
 )
 
 // start spins up a test server; the cleanup drains it.
@@ -215,6 +218,45 @@ func TestValidationErrors(t *testing.T) {
 	resp, _ := get(t, ts.URL+"/v1/jobs/nosuchjob")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job = %s, want 404", resp.Status)
+	}
+}
+
+// TestJobAxisBounds: POST /v1/jobs and the scenario compiler share the
+// cell's axis bounds. Both accept a value at a bound; one past it, the
+// compiler refuses the document and the job endpoint answers 400 with
+// an error that names the bound.
+func TestJobAxisBounds(t *testing.T) {
+	_, ts := start(t, Options{Workers: 1, JobTimeout: time.Nanosecond})
+	for _, tc := range []struct {
+		field, axis string
+		bound       int
+		// configs is the scenario's platform axis: processor cells
+		// imply Hetero PIM and take none.
+		configs string
+	}{
+		{"batch_size", "batch_sizes", scenario.MaxBatchSize, `"configs":["hetero"],`},
+		{"stacks", "stacks", scenario.MaxStacks, `"configs":["hetero"],`},
+		{"processors", "processors", scenario.MaxProcessors, ""},
+	} {
+		for _, v := range []int{tc.bound, tc.bound + 1} {
+			body := fmt.Sprintf(`{"config":"hetero","model":"AlexNet",%q:%d}`, tc.field, v)
+			doc := fmt.Sprintf(`{"scenario":1,"cells":[{"models":["AlexNet"],%s%q:[%d]}]}`, tc.configs, tc.axis, v)
+			_, _, jobErr := decodeBody([]byte(body))
+			_, planErr := heteropim.CompileScenario([]byte(doc))
+			if v == tc.bound {
+				if jobErr != nil || planErr != nil {
+					t.Errorf("%s %d (the bound): job %v, scenario %v; want both accepted", tc.field, v, jobErr, planErr)
+				}
+				continue
+			}
+			if planErr == nil {
+				t.Errorf("scenario %s [%d] compiled, want it refused", tc.axis, v)
+			}
+			resp, data := post(t, ts.URL, body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), strconv.Itoa(tc.bound)) {
+				t.Errorf("POST %s = %s %s, want 400 naming the bound %d", body, resp.Status, data, tc.bound)
+			}
+		}
 	}
 }
 
