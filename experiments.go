@@ -134,10 +134,13 @@ func TableIFor(models []Model) (*Table, error) {
 	}
 	groups, err := rowGroups(len(models), func(i int) ([][]string, error) {
 		m := models[i]
-		g, err := nn.Build(m)
+		// A Named graph carries its memoized digest, so the profile
+		// lookup hashes nothing.
+		src, err := nn.Named(m, 0)
 		if err != nil {
 			return nil, err
 		}
+		g := src.Graph()
 		prof := core.CachedProfileStep(g, hw.PaperCPU())
 		type agg struct {
 			time, mem float64

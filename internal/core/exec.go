@@ -65,12 +65,6 @@ type Options struct {
 	// respect the thermal envelope, derating the pool's sustained
 	// frequency (the placement ablation of DESIGN.md §6).
 	UniformPlacement bool
-	// HostOnlyOps restricts the listed op IDs to the CPU and the
-	// programmable PIM (never the fixed-function pool). The
-	// mixed-workload study runs the non-CNN model this way
-	// (Section VI-F: "the non-CNN model executes on CPU or the
-	// programmable PIM, when they are idle").
-	HostOnlyOps map[int]bool
 	// GPUHost attaches the heterogeneous PIM to a GPU system instead of
 	// a CPU one (the Section II-D discussion, built here as an
 	// extension study): non-offloaded operations execute on the GPU at
@@ -453,24 +447,7 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 		}
 	}
 	if opts.UseSelection {
-		prof := CachedProfileStep(g, cfg.CPU)
-		if len(opts.HostOnlyOps) > 0 {
-			// Host-pinned operations (the Section VI-F non-CNN job) are
-			// not offload candidates: drop them from the profile so
-			// they cannot eat the x% selection budget. The cached
-			// profile is shared — filter into a fresh slice.
-			filtered := StepProfile{Entries: make([]ProfileEntry, 0, len(prof.Entries))}
-			for _, e := range prof.Entries {
-				if opts.HostOnlyOps[e.OpID] {
-					continue
-				}
-				filtered.Entries = append(filtered.Entries, e)
-				filtered.TotalTime += e.Time
-				filtered.TotalAccesses += e.MemAccesses
-			}
-			prof = filtered
-		}
-		x.cand = SelectCandidates(prof, opts.XPercent)
+		x.cand = SelectCandidates(withoutHostOnly(g, CachedProfileStep(g, cfg.CPU)), opts.XPercent)
 	} else {
 		x.cand = AllOpsCandidates(g)
 	}
@@ -658,7 +635,7 @@ func (x *exec) maybeDispatch(t *task) {
 func (x *exec) dispatch(t *task) {
 	prof := &x.ops[t.op.ID].prof
 	isCand := x.cand[t.op.ID]
-	if x.opts.HostOnlyOps[t.op.ID] {
+	if t.op.HostOnly {
 		// Section VI-F policy: the non-CNN model "executes on CPU or
 		// the programmable PIM, when they are idle". Pick the idle
 		// device only when it is not grossly slower for this op.

@@ -365,9 +365,10 @@ func TestDeterminism(t *testing.T) {
 
 func TestHostOnlyOpsNeverTouchFixedPool(t *testing.T) {
 	g := smallGraph()
-	opts := HeteroOptions()
-	opts.HostOnlyOps = map[int]bool{0: true, 1: true, 2: true, 3: true}
-	r, err := RunPIM(g, hw.PaperConfig(hw.ConfigHeteroPIM), opts)
+	for _, op := range g.Ops {
+		op.HostOnly = true
+	}
+	r, err := RunPIM(g, hw.PaperConfig(hw.ConfigHeteroPIM), HeteroOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,11 +548,9 @@ func TestRunPIMResultDigestsPinned(t *testing.T) {
 	oneUnit := hetero(1)
 	oneUnit.FixedPIM = hw.PaperFixedPIM(1)
 	alex := nn.AlexNet()
-	everyOther := map[int]bool{}
-	for _, op := range alex.Ops {
-		if op.ID%2 == 1 {
-			everyOther[op.ID] = true
-		}
+	everyOther := nn.AlexNet()
+	for _, op := range everyOther.Ops {
+		op.HostOnly = op.ID%2 == 1
 	}
 	cases := []struct {
 		name string
@@ -572,10 +571,10 @@ func TestRunPIMResultDigestsPinned(t *testing.T) {
 			"8eeb17151f0ed21427fc64b4f9a1c951302efb6c041e61471a1077749e2f420b"},
 		{"fixed-pim", alex, hw.PaperConfig(hw.ConfigFixedPIM), Options{},
 			"3e2cee3a4495b0b8adb2d4e4004f438ea654410adc65bd93e4c515d7901a8ac4"},
-		{"host-only-ops", alex, hetero(1), heteroOpts(func(o *Options) { o.HostOnlyOps = everyOther }),
+		{"host-only-ops", everyOther, hetero(1), HeteroOptions(),
 			"45766ca61ff68dbd824d6a836bc0353f799b46a0401a52039cfed636549244b5"},
-		{"host-only-ops-uniform", alex, hetero(1),
-			heteroOpts(func(o *Options) { o.HostOnlyOps, o.UniformPlacement = everyOther, true }),
+		{"host-only-ops-uniform", everyOther, hetero(1),
+			heteroOpts(func(o *Options) { o.UniformPlacement = true }),
 			"6ba7b1953a2bf5569af37c9b2631c28ede7ad068af008d6eb41c654a50b1034d"},
 		{"rc-op-off", alex, hetero(1), heteroOpts(func(o *Options) { o.RC, o.OP = false, false }),
 			"12a2ae204153c074f1819db2c47aeec1b68a7916135d09ea11719239acdc9302"},

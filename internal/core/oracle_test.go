@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"heteropim/internal/hw"
@@ -28,16 +29,22 @@ type spanKey struct {
 //   - fixed.busy_units stays within [0, Units].
 //   - Concurrent spans on the host track (cpu or gpu) never exceed its
 //     2 slots, and on prog never exceed the P processors.
+//   - No HostOnly op opens a span on the fixed-function pool (fixed)
+//     or a residual phase (residual.*), which only offloaded ops run.
 type oracle struct {
 	t     testing.TB
 	label string
 	units int
 	slots map[string]int // per-track span limit
-	last  hw.Seconds
-	open  map[spanKey]int
-	live  map[string]int // open spans per track
-	spans int
-	fails int
+	// hostOnly holds the names of the run's HostOnly ops. Spans name
+	// their op, so the check is by name, which is unique only within
+	// one built model (see hostOnlyNames).
+	hostOnly map[string]bool
+	last     hw.Seconds
+	open     map[spanKey]int
+	live     map[string]int // open spans per track
+	spans    int
+	fails    int
 }
 
 // newOracle builds the checker for one run on cfg.
@@ -69,6 +76,9 @@ func (o *oracle) at(what string, t hw.Seconds) {
 
 func (o *oracle) TaskStart(s sim.Task) {
 	o.at("span start "+s.Track+"/"+s.Name, s.Start)
+	if o.hostOnly[s.Name] && (s.Track == "fixed" || strings.HasPrefix(s.Track, "residual.")) {
+		o.fail("host-only op %s opened a %s span on %s", s.Name, s.Kind, s.Track)
+	}
 	o.open[spanKey{s.Track, s.Name, s.Kind, s.Step, s.Start}]++
 	o.live[s.Track]++
 	o.spans++
@@ -109,10 +119,31 @@ func (o *oracle) done() {
 	}
 }
 
+// hostOnlyNames returns the names of g's HostOnly ops. A name that
+// g also gives an op that is not HostOnly would make the by-name check
+// ambiguous: a merged co-run graph repeats framework_* names across its
+// two models. So g must be one built model, or names must not clash.
+func hostOnlyNames(t testing.TB, g *nn.Graph) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	for _, op := range g.Ops {
+		if op.HostOnly {
+			names[op.Name] = true
+		}
+	}
+	for _, op := range g.Ops {
+		if !op.HostOnly && names[op.Name] {
+			t.Fatalf("%s: op name %s is both host-only and not; the oracle checks placement by name", g.Model, op.Name)
+		}
+	}
+	return names
+}
+
 // runChecked runs (g, cfg, opts) with an oracle attached.
 func runChecked(t testing.TB, label string, g *nn.Graph, cfg hw.SystemConfig, opts Options) Result {
 	t.Helper()
 	o := newOracle(t, label, cfg)
+	o.hostOnly = hostOnlyNames(t, g)
 	opts.Collector = o
 	r, err := RunPIM(g, cfg, opts)
 	if err != nil {
@@ -139,6 +170,33 @@ func TestOracleCNNs(t *testing.T) {
 					opts.RC, opts.OP = rc, op
 					runChecked(t, fmt.Sprintf("%s on %v RC=%t OP=%t", name, kind, rc, op), g, cfg, opts)
 				}
+			}
+		}
+	}
+}
+
+// TestOracleHostOnly attaches the oracle to runs with HostOnly ops:
+// AlexNet and DCGAN with every other op HostOnly, and LSTM with every
+// op HostOnly (the Section VI-F non-CNN placement), with RC and OP
+// switched on and off. No HostOnly op may reach the fixed-function pool.
+func TestOracleHostOnly(t *testing.T) {
+	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
+	for _, c := range []struct {
+		name  nn.ModelName
+		every int
+	}{{nn.AlexNetName, 2}, {nn.DCGANName, 2}, {nn.LSTMName, 1}} {
+		g, err := nn.Build(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range g.Ops {
+			op.HostOnly = op.ID%c.every == c.every-1
+		}
+		for _, rc := range []bool{false, true} {
+			for _, op := range []bool{false, true} {
+				opts := HeteroOptions()
+				opts.RC, opts.OP = rc, op
+				runChecked(t, fmt.Sprintf("%s, 1 op in %d host-only, RC=%t OP=%t", c.name, c.every, rc, op), g, cfg, opts)
 			}
 		}
 	}
@@ -173,6 +231,16 @@ func TestOracleCatchesBrokenRuns(t *testing.T) {
 			for _, n := range []string{"a", "b", "c"} {
 				o.TaskStart(sim.Task{Track: "cpu", Name: n, Kind: "op"})
 			}
+		}},
+		{"host-only op on the pool", func(o *oracle) {
+			o.hostOnly = map[string]bool{"a": true}
+			o.TaskStart(sim.Task{Track: "fixed", Name: "a", Kind: "section"})
+			o.TaskEnd(sim.Task{Track: "fixed", Name: "a", Kind: "section", End: 1})
+		}},
+		{"host-only op in a residual phase", func(o *oracle) {
+			o.hostOnly = map[string]bool{"a": true}
+			o.TaskStart(sim.Task{Track: "residual.cpu", Name: "a", Kind: "residual"})
+			o.TaskEnd(sim.Task{Track: "residual.cpu", Name: "a", Kind: "residual", End: 1})
 		}},
 	} {
 		rec := &recordingTB{TB: t}

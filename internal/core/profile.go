@@ -7,6 +7,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"heteropim/internal/device"
@@ -112,6 +113,27 @@ func SelectCandidates(prof StepProfile, xPercent float64) map[int]bool {
 		acc += e.Time
 	}
 	return candidates
+}
+
+// withoutHostOnly drops g's HostOnly ops from prof: host-pinned
+// operations (the Section VI-F non-CNN job) are not offload candidates,
+// so they must not eat the x% selection budget. prof may be the shared
+// cached profile, so a filtered profile is a fresh copy; a graph with
+// no HostOnly op gets prof back.
+func withoutHostOnly(g *nn.Graph, prof StepProfile) StepProfile {
+	if !slices.ContainsFunc(g.Ops, func(op *nn.Op) bool { return op.HostOnly }) {
+		return prof
+	}
+	out := StepProfile{Entries: make([]ProfileEntry, 0, len(prof.Entries))}
+	for _, e := range prof.Entries {
+		if g.Ops[e.OpID].HostOnly {
+			continue
+		}
+		out.Entries = append(out.Entries, e)
+		out.TotalTime += e.Time
+		out.TotalAccesses += e.MemAccesses
+	}
+	return out
 }
 
 // CandidateSet derives the offload candidates for a graph at the

@@ -16,14 +16,14 @@ import (
 // key sharing one computation (singleflight via a per-entry sync.Once).
 //
 // Cached profiles are shared and must be treated as IMMUTABLE by all
-// callers; anything that needs a filtered or modified profile (e.g. the
-// HostOnlyOps path in RunPIM) must build its own copy.
+// callers; anything that needs a filtered or modified profile (e.g.
+// RunPIM dropping HostOnly ops from selection) must build its own copy.
 
 // profileKey identifies one profiling input. Graphs are rebuilt per
 // experiment cell, so identity is by content: the graph's digest
 // (nn.Graph.Digest), which covers every descriptor field the profiler
 // reads. Synthetic graphs (combined co-run steps, scaled or replayed
-// traces) hash to their own keys and simply occupy extra entries.
+// traces) have keys of their own and simply occupy extra entries.
 type profileKey struct {
 	digest fnv1a.Sum128
 	cpu    hw.CPUSpec

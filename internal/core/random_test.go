@@ -98,12 +98,12 @@ func TestRandomGraphsOptionMatrix(t *testing.T) {
 	cfg := hw.PaperConfig(hw.ConfigHeteroPIM)
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(rng, 30)
+		if trial%3 == 0 {
+			g.Ops[0].HostOnly, g.Ops[1].HostOnly = true, true
+		}
 		for _, rc := range []bool{false, true} {
 			for _, op := range []bool{false, true} {
 				opts := Options{RC: rc, OP: op, UseSelection: trial%2 == 0, Steps: 3}
-				if trial%3 == 0 {
-					opts.HostOnlyOps = map[int]bool{0: true, 1: true}
-				}
 				r := runChecked(t, fmt.Sprintf("trial %d RC=%v OP=%v", trial, rc, op), g, cfg, opts)
 				if r.StepTime <= 0 {
 					t.Fatalf("trial %d RC=%v OP=%v: degenerate step", trial, rc, op)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,7 +65,7 @@ func fingerprintRun(mode string, src nn.Source, cfg hw.SystemConfig, opts Option
 	h.Sum128(cfgDigest(cfg))
 	h.Bytes(extra)
 	// Effective options (the instrumentation fields are nil by
-	// resultCacheUsable). HostOnlyOps hashes as its sorted true IDs.
+	// resultCacheUsable); per-op placement rides in the graph digest.
 	// The multi-stack axis (Stacks, AllReduce) must be part of the
 	// address: an M-stack run of the same graph on the same config is a
 	// different cell than the single-stack run (the link parameters ride
@@ -84,22 +83,8 @@ func fingerprintRun(mode string, src nn.Source, cfg hw.SystemConfig, opts Option
 	h.Bool(opts.UniformPlacement)
 	h.Bool(opts.GPUHost)
 	h.Bool(opts.DisableOpportunistic)
-	if len(opts.HostOnlyOps) > 0 {
-		ids := make([]int, 0, len(opts.HostOnlyOps))
-		for id, on := range opts.HostOnlyOps {
-			if on {
-				ids = append(ids, id)
-			}
-		}
-		sort.Ints(ids)
-		h.Int(len(ids))
-		for _, id := range ids {
-			h.Int(id)
-		}
-	} else {
-		h.Int(0)
-	}
-	// Full graph content, hashed once per graph (nn.Graph.Digest).
+	// Full graph content, hashed once per graph (nn.Graph.Digest), or
+	// the recipe digest of a derived graph (nn.Derive).
 	h.Sum128(src.Digest())
 	return Fingerprint(h.Sum())
 }

@@ -11,7 +11,9 @@ import (
 // executor reads. It is computed on the first call and remembered, so
 // a graph must not change after its first Digest; the result cache,
 // the profile cache and the multi-stack named-model check all key on
-// it.
+// it. Equal digests imply equal graphs, but equal graphs need not
+// share a digest: a graph built by a Derive source carries its
+// recipe's digest instead.
 func (g *Graph) Digest() fnv1a.Sum128 {
 	g.digestOnce.Do(func() { g.digest = g.hash() })
 	return g.digest
@@ -47,6 +49,7 @@ func (g *Graph) hash() fnv1a.Sum128 {
 		for _, cs := range op.CrossStep {
 			h.Int(cs)
 		}
+		h.Bool(op.HostOnly)
 	}
 	return h.Sum()
 }
@@ -150,4 +153,33 @@ func (n *named) Graph() *Graph {
 		n.g = g
 	}
 	return n.g
+}
+
+// derived is the Source of a graph built from a recipe.
+type derived struct {
+	d     fnv1a.Sum128
+	build func() *Graph
+	g     *Graph
+}
+
+// Derive returns a Source addressed by d, the digest of a recipe: a
+// versioned tag naming the builder, the digests of its input sources
+// and its parameters. build runs at most once, on the first Graph call
+// (so a result-cache hit never runs it), and must return a fresh graph,
+// which is seeded with d instead of being hashed. d does not cover
+// build's code, so a change to what a builder builds must change its
+// tag. Like Named, a Derive source serves one run at a time.
+func Derive(d fnv1a.Sum128, build func() *Graph) Source {
+	return &derived{d: d, build: build}
+}
+
+func (s *derived) Digest() fnv1a.Sum128 { return s.d }
+
+func (s *derived) Graph() *Graph {
+	if s.g == nil {
+		g := s.build()
+		g.digestOnce.Do(func() { g.digest = s.d })
+		s.g = g
+	}
+	return s.g
 }

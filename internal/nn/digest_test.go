@@ -219,3 +219,33 @@ func TestConcurrentDigest(t *testing.T) {
 		}
 	}
 }
+
+// A Derive source answers Digest without building, runs build once
+// however often Graph is called, and seeds the built graph with the
+// recipe digest instead of hashing it.
+func TestDeriveBuildsOnceAndSeedsDigest(t *testing.T) {
+	d := fnv1a.Sum128{Hi: 1, Lo: 2}
+	builds := 0
+	src := Derive(d, func() *Graph {
+		builds++
+		return mustBuild(t, AlexNetName, 32)
+	})
+	if src.Digest() != d || builds != 0 {
+		t.Fatalf("Digest gave %v after %d builds, want %v and none", src.Digest(), builds, d)
+	}
+	g := src.Graph()
+	for i := 0; i < 3; i++ {
+		if src.Graph() != g {
+			t.Fatal("Graph returned a different graph")
+		}
+	}
+	if builds != 1 {
+		t.Errorf("build ran %d times, want once", builds)
+	}
+	if g.Digest() != d {
+		t.Errorf("the built graph's digest is %v, want the recipe digest %v", g.Digest(), d)
+	}
+	if g.hash() != mustBuild(t, AlexNetName, 32).Digest() {
+		t.Error("seeding the digest changed the graph")
+	}
+}

@@ -40,6 +40,12 @@ type Op struct {
 	// complete first (used for weight updates gating the next step's
 	// forward ops).
 	CrossStep []int
+	// HostOnly restricts the op to the CPU and the programmable PIM:
+	// it is never an offload candidate and never runs on the
+	// fixed-function pool. The mixed-workload study runs its non-CNN
+	// model this way (Section VI-F: "the non-CNN model executes on CPU
+	// or the programmable PIM, when they are idle").
+	HostOnly bool
 }
 
 // TotalFlops returns all arithmetic of the op.
@@ -209,6 +215,12 @@ func (g *Graph) ClassifyType(t OpType) Class {
 			tb += op.Bytes
 		}
 	}
+	return classify(tf, tb, flops, bytes)
+}
+
+// classify is the Fig. 2 rule for a type holding tf of the step's
+// flops and tb of its bytes.
+func classify(tf, tb, flops, bytes float64) Class {
 	ci := flops > 0 && tf >= 0.01*flops
 	mi := bytes > 0 && tb >= 0.01*bytes
 	switch {
@@ -223,11 +235,28 @@ func (g *Graph) ClassifyType(t OpType) Class {
 	}
 }
 
-// ClassCounts tallies ops per Fig. 2 class.
+// ClassCounts tallies ops per Fig. 2 class. It classifies each op type
+// once, so it walks the graph twice in all rather than twice per op.
 func (g *Graph) ClassCounts() map[Class]int {
-	out := map[Class]int{}
+	type share struct {
+		flops, bytes float64
+		ops          int
+	}
+	flops, bytes := g.Totals()
+	byType := map[OpType]*share{}
 	for _, op := range g.Ops {
-		out[g.Classify(op)]++
+		s := byType[op.Type]
+		if s == nil {
+			s = &share{}
+			byType[op.Type] = s
+		}
+		s.flops += op.TotalFlops()
+		s.bytes += op.Bytes
+		s.ops++
+	}
+	out := map[Class]int{}
+	for _, s := range byType {
+		out[classify(s.flops, s.bytes, flops, bytes)] += s.ops
 	}
 	return out
 }

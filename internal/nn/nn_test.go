@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -235,6 +236,24 @@ func TestClassificationCoversFourClasses(t *testing.T) {
 			if c := g.Classify(op); c != Class2 {
 				t.Errorf("%s classified %d, want 2", op.Name, c)
 			}
+		}
+	}
+}
+
+// ClassCounts classifies each op type once; it must tally exactly what
+// per-op Classify calls give, on every model.
+func TestClassCountsMatchesClassify(t *testing.T) {
+	for _, name := range AllModelNames() {
+		g, err := Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[Class]int{}
+		for _, op := range g.Ops {
+			want[g.Classify(op)]++
+		}
+		if got := g.ClassCounts(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ClassCounts %v, per-op Classify %v", name, got, want)
 		}
 	}
 }

@@ -52,30 +52,22 @@ type MixedResult struct {
 	Improvement float64
 }
 
+// errCopies is Combine's refusal of a copy count below one.
+func errCopies(copies int) error {
+	return fmt.Errorf("workload: need at least one copy of the co-run graph, got %d", copies)
+}
+
 // Combine merges graph a (scheduled normally) with `copies` sequential
-// steps of graph b (restricted to host-side devices) into one step
-// graph, returning the combined graph and the restricted op-ID set.
-func Combine(a, b *nn.Graph, copies int) (*nn.Graph, map[int]bool, error) {
+// steps of graph b into one step graph. Every op copied from b is
+// HostOnly: the co-run places the non-CNN model on host-side devices.
+func Combine(a, b *nn.Graph, copies int) (*nn.Graph, error) {
 	if copies < 1 {
-		return nil, nil, fmt.Errorf("workload: need at least one copy of %s", b.Model)
+		return nil, errCopies(copies)
 	}
-	g := &nn.Graph{
-		Model:                   a.Model + "+" + b.Model,
-		BatchSize:               a.BatchSize,
-		InputBytes:              a.InputBytes,
-		ParamBytes:              a.ParamBytes + b.ParamBytes,
-		ActivationBytes:         a.ActivationBytes + b.ActivationBytes,
-		GPUUnhiddenTransferFrac: a.GPUUnhiddenTransferFrac,
-		GPUUtilization:          a.GPUUtilization,
-		GPUEffFactor:            a.GPUEffFactor,
-	}
-	for _, op := range a.Ops {
-		c := *op
-		c.Inputs = append([]int(nil), op.Inputs...)
-		c.CrossStep = append([]int(nil), op.CrossStep...)
-		g.AddOp(c)
-	}
-	restricted := map[int]bool{}
+	g := copyGraph(a, nil)
+	g.Model = a.Model + "+" + b.Model
+	g.ParamBytes += b.ParamBytes
+	g.ActivationBytes += b.ActivationBytes
 	prevSinks := []int(nil)
 	for copy := 0; copy < copies; copy++ {
 		base := len(g.Ops)
@@ -99,8 +91,8 @@ func Combine(a, b *nn.Graph, copies int) (*nn.Graph, map[int]bool, error) {
 				c.Inputs = append(c.Inputs, prevSinks...)
 			}
 			c.CrossStep = nil
-			added := g.AddOp(c)
-			restricted[added.ID] = true
+			c.HostOnly = true
+			g.AddOp(c)
 		}
 		prevSinks = prevSinks[:0]
 		for i := range b.Ops {
@@ -110,9 +102,9 @@ func Combine(a, b *nn.Graph, copies int) (*nn.Graph, map[int]bool, error) {
 		}
 	}
 	if err := g.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("workload: combined graph: %w", err)
+		return nil, fmt.Errorf("workload: combined graph: %w", err)
 	}
-	return g, restricted, nil
+	return g, nil
 }
 
 // ScaleGraph multiplies every operation's work by k, modelling k
@@ -123,10 +115,30 @@ func ScaleGraph(g *nn.Graph, k float64) *nn.Graph {
 	if k < 1 {
 		k = 1
 	}
+	out := copyGraph(g, func(c *nn.Op) {
+		c.Muls *= k
+		c.Adds *= k
+		c.OtherFlops *= k
+		c.Bytes *= k
+	})
+	out.InputBytes *= k
+	return out
+}
+
+// hostOnly returns a copy of g with every op HostOnly: the Section VI-F
+// placement of a non-CNN job.
+func hostOnly(g *nn.Graph) *nn.Graph {
+	return copyGraph(g, func(c *nn.Op) { c.HostOnly = true })
+}
+
+// copyGraph returns a deep copy of g, applying edit (if any) to each
+// op's copy once it is added (editing a local copy through a func
+// value would move every copy to the heap twice).
+func copyGraph(g *nn.Graph, edit func(*nn.Op)) *nn.Graph {
 	out := &nn.Graph{
 		Model:                   g.Model,
 		BatchSize:               g.BatchSize,
-		InputBytes:              g.InputBytes * k,
+		InputBytes:              g.InputBytes,
 		ParamBytes:              g.ParamBytes,
 		ActivationBytes:         g.ActivationBytes,
 		GPUUnhiddenTransferFrac: g.GPUUnhiddenTransferFrac,
@@ -135,22 +147,12 @@ func ScaleGraph(g *nn.Graph, k float64) *nn.Graph {
 	}
 	for _, op := range g.Ops {
 		c := *op
-		c.Muls *= k
-		c.Adds *= k
-		c.OtherFlops *= k
-		c.Bytes *= k
 		c.Inputs = append([]int(nil), op.Inputs...)
 		c.CrossStep = append([]int(nil), op.CrossStep...)
-		out.AddOp(c)
-	}
-	return out
-}
-
-// restrictAll marks every op of a graph host-only.
-func restrictAll(g *nn.Graph) map[int]bool {
-	out := make(map[int]bool, len(g.Ops))
-	for _, op := range g.Ops {
-		out[op.ID] = true
+		added := out.AddOp(c)
+		if edit != nil {
+			edit(added)
+		}
 	}
 	return out
 }
@@ -159,26 +161,27 @@ func restrictAll(g *nn.Graph) map[int]bool {
 // sequential-execution baseline. In both modes the non-CNN model runs
 // on the CPU and the programmable PIM only (its Section VI-F placement
 // policy); the co-run overlaps it with the CNN's PIM execution instead
-// of running it afterwards.
+// of running it afterwards. Every graph is a named model or a recipe
+// over named models, so a case whose four cells are cached builds,
+// copies and hashes nothing.
 func RunMixed(c MixedCase) (MixedResult, error) {
 	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
-	cnn, err := nn.Build(c.CNN)
+	cnn, err := nn.Named(c.CNN, 0)
 	if err != nil {
 		return MixedResult{}, err
 	}
-	non, err := nn.Build(c.NonCNN)
+	named, err := nn.Named(c.NonCNN, 0)
 	if err != nil {
 		return MixedResult{}, err
 	}
+	non := restrictSource(named)
 	// Standalone CNN step time under the full runtime.
 	cnnRes, err := core.RunPIM(cnn, cfg, core.HeteroOptions())
 	if err != nil {
 		return MixedResult{}, err
 	}
 	// Standalone non-CNN step time under its host-only policy.
-	nonOpts := core.HeteroOptions()
-	nonOpts.HostOnlyOps = restrictAll(non)
-	nonRes, err := core.RunPIM(non, cfg, nonOpts)
+	nonRes, err := core.RunPIM(non, cfg, core.HeteroOptions())
 	if err != nil {
 		return MixedResult{}, err
 	}
@@ -202,21 +205,18 @@ func RunMixed(c MixedCase) (MixedResult, error) {
 		}
 		perOp = k / float64(copies)
 	}
-	scaled := ScaleGraph(non, perOp)
-	singleOpts := core.HeteroOptions()
-	singleOpts.HostOnlyOps = restrictAll(scaled)
-	singleRes, err := core.RunPIM(scaled, cfg, singleOpts)
+	scaled := scaleSource(non, perOp)
+	singleRes, err := core.RunPIM(scaled, cfg, core.HeteroOptions())
 	if err != nil {
 		return MixedResult{}, err
 	}
 	sequential := cnnRes.StepTime + float64(copies)*singleRes.StepTime
 
-	combined, restricted, err := Combine(cnn, scaled, copies)
+	combined, err := combineSource(cnn, scaled, copies)
 	if err != nil {
 		return MixedResult{}, err
 	}
 	opts := core.HeteroOptions()
-	opts.HostOnlyOps = restricted
 	opts.Steps = 2 // combined graphs are large; two steady-state steps suffice
 	coRes, err := core.RunPIM(combined, cfg, opts)
 	if err != nil {

@@ -26,19 +26,25 @@ func TestMixedCasesAreSix(t *testing.T) {
 func TestCombineMergesGraphs(t *testing.T) {
 	a := nn.AlexNet()
 	b := nn.Word2Vec()
-	g, restricted, err := Combine(a, b, 3)
+	g, err := Combine(a, b, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(g.Ops) != len(a.Ops)+3*len(b.Ops) {
 		t.Fatalf("combined ops = %d, want %d", len(g.Ops), len(a.Ops)+3*len(b.Ops))
 	}
-	if len(restricted) != 3*len(b.Ops) {
-		t.Fatalf("restricted = %d, want %d", len(restricted), 3*len(b.Ops))
+	restricted := 0
+	for _, op := range g.Ops {
+		if op.HostOnly {
+			restricted++
+		}
+	}
+	if restricted != 3*len(b.Ops) {
+		t.Fatalf("restricted = %d, want %d", restricted, 3*len(b.Ops))
 	}
 	// Only the b side is restricted.
 	for i := 0; i < len(a.Ops); i++ {
-		if restricted[i] {
+		if g.Ops[i].HostOnly {
 			t.Fatalf("CNN op %d restricted", i)
 		}
 	}
@@ -62,7 +68,7 @@ func TestCombineMergesGraphs(t *testing.T) {
 
 func TestCombineRejectsZeroCopies(t *testing.T) {
 	a := nn.AlexNet()
-	if _, _, err := Combine(a, a, 0); err == nil {
+	if _, err := Combine(a, a, 0); err == nil {
 		t.Fatal("zero copies must error")
 	}
 }

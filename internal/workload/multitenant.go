@@ -58,12 +58,11 @@ func RunMultiTenant(tenants []TenantSpec) (MultiTenantResult, error) {
 		if err != nil {
 			return res, err
 		}
-		graphs[i] = g
-		opts := core.HeteroOptions()
 		if t.HostOnly {
-			opts.HostOnlyOps = restrictAll(g)
+			g = hostOnly(g)
 		}
-		r, err := core.RunPIM(g, cfg, opts)
+		graphs[i] = g
+		r, err := core.RunPIM(g, cfg, core.HeteroOptions())
 		if err != nil {
 			return res, err
 		}
@@ -76,11 +75,7 @@ func RunMultiTenant(tenants []TenantSpec) (MultiTenantResult, error) {
 		if k := 0.9 * longest / base[i]; k > 1 {
 			graphs[i] = ScaleGraph(graphs[i], k)
 		}
-		opts := core.HeteroOptions()
-		if tenants[i].HostOnly {
-			opts.HostOnlyOps = restrictAll(graphs[i])
-		}
-		r, err := core.RunPIM(graphs[i], cfg, opts)
+		r, err := core.RunPIM(graphs[i], cfg, core.HeteroOptions())
 		if err != nil {
 			return res, err
 		}
@@ -88,11 +83,10 @@ func RunMultiTenant(tenants []TenantSpec) (MultiTenantResult, error) {
 		res.Sequential += r.StepTime
 	}
 
-	// Merge all jobs into one graph; op-ID offsets track restriction.
+	// Merge all jobs into one graph; each op keeps its HostOnly flag.
 	combined := &nn.Graph{Model: "multi-tenant", BatchSize: graphs[0].BatchSize,
 		GPUUtilization: graphs[0].GPUUtilization, InputBytes: graphs[0].InputBytes}
-	restricted := map[int]bool{}
-	for i, g := range graphs {
+	for _, g := range graphs {
 		base := len(combined.Ops)
 		for _, op := range g.Ops {
 			c := *op
@@ -101,10 +95,7 @@ func RunMultiTenant(tenants []TenantSpec) (MultiTenantResult, error) {
 				c.Inputs[j] = base + in
 			}
 			c.CrossStep = nil
-			added := combined.AddOp(c)
-			if tenants[i].HostOnly {
-				restricted[added.ID] = true
-			}
+			combined.AddOp(c)
 		}
 		combined.ParamBytes += g.ParamBytes
 		combined.ActivationBytes += g.ActivationBytes
@@ -113,7 +104,6 @@ func RunMultiTenant(tenants []TenantSpec) (MultiTenantResult, error) {
 		return res, fmt.Errorf("workload: multi-tenant graph: %w", err)
 	}
 	opts := core.HeteroOptions()
-	opts.HostOnlyOps = restricted
 	opts.Steps = 2
 	r, err := core.RunPIM(combined, cfg, opts)
 	if err != nil {
