@@ -36,13 +36,15 @@ race:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-# bench runs the ablation benchmarks of DESIGN.md §6 at 1 and 4
-# logical CPUs. benchtime must exceed 1x: at 1x the printed result is
-# the b.N=1 discovery run, which executes before the per-variant
-# GOMAXPROCS takes effect. The paper artifacts are timed by
-# bench/run.sh (the figures and sweep workloads).
+# bench runs the ablation benchmarks of DESIGN.md §6, the simulator's
+# per-event benchmark (BenchmarkLiveRun: ns/event of live Hetero PIM
+# runs) and the engine's throughput benchmark, at 1 and 4 logical CPUs.
+# benchtime must exceed 1x: at 1x the printed result is the b.N=1
+# discovery run, which executes before the per-variant GOMAXPROCS takes
+# effect. The paper artifacts are timed by bench/run.sh (the figures
+# and sweep workloads).
 bench:
-	$(GO) test -bench=. -benchtime=3x -cpu=1,4 -run='^$$' .
+	$(GO) test -bench=. -benchtime=3x -cpu=1,4 -run='^$$' . ./internal/core ./internal/sim
 
 # bench-compare runs the benchmark (bench/run.sh) on a clone of BASE
 # and on the working tree, PAIRS pairs of SECONDS-second WORKLOAD runs

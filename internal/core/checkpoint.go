@@ -175,17 +175,6 @@ func (x *exec) markGrant() {
 	}
 }
 
-// taskSnap is the mutable per-task state at the checkpoint; the
-// structural fields (op, step, outs) are rebuilt by the fork's own
-// template instantiation.
-type taskSnap struct {
-	deps               int
-	token              pim.OpToken
-	path               pathKind
-	remFlops, remBytes float64
-	syncPerFlop        float64
-}
-
 // devSnap freezes a serial device: occupancy, energy integral and the
 // live queue window.
 type devSnap struct {
@@ -208,7 +197,7 @@ type RunCheckpoint struct {
 	minUnits, maxUnits int
 
 	eng       sim.Checkpoint
-	tasks     []taskSnap // [step*n + opID]
+	tasks     []taskState // [step*n + opID]
 	stepLeft  []int
 	heldBack  [][]int32
 	firstOpen int
@@ -343,7 +332,6 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 		return nil, fmt.Errorf("core: checkpoint point is budget-specific (window [%d, %d])",
 			w.minUnits, w.maxUnits)
 	}
-	n := len(g.Ops)
 	cp := &RunCheckpoint{
 		g:         g,
 		opts:      opts,
@@ -351,7 +339,7 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 		minUnits:  w.minUnits,
 		maxUnits:  w.maxUnits,
 		eng:       x.eng.Checkpoint(),
-		tasks:     make([]taskSnap, opts.Steps*n),
+		tasks:     make([]taskState, len(x.all)),
 		stepLeft:  append([]int(nil), x.stepLeft...),
 		heldBack:  make([][]int32, len(x.heldBack)),
 		firstOpen: x.firstOpen,
@@ -367,15 +355,8 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 		offload:   x.offload,
 		cpuOps:    x.cpuOps,
 	}
-	for s := 0; s < opts.Steps; s++ {
-		for id := 0; id < n; id++ {
-			t := x.tasks[s][id]
-			cp.tasks[s*n+id] = taskSnap{
-				deps: t.deps, token: t.token, path: t.path,
-				remFlops: t.remFlops, remBytes: t.remBytes,
-				syncPerFlop: t.syncPerFlop,
-			}
-		}
+	for i, t := range x.all {
+		cp.tasks[i] = t.taskState
 	}
 	for s, held := range x.heldBack {
 		for _, t := range held {
@@ -412,18 +393,8 @@ func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
 		return Result{}, err
 	}
 	defer x.teardown()
-	n := len(c.g.Ops)
-	for s := 0; s < c.opts.Steps; s++ {
-		row := x.tasks[s]
-		for id := 0; id < n; id++ {
-			sn := c.tasks[s*n+id]
-			t := row[id]
-			t.deps = sn.deps
-			t.token = sn.token
-			t.path = sn.path
-			t.remFlops, t.remBytes = sn.remFlops, sn.remBytes
-			t.syncPerFlop = sn.syncPerFlop
-		}
+	for i, t := range x.all {
+		t.taskState = c.tasks[i]
 	}
 	copy(x.stepLeft, c.stepLeft)
 	for s := range x.heldBack {

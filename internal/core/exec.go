@@ -150,42 +150,48 @@ const fixedTimeQuantum hw.Seconds = 2e-3
 
 // Event kinds of the PIM executor, numbered from 1 so a zero sim.Ev is
 // never a real event. Every kind names its task in Ref, as the task's
-// slab index (exec.ref); the scalar operands are documented per kind.
-// Scheduling these allocates nothing and stores no pointer — the
-// payload travels by value inside the engine's payload slab — which is
-// what makes the steady-state inner loop allocation-free (the
-// AllocsPerRun pin in exec_alloc_test.go) and free of GC write barriers.
+// slab index (exec.ref), and reads its operands from the task: a task
+// has at most one pending event, so taskState's fields from held on
+// hold that event's operands until it fires. Scheduling these allocates
+// nothing and stores no pointer — the 8-byte event travels inside the
+// engine's heap key — which is what makes the steady-state inner loop
+// allocation-free (the AllocsPerRun pin in exec_alloc_test.go) and free
+// of GC write barriers.
 const (
-	// evItemDone: a serial-device work item finished. A = device index
-	// (devCPU/devProg), N = slots to release, Start = span start.
-	evItemDone sim.EventKind = iota + 1
-	// evStartResidual: begin one residual half. Flag = before-sections.
-	evStartResidual
-	// evResidualDone: a residual half finished. Flag = before-sections,
-	// Start = span start.
-	evResidualDone
-	// evSectionDone: one fixed-pool chunk finished. N = granted units,
-	// F1/F2 = chunk flops/bytes, F3 = sync-gap duration, Start = span
+	// evItemDone: a serial-device work item finished. The device is the
+	// task's path (prog or host); held = slots to release, start = span
 	// start.
+	evItemDone sim.EventKind = iota + 1
+	// evStartResidual: begin one residual half; before = before-sections.
+	evStartResidual
+	// evResidualDone: a residual half finished; before = before-sections,
+	// start = span start.
+	evResidualDone
+	// evSectionDone: one fixed-pool chunk finished; held = granted units,
+	// chunkFlops/chunkBytes = the chunk's work, syncGap = the gap that
+	// follows it, start = span start.
 	evSectionDone
 	// evSyncGap: the post-chunk synchronization gap elapsed; request the
 	// next chunk or finish the op.
 	evSyncGap
 )
 
-// Serial-device indexes for evItemDone's A operand.
-const (
-	devCPU uint8 = iota
-	devProg
-)
-
-// task is one operation instance (op x step) in flight.
+// task is one operation instance (op x step) in flight: its place in
+// the task DAG, which the template builds once per arena, and the state
+// a run mutates.
 type task struct {
 	op   *nn.Op
 	step int
-	deps int
 	outs []*task
+	taskState
+}
 
+// taskState is everything a run mutates in a task. A delta checkpoint
+// freezes it whole and a replay restores it whole (checkpoint.go); a
+// deep checkpoint can freeze a task mid-section, so that includes its
+// pending event's operands.
+type taskState struct {
+	deps int
 	// token is the op's handle in the Fig. 7 status registers.
 	token pim.OpToken
 
@@ -196,6 +202,16 @@ type task struct {
 	// syncPerFlop spreads the op's total per-kernel synchronization
 	// cost over its decomposable flops.
 	syncPerFlop float64
+
+	// The operands of the task's pending event (see the event kinds):
+	// device slots or fixed units held, the fixed-pool chunk in flight
+	// and its sync gap, which residual half runs, and the open span's
+	// start.
+	held                   int32
+	before                 bool
+	chunkFlops, chunkBytes float64
+	syncGap                hw.Seconds
+	start                  hw.Seconds
 }
 
 // workItem is a unit of queued device work.
@@ -227,8 +243,6 @@ const maxBypass = 8
 // re-slice leaked the array head and forced append to re-grow it
 // continuously — the hottest allocation site of the scheduling loop).
 type serialDevice struct {
-	// idx is the device's evItemDone operand (devCPU or devProg).
-	idx   uint8
 	slots int
 	busy  int
 	sjf   bool
@@ -414,8 +428,8 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 		// inter-op thread pool keeps multiple operations in flight on
 		// the 8-core machine, which is what lets a co-running job use
 		// idle host cycles (Section VI-F).
-		cpu:  &serialDevice{idx: devCPU, slots: 2, sjf: true, name: hostTrack, queueMetric: "queue." + hostTrack},
-		prog: &serialDevice{idx: devProg, slots: cfg.ProgPIM.Processors, name: "prog", queueMetric: "queue.prog"},
+		cpu:  &serialDevice{slots: 2, sjf: true, name: hostTrack, queueMetric: "queue." + hostTrack},
+		prog: &serialDevice{slots: cfg.ProgPIM.Processors, name: "prog", queueMetric: "queue.prog"},
 	}
 	// The executor is the engine's typed-event dispatcher; Release's
 	// Reset detaches it along with the collector.
@@ -773,14 +787,13 @@ func (x *exec) pumpDevice(d *serialDevice) {
 		w := d.pop()
 		d.busy += w.slots
 		d.busySeconds += w.dur * float64(w.slots)
+		t := x.all[w.t]
 		if x.eng.Observing() {
 			x.eng.EmitSample(d.queueMetric, float64(d.pending()))
-			t := x.all[w.t]
 			x.eng.EmitTaskStart(sim.Task{Track: d.name, Name: t.op.Name, Kind: "op", Step: t.step})
 		}
-		if err := x.eng.AfterEv(w.dur, sim.Ev{
-			Kind: evItemDone, A: d.idx, N: int32(w.slots), Start: x.eng.Now(), Ref: w.t,
-		}); err != nil {
+		t.held, t.start = int32(w.slots), x.eng.Now()
+		if err := x.eng.AfterEv(w.dur, sim.Ev{Kind: evItemDone, Ref: w.t}); err != nil {
 			x.err = err
 		}
 	}
@@ -805,18 +818,19 @@ func (x *exec) residualTrack() string {
 
 // HandleEvent dispatches the executor's events. The statement order
 // within each case is part of the contract: the golden tables are
-// bit-sensitive to it.
+// bit-sensitive to it. An event of a kind the executor never schedules
+// fails the run.
 func (x *exec) HandleEvent(ev sim.Ev) {
 	t := x.all[ev.Ref]
 	switch ev.Kind {
 	case evItemDone:
 		d := x.cpu
-		if ev.A == devProg {
+		if t.path == pathProg {
 			d = x.prog
 		}
-		d.busy -= int(ev.N)
+		d.busy -= int(t.held)
 		if x.eng.Observing() {
-			x.eng.EmitTaskEnd(sim.Task{Track: d.name, Name: t.op.Name, Kind: "op", Step: t.step, Start: ev.Start})
+			x.eng.EmitTaskEnd(sim.Task{Track: d.name, Name: t.op.Name, Kind: "op", Step: t.step, Start: t.start})
 		}
 		x.pumpDevice(d)
 		if t.path == pathProg {
@@ -824,19 +838,19 @@ func (x *exec) HandleEvent(ev sim.Ev) {
 		}
 		x.complete(t)
 	case evStartResidual:
-		x.runResidual(t, ev.Flag)
+		x.runResidual(t, t.before)
 	case evResidualDone:
 		if x.eng.Observing() {
-			x.eng.EmitTaskEnd(sim.Task{Track: x.residualTrack(), Name: t.op.Name, Kind: "residual", Step: t.step, Start: ev.Start})
+			x.eng.EmitTaskEnd(sim.Task{Track: x.residualTrack(), Name: t.op.Name, Kind: "residual", Step: t.step, Start: t.start})
 		}
-		if ev.Flag {
+		if t.before {
 			x.requestSection(t)
 		} else {
 			x.completeOffload(t)
 			x.complete(t)
 		}
 	case evSectionDone:
-		x.sectionDone(t, ev)
+		x.sectionDone(t)
 	case evSyncGap:
 		if t.remFlops > 0 {
 			x.requestSection(t)
@@ -845,10 +859,13 @@ func (x *exec) HandleEvent(ev sim.Ev) {
 		// Completion: with RC the programmable PIM notifies the host
 		// once; without RC the host already synchronized per kernel.
 		if x.opts.RC {
-			x.delayEv(x.cfg.FixedPIM.HostSyncOverhead, sim.Ev{Kind: evStartResidual, Flag: false, Ref: ev.Ref})
+			t.before = false
+			x.delayEv(x.cfg.FixedPIM.HostSyncOverhead, sim.Ev{Kind: evStartResidual, Ref: ev.Ref})
 		} else {
 			x.runResidual(t, false)
 		}
+	default:
+		x.err = fmt.Errorf("core: op %s: event of unknown kind %d", t.op.Name, ev.Kind)
 	}
 }
 
@@ -968,7 +985,8 @@ func (x *exec) startFixed(t *task) {
 	// recursive kernel on the programmable PIM; without RC the host
 	// drives every small kernel itself (charged per kernel, below).
 	if x.opts.RC {
-		x.delayEv(x.cfg.ProgPIM.KernelLaunchOverhead, sim.Ev{Kind: evStartResidual, Flag: true, Ref: x.ref(t)})
+		t.before = true
+		x.delayEv(x.cfg.ProgPIM.KernelLaunchOverhead, sim.Ev{Kind: evStartResidual, Ref: x.ref(t)})
 	} else {
 		x.runResidual(t, true)
 	}
@@ -1002,9 +1020,8 @@ func (x *exec) runResidual(t *task, before bool) {
 	if x.eng.Observing() {
 		x.eng.EmitTaskStart(sim.Task{Track: x.residualTrack(), Name: t.op.Name, Kind: "residual", Step: t.step})
 	}
-	if err := x.eng.AfterEv(half.Time(), sim.Ev{
-		Kind: evResidualDone, Flag: before, Start: x.eng.Now(), Ref: x.ref(t),
-	}); err != nil {
+	t.before, t.start = before, x.eng.Now()
+	if err := x.eng.AfterEv(half.Time(), sim.Ev{Kind: evResidualDone, Ref: x.ref(t)}); err != nil {
 		x.err = err
 	}
 }
@@ -1074,11 +1091,9 @@ func (x *exec) runSection(t *task, granted int) {
 		x.eng.EmitSample("fixed.busy_units", float64(x.pool.Busy()))
 		x.eng.EmitTaskStart(sim.Task{Track: "fixed", Name: t.op.Name, Kind: "section", Step: t.step})
 	}
-	if err := x.eng.AfterEv(dur, sim.Ev{
-		Kind: evSectionDone, N: int32(granted),
-		F1: chunkFlops, F2: chunkBytes, F3: syncCost,
-		Start: x.eng.Now(), Ref: x.ref(t),
-	}); err != nil {
+	t.held, t.chunkFlops, t.chunkBytes, t.syncGap = int32(granted), chunkFlops, chunkBytes, syncCost
+	t.start = x.eng.Now()
+	if err := x.eng.AfterEv(dur, sim.Ev{Kind: evSectionDone, Ref: x.ref(t)}); err != nil {
 		x.err = err
 	}
 }
@@ -1086,25 +1101,24 @@ func (x *exec) runSection(t *task, granted int) {
 // sectionDone finishes one granted chunk (the evSectionDone case):
 // release the units, account the chunk, hand freed units to waiters,
 // and schedule the synchronization gap.
-func (x *exec) sectionDone(t *task, ev sim.Ev) {
-	granted := int(ev.N)
+func (x *exec) sectionDone(t *task) {
 	x.pool.Advance(x.eng.Now())
-	if err := x.pool.Release(granted); err != nil {
+	if err := x.pool.Release(int(t.held)); err != nil {
 		x.err = err
 		return
 	}
 	if x.eng.Observing() {
-		x.eng.EmitTaskEnd(sim.Task{Track: "fixed", Name: t.op.Name, Kind: "section", Step: t.step, Start: ev.Start})
+		x.eng.EmitTaskEnd(sim.Task{Track: "fixed", Name: t.op.Name, Kind: "section", Step: t.step, Start: t.start})
 		x.eng.EmitSample("fixed.busy_units", float64(x.pool.Busy()))
 	}
-	t.remFlops -= ev.F1
-	t.remBytes -= ev.F2
+	t.remFlops -= t.chunkFlops
+	t.remBytes -= t.chunkBytes
 	if t.remFlops < 1 {
 		t.remFlops = 0
 	}
 	x.pumpFixedPending()
 	// The synchronization gap runs with the units already released.
-	if err := x.eng.AfterEv(ev.F3, sim.Ev{Kind: evSyncGap, Ref: ev.Ref}); err != nil {
+	if err := x.eng.AfterEv(t.syncGap, sim.Ev{Kind: evSyncGap, Ref: x.ref(t)}); err != nil {
 		x.err = err
 	}
 }

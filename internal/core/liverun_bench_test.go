@@ -1,0 +1,57 @@
+package core
+
+import (
+	"testing"
+
+	"heteropim/internal/hw"
+	"heteropim/internal/nn"
+)
+
+// BenchmarkLiveRun times live Hetero PIM runs — the result cache off,
+// so every iteration simulates — and reports the cost per simulated
+// event, each run's setup (placement, pool, task arena) included, and
+// the run's event count. The VGG-19 cases are two DSE candidates (60
+// units; 400 units at 2x frequency), AlexNet runs the paper's platform.
+//
+//	go test -run '^$' -bench BenchmarkLiveRun -cpu 1 ./internal/core
+func BenchmarkLiveRun(b *testing.B) {
+	prev := EnableResultCache(false)
+	defer EnableResultCache(prev)
+	for _, c := range []struct {
+		name  string
+		model nn.ModelName
+		units int // 0 keeps the paper's budget
+		freq  float64
+	}{
+		{"VGG-19/60units", nn.VGG19Name, 60, 1},
+		{"VGG-19/400units-2x", nn.VGG19Name, 400, 2},
+		{"AlexNet", nn.AlexNetName, 0, 1},
+	} {
+		g, err := nn.Build(c.model)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, c.freq)
+		if c.units > 0 {
+			cfg.FixedPIM = hw.PaperFixedPIM(c.units)
+		}
+		opts := HeteroOptions()
+		b.Run(c.name, func(b *testing.B) {
+			counted := opts
+			counter := &countingCollector{counts: map[string]float64{}}
+			counted.Collector = counter
+			if _, err := RunPIM(g, cfg, counted); err != nil {
+				b.Fatal(err)
+			}
+			events := counter.counts["sim.events"]
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunPIM(g, cfg, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
+			b.ReportMetric(events, "events")
+		})
+	}
+}

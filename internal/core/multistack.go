@@ -188,16 +188,21 @@ func simulateAllReduce(sched ReduceSchedule, stacks int, gradBytes float64, link
 }
 
 // evTransferDone is the all-reduce's one event kind: a link transfer of
-// phase N finished.
+// the open phase finished.
 const evTransferDone sim.EventKind = 1
 
-// allReduce is the event handler of one simulated all-reduce.
+// allReduce is the event handler of one simulated all-reduce. Only one
+// phase is open at a time, so the open phase and its start time live
+// here, not on the events.
 type allReduce struct {
 	eng       *sim.Engine
 	phases    []nn.AllReducePhase
 	gradBytes float64
 	link      hw.InterStackLinkSpec
-	// remaining counts the open phase's transfers still in flight.
+	// phase is the open phase, start the time it opened, and remaining
+	// counts its transfers still in flight.
+	phase     int
+	start     hw.Seconds
 	remaining int
 	bytes     float64
 	err       error
@@ -212,14 +217,14 @@ func (a *allReduce) startPhase(p int) {
 	}
 	ph := a.phases[p]
 	dur := phaseDuration(ph.Frac, a.gradBytes, a.link)
-	start := a.eng.Now()
+	a.phase, a.start = p, a.eng.Now()
 	a.remaining = len(ph.Transfers)
 	for _, tr := range ph.Transfers {
 		if a.eng.Observing() {
-			a.eng.EmitTaskStart(linkSpan(tr, start))
+			a.eng.EmitTaskStart(linkSpan(tr, a.start))
 		}
 		a.bytes += ph.Frac * a.gradBytes
-		if err := a.eng.AfterEv(dur, sim.Ev{Kind: evTransferDone, N: int32(p), Start: start}); err != nil {
+		if err := a.eng.AfterEv(dur, sim.Ev{Kind: evTransferDone}); err != nil {
 			a.err = err
 			return
 		}
@@ -229,16 +234,20 @@ func (a *allReduce) startPhase(p int) {
 // HandleEvent completes one transfer; the last one of its phase opens
 // the next phase. A phase's transfers share one duration and were
 // scheduled in template order, so they complete in that order: the
-// completion is transfer len(Transfers)-remaining of phase ev.N.
+// completion is transfer len(Transfers)-remaining of the open phase. An
+// event of any other kind fails the run.
 func (a *allReduce) HandleEvent(ev sim.Ev) {
-	p := int(ev.N)
+	if ev.Kind != evTransferDone {
+		a.err = fmt.Errorf("core: all-reduce event of unknown kind %d", ev.Kind)
+		return
+	}
 	if a.eng.Observing() {
-		ph := a.phases[p]
-		a.eng.EmitTaskEnd(linkSpan(ph.Transfers[len(ph.Transfers)-a.remaining], ev.Start))
+		ph := a.phases[a.phase]
+		a.eng.EmitTaskEnd(linkSpan(ph.Transfers[len(ph.Transfers)-a.remaining], a.start))
 	}
 	a.remaining--
 	if a.remaining == 0 {
-		a.startPhase(p + 1)
+		a.startPhase(a.phase + 1)
 	}
 }
 

@@ -22,10 +22,16 @@ type spanKey struct {
 // the simulator's invariants while the run happens, event by event.
 //
 //   - Emitted timestamps (span starts and ends, samples) never decrease.
+//     A multi-stack run's all-reduce is simulated on an engine of its
+//     own, whose clock starts again at 0, so its link spans are checked
+//     as a timeline of their own.
 //   - Every TaskEnd closes an open TaskStart on its track with the same
-//     name, kind, step and Start, so the operands an event carries
-//     through the engine's payload slab arrive intact; at the end no
-//     span is left open.
+//     name, kind, step and Start, so the operands a task keeps for its
+//     pending event (the span start among them) survive until the event
+//     fires; at the end no span is left open.
+//   - Every op and section span ends after it starts: an op's duration
+//     includes a positive dispatch or launch overhead, and a section
+//     runs a chunk of positive work.
 //   - fixed.busy_units stays within [0, Units].
 //   - Concurrent spans on the host track (cpu or gpu) never exceed its
 //     2 slots, and on prog never exceed the P processors.
@@ -40,11 +46,12 @@ type oracle struct {
 	// their op, so the check is by name, which is unique only within
 	// one built model (see hostOnlyNames).
 	hostOnly map[string]bool
-	last     hw.Seconds
-	open     map[spanKey]int
-	live     map[string]int // open spans per track
-	spans    int
-	fails    int
+	// last holds the latest emission time per timeline (timelineOf).
+	last  [2]hw.Seconds
+	open  map[spanKey]int
+	live  map[string]int // open spans per track
+	spans int
+	fails int
 }
 
 // newOracle builds the checker for one run on cfg.
@@ -66,16 +73,26 @@ func (o *oracle) fail(format string, args ...any) {
 	}
 }
 
-// at checks that time has not gone backwards.
-func (o *oracle) at(what string, t hw.Seconds) {
-	if t < o.last {
-		o.fail("%s at %.12g, after an emission at %.12g", what, t, o.last)
+// timelineOf returns the clock a track's emissions are ordered on: 1
+// for the all-reduce's link spans, 0 for everything the stack's own
+// engine emits.
+func timelineOf(track string) int {
+	if track == "link" {
+		return 1
 	}
-	o.last = t
+	return 0
+}
+
+// at checks that time has not gone backwards on a timeline.
+func (o *oracle) at(what string, timeline int, t hw.Seconds) {
+	if last := o.last[timeline]; t < last {
+		o.fail("%s at %.12g, after an emission at %.12g", what, t, last)
+	}
+	o.last[timeline] = t
 }
 
 func (o *oracle) TaskStart(s sim.Task) {
-	o.at("span start "+s.Track+"/"+s.Name, s.Start)
+	o.at("span start "+s.Track+"/"+s.Name, timelineOf(s.Track), s.Start)
 	if o.hostOnly[s.Name] && (s.Track == "fixed" || strings.HasPrefix(s.Track, "residual.")) {
 		o.fail("host-only op %s opened a %s span on %s", s.Name, s.Kind, s.Track)
 	}
@@ -88,7 +105,10 @@ func (o *oracle) TaskStart(s sim.Task) {
 }
 
 func (o *oracle) TaskEnd(s sim.Task) {
-	o.at("span end "+s.Track+"/"+s.Name, s.End)
+	o.at("span end "+s.Track+"/"+s.Name, timelineOf(s.Track), s.End)
+	if (s.Kind == "op" || s.Kind == "section") && s.End <= s.Start {
+		o.fail("%s span %s/%s ends at %.12g, not after its start %.12g", s.Kind, s.Track, s.Name, s.End, s.Start)
+	}
 	k := spanKey{s.Track, s.Name, s.Kind, s.Step, s.Start}
 	if o.open[k] == 0 {
 		o.fail("span end %+v closes no open span", s)
@@ -101,7 +121,7 @@ func (o *oracle) TaskEnd(s sim.Task) {
 }
 
 func (o *oracle) Sample(name string, at hw.Seconds, v float64) {
-	o.at("sample "+name, at)
+	o.at("sample "+name, 0, at)
 	if name == "fixed.busy_units" && (v < 0 || v > float64(o.units)) {
 		o.fail("fixed.busy_units %g outside [0, %d]", v, o.units)
 	}
@@ -154,7 +174,9 @@ func runChecked(t testing.TB, label string, g *nn.Graph, cfg hw.SystemConfig, op
 }
 
 // TestOracleCNNs attaches the oracle to the five CNNs on the three PIM
-// platforms, each with RC and OP switched on and off.
+// platforms, each with RC and OP switched on and off, and to 2- and
+// 4-stack Hetero PIM runs of each (stack 0's timeline and the
+// all-reduce's link spans).
 func TestOracleCNNs(t *testing.T) {
 	kinds := []hw.ConfigKind{hw.ConfigProgrPIM, hw.ConfigFixedPIM, hw.ConfigHeteroPIM}
 	for _, name := range nn.CNNModelNames() {
@@ -171,6 +193,11 @@ func TestOracleCNNs(t *testing.T) {
 					runChecked(t, fmt.Sprintf("%s on %v RC=%t OP=%t", name, kind, rc, op), g, cfg, opts)
 				}
 			}
+		}
+		for _, stacks := range []int{2, 4} {
+			opts := HeteroOptions()
+			opts.Stacks = stacks
+			runChecked(t, fmt.Sprintf("%s on %d Hetero PIM stacks", name, stacks), g, hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1), opts)
 		}
 	}
 }
@@ -213,6 +240,20 @@ func TestOracleCatchesBrokenRuns(t *testing.T) {
 		{"time goes back", func(o *oracle) {
 			o.Sample("queue.cpu", 2, 0)
 			o.Sample("queue.cpu", 1, 0)
+		}},
+		{"link time goes back", func(o *oracle) {
+			o.TaskStart(sim.Task{Track: "link", Name: "a", Kind: "allreduce", Start: 2})
+			o.TaskEnd(sim.Task{Track: "link", Name: "a", Kind: "allreduce", Start: 2, End: 3})
+			o.TaskStart(sim.Task{Track: "link", Name: "b", Kind: "allreduce", Start: 1})
+			o.TaskEnd(sim.Task{Track: "link", Name: "b", Kind: "allreduce", Start: 1, End: 3})
+		}},
+		{"op span of zero length", func(o *oracle) {
+			o.TaskStart(sim.Task{Track: "cpu", Name: "a", Kind: "op", Start: 1})
+			o.TaskEnd(sim.Task{Track: "cpu", Name: "a", Kind: "op", Start: 1, End: 1})
+		}},
+		{"section span of zero length", func(o *oracle) {
+			o.TaskStart(sim.Task{Track: "fixed", Name: "a", Kind: "section", Start: 1})
+			o.TaskEnd(sim.Task{Track: "fixed", Name: "a", Kind: "section", Start: 1, End: 1})
 		}},
 		{"end without start", func(o *oracle) {
 			o.TaskEnd(sim.Task{Track: "cpu", Name: "a", Kind: "op", Start: 0, End: 1})

@@ -205,12 +205,7 @@ func (tpl *taskTemplate) acquire(g *nn.Graph) *taskArena {
 	for i := range a.slab {
 		t := &a.slab[i]
 		t.op = g.Ops[i%tpl.n]
-		t.deps = int(tpl.deps[i])
-		t.token = 0
-		t.path = 0
-		t.remFlops = 0
-		t.remBytes = 0
-		t.syncPerFlop = 0
+		t.taskState = taskState{deps: int(tpl.deps[i])}
 	}
 	for s := range a.stepLeft {
 		a.stepLeft[s] = tpl.n

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"heteropim/internal/hw"
 )
@@ -15,9 +16,10 @@ import (
 // prefix of a design-space candidate's event timeline across the whole
 // candidate group.
 //
-// Event payloads are plain values whose Ref operands index the owner's
-// storage, so a checkpoint outlives the run it was taken from and a
-// fork resolves the same indices in its own state.
+// Events are plain values whose Ref operands index the owner's storage,
+// so a checkpoint outlives the run it was taken from and a fork resolves
+// the same indices in its own state. The keys carry their events, so a
+// checkpoint is the keys and nothing else.
 //
 // Bit-identity contract: restoring a checkpoint into a fresh engine and
 // draining it executes exactly the events, in exactly the order, at
@@ -34,10 +36,8 @@ type Checkpoint struct {
 	seq       uint64
 	processed uint64
 	maxEvents uint64
-	// events is the heap in layout order, each key's slot renumbered
-	// to its own position; payloads[i] is events[i]'s payload.
-	events   []key
-	payloads []Ev
+	// events is the heap in layout order.
+	events []key
 }
 
 // Now returns the simulated time the checkpoint was taken at.
@@ -54,20 +54,13 @@ func (c Checkpoint) Pending() int { return len(c.events) }
 // event is still mutating state — the snapshot cannot see half-applied
 // mutations, only the engine's own queue).
 func (e *Engine) Checkpoint() Checkpoint {
-	cp := Checkpoint{
+	return Checkpoint{
 		now:       e.now,
 		seq:       e.seq,
 		processed: e.processed,
 		maxEvents: e.MaxEvents,
-		events:    make([]key, len(e.events)),
-		payloads:  make([]Ev, len(e.events)),
+		events:    slices.Clone(e.events),
 	}
-	for i, k := range e.events {
-		cp.payloads[i] = e.slab[k.slot]
-		k.slot = int32(i)
-		cp.events[i] = k
-	}
-	return cp
 }
 
 // Restore loads a checkpoint into a fresh (new or Reset) engine.
@@ -83,8 +76,6 @@ func (e *Engine) Restore(cp Checkpoint) error {
 	e.processed = cp.processed
 	e.MaxEvents = cp.maxEvents
 	e.events = append(e.events[:0], cp.events...)
-	e.slab = append(e.slab[:0], cp.payloads...)
-	e.free = e.free[:0]
 	return nil
 }
 

@@ -15,20 +15,20 @@ type cpHandler struct {
 
 type cpEntry struct {
 	kind EventKind
-	n    int32
+	ref  int32
 	at   float64
 }
 
 func (h *cpHandler) HandleEvent(ev Ev) {
-	h.log = append(h.log, cpEntry{kind: ev.Kind, n: ev.N, at: h.eng.Now()})
+	h.log = append(h.log, cpEntry{kind: ev.Kind, ref: ev.Ref, at: h.eng.Now()})
 	// A little feedback scheduling so the suffix depends on engine state
 	// (sequence tie-breaks, relative delays), not just the initial queue.
 	if ev.Kind == 1 && h.feed < 5 {
 		h.feed++
-		if err := h.eng.AfterEv(0.5, Ev{Kind: 2, N: ev.N + 100}); err != nil {
+		if err := h.eng.AfterEv(0.5, Ev{Kind: 2, Ref: ev.Ref + 100}); err != nil {
 			panic(err)
 		}
-		if err := h.eng.AfterEv(0.5, Ev{Kind: 2, N: ev.N + 200}); err != nil {
+		if err := h.eng.AfterEv(0.5, Ev{Kind: 2, Ref: ev.Ref + 200}); err != nil {
 			panic(err)
 		}
 	}
@@ -42,13 +42,13 @@ func seedEngine(t *testing.T, e *Engine, h *cpHandler) {
 	h.eng = e
 	for i := 0; i < 8; i++ {
 		at := float64(i%3) + 0.25
-		if err := e.AtEv(at, Ev{Kind: 1, N: int32(i)}); err != nil {
+		if err := e.AtEv(at, Ev{Kind: 1, Ref: int32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Ties at t=1.0 exercise sequence-order preservation.
 	for i := 0; i < 4; i++ {
-		if err := e.AtEv(1.0, Ev{Kind: 3, N: int32(i)}); err != nil {
+		if err := e.AtEv(1.0, Ev{Kind: 3, Ref: int32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

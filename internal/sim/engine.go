@@ -13,15 +13,14 @@ import (
 	"heteropim/internal/hw"
 )
 
-// key is one heap entry: a scheduled event's order key and the slot
-// its payload (event.go) occupies in the engine's payload slab. Keys
-// and payloads hold no pointer, so moving them is a plain copy — no GC
+// key is one heap entry: a scheduled event's order key and the event
+// itself. Keys hold no pointer, so moving them is a plain copy — no GC
 // write barrier on the heap's sift path, and nothing for the collector
 // to scan in a pooled engine's storage.
 type key struct {
-	at   hw.Seconds
-	seq  uint64
-	slot int32
+	at  hw.Seconds
+	seq uint64
+	ev  Ev
 }
 
 // before is the heap order: time first, insertion sequence as the tie
@@ -33,12 +32,12 @@ func (k key) before(o key) bool {
 	return k.seq < o.seq
 }
 
-// eventHeap is a typed 4-ary implicit heap of 24-byte keys. The
-// payloads stay put in the slab while the keys sift, so a level costs a
-// third of the bytes a full event would move. A 4-ary layout halves the
-// tree depth of the binary heap, trading slightly more sibling
-// comparisons per level for fewer cache-missing levels — the right
-// trade for the tens of thousands of events a steady-state run pushes.
+// eventHeap is a typed 4-ary implicit heap of 24-byte keys, each
+// carrying its 8-byte event, so there is no side storage to keep in
+// step with the heap. A 4-ary layout halves the tree depth of the
+// binary heap, trading slightly more sibling comparisons per level for
+// fewer cache-missing levels — the right trade for the tens of
+// thousands of events a steady-state run pushes.
 // Children of node i live at 4i+1..4i+4; the parent of i is (i-1)/4.
 //
 // push and pop re-slice *h in place (`*h = append(*h, k)`,
@@ -104,10 +103,6 @@ type Engine struct {
 	now    hw.Seconds
 	seq    uint64
 	events eventHeap
-	// slab holds the payload of every pending event at its key's slot;
-	// free lists the slots of dispatched events for reuse.
-	slab []Ev
-	free []int32
 	// processed counts executed events (for runaway detection).
 	processed uint64
 	// MaxEvents guards against schedule loops; 0 means the default.
@@ -144,18 +139,6 @@ func (e *Engine) checkTime(t hw.Seconds) error {
 	return nil
 }
 
-// store places a payload in a free slab slot and returns the slot.
-func (e *Engine) store(ev Ev) int32 {
-	if n := len(e.free); n > 0 {
-		s := e.free[n-1]
-		e.free = e.free[:n-1]
-		e.slab[s] = ev
-		return s
-	}
-	e.slab = append(e.slab, ev)
-	return int32(len(e.slab) - 1)
-}
-
 // drain is the execution loop behind Run and RunUntil: it executes
 // events until the queue empties or the total processed count reaches
 // stopAfter, returning an error if the event budget is exhausted (a
@@ -170,15 +153,12 @@ func (e *Engine) drain(stopAfter uint64) error {
 			return fmt.Errorf("sim: event budget (%d) exhausted at t=%.9g — scheduling loop?", max, e.now)
 		}
 		k := e.events.pop()
-		ev := e.slab[k.slot]
-		// The payload is copied out, so the handler may reuse the slot.
-		e.free = append(e.free, k.slot)
 		e.now = k.at
 		e.processed++
 		if e.handler == nil {
-			return fmt.Errorf("sim: event kind %d at t=%.9g with no handler attached", ev.Kind, e.now)
+			return fmt.Errorf("sim: event kind %d at t=%.9g with no handler attached", k.ev.Kind, e.now)
 		}
-		e.handler.HandleEvent(ev)
+		e.handler.HandleEvent(k.ev)
 	}
 	return nil
 }
@@ -187,9 +167,8 @@ func (e *Engine) drain(stopAfter uint64) error {
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Reset returns the engine to its initial state (time zero, no events,
-// default budget) while keeping the heap's and the slab's backing
-// arrays, so a recycled engine runs its next simulation without
-// re-growing either.
+// default budget) while keeping the heap's backing array, so a
+// recycled engine runs its next simulation without re-growing it.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
@@ -198,8 +177,6 @@ func (e *Engine) Reset() {
 	e.obs = nil
 	e.handler = nil
 	e.events = e.events[:0]
-	e.slab = e.slab[:0]
-	e.free = e.free[:0]
 }
 
 // enginePool recycles engines (and their grown heap arrays) across

@@ -6,37 +6,27 @@ import (
 	"heteropim/internal/hw"
 )
 
-// Typed event payloads. An event is a small value struct carried
-// inside the engine's own payload slab, so scheduling one touches no
-// allocator at all.
+// Typed events. An event is an 8-byte value carried inside its own
+// heap key (engine.go), so scheduling one touches no allocator and no
+// side storage at all.
 //
-// The payload is deliberately generic — a kind tag plus a handful of
-// scalar operands and one owner-defined reference — so internal/sim
-// stays free of executor types. Each engine user defines its own
-// EventKind values and implements Handler; the engine routes every
-// event there. The payload holds no pointer: an event names the object
-// it acts on by an index into its owner's own storage (Ref), so no
-// scheduling step writes a pointer the GC must track.
+// The event is deliberately minimal — a kind tag and one owner-defined
+// reference — so internal/sim stays free of executor types. Each engine
+// user defines its own EventKind values and implements Handler; the
+// engine routes every event there. An event names the object it acts
+// on by an index into its owner's own storage (Ref), and that object
+// holds the event's operands (units held, work in flight, a span's
+// start): an object with at most one pending event needs nothing more.
+// The event holds no pointer, so no scheduling step writes a pointer
+// the GC must track.
 
 // EventKind discriminates events; its values are owner-defined.
 type EventKind uint8
 
-// Ev is one typed event payload. Field meaning is owner-defined per
-// Kind; the struct is sized so the common cases (a task reference, a
-// device index, a few work scalars, a recorded start time) fit without
-// any side allocation.
+// Ev is one typed event: what happens (Kind) to which of its owner's
+// objects (Ref).
 type Ev struct {
 	Kind EventKind
-	// A is a small operand (e.g. a device index).
-	A uint8
-	// Flag is a boolean operand (e.g. before/after residual).
-	Flag bool
-	// N is an integer operand (e.g. slots or granted units).
-	N int32
-	// F1..F3 are scalar operands (e.g. chunk flops/bytes, a sync cost).
-	F1, F2, F3 float64
-	// Start is a recorded timestamp operand (e.g. a span's start).
-	Start hw.Seconds
 	// Ref names the object the event acts on, as an index into the
 	// owner's storage (e.g. a task's slab index).
 	Ref int32
@@ -55,13 +45,13 @@ func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
 // AtEv schedules an event at an absolute time, which must be finite and
 // not in the past. It performs no allocation beyond (amortized) heap
-// and slab growth.
+// growth.
 func (e *Engine) AtEv(t hw.Seconds, ev Ev) error {
 	if err := e.checkTime(t); err != nil {
 		return err
 	}
 	e.seq++
-	e.events.push(key{at: t, seq: e.seq, slot: e.store(ev)})
+	e.events.push(key{at: t, seq: e.seq, ev: ev})
 	return nil
 }
 

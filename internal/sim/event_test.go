@@ -4,22 +4,22 @@ import "testing"
 
 func TestTypedEventsDispatchInOrder(t *testing.T) {
 	e, h := newLogged()
-	if err := e.AtEv(2, Ev{Kind: 3, N: 30}); err != nil {
+	if err := e.AtEv(2, Ev{Kind: 3, Ref: 30}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AtEv(1, Ev{Kind: 2, N: 10}); err != nil {
+	if err := e.AtEv(1, Ev{Kind: 2, Ref: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AtEv(1, Ev{Kind: 2, N: 20}); err != nil { // same time: insertion order
+	if err := e.AtEv(1, Ev{Kind: 2, Ref: 20}); err != nil { // same time: insertion order
 		t.Fatal(err)
 	}
-	if err := e.AfterEv(1.5, Ev{Kind: 4, N: 15}); err != nil { // another kind, interleaved
+	if err := e.AfterEv(1.5, Ev{Kind: 4, Ref: 15}); err != nil { // another kind, interleaved
 		t.Fatal(err)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []Ev{{Kind: 2, N: 10}, {Kind: 2, N: 20}, {Kind: 4, N: 15}, {Kind: 3, N: 30}}
+	want := []Ev{{Kind: 2, Ref: 10}, {Kind: 2, Ref: 20}, {Kind: 4, Ref: 15}, {Kind: 3, Ref: 30}}
 	if len(h.got) != len(want) {
 		t.Fatalf("dispatched %d events, want %d", len(h.got), len(want))
 	}
@@ -71,21 +71,21 @@ type chainHandler struct {
 
 func (h *chainHandler) HandleEvent(ev Ev) {
 	if ev.Ref != h.ref {
-		panic("payload reference lost")
+		panic("event reference lost")
 	}
 	if h.left == 0 {
 		return
 	}
 	h.left--
-	if err := h.eng.AfterEv(1e-3, Ev{Kind: 1, N: int32(h.left), F1: 0.5, Ref: h.ref}); err != nil {
+	if err := h.eng.AfterEv(1e-3, Ev{Kind: 1, Ref: h.ref}); err != nil {
 		panic(err)
 	}
 }
 
 // TestTypedEventSchedulingAllocsFree pins the tentpole property at the
-// engine level: once the heap and payload slab have grown, scheduling
+// engine level: once the heap has grown, scheduling
 // and dispatching typed events performs ZERO heap allocations — no
-// closure, no boxing of the payload.
+// closure, no boxing of the event.
 func TestTypedEventSchedulingAllocsFree(t *testing.T) {
 	e := New()
 	const ref = 41
@@ -100,7 +100,7 @@ func TestTypedEventSchedulingAllocsFree(t *testing.T) {
 		}
 	}
 	e.SetHandler(&chainHandler{eng: e, ref: ref})
-	run() // grow the heap and the payload slab
+	run() // grow the heap
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Fatalf("typed event scheduling allocates %.2f objects per 500-event run, want 0", allocs)
 	}

@@ -54,18 +54,20 @@ func TestEmitTimestamps(t *testing.T) {
 	if !e.Observing() {
 		t.Fatal("Observing() false with a collector attached")
 	}
-	// Kind 1 opens a span and carries its start in the follow-up
-	// event's payload, the way the executor does; kind 2 closes it.
+	// Kind 1 opens a span and keeps its start on the object the
+	// follow-up event names, the way the executor does; kind 2 closes it.
+	var start hw.Seconds
 	h.react = func(ev Ev) {
 		switch ev.Kind {
 		case 1:
 			e.EmitTaskStart(Task{Track: "cpu", Name: "MatMul", Step: 2})
 			e.EmitSample("queue.cpu", 3)
-			if err := e.AfterEv(0.5, Ev{Kind: 2, Start: e.Now()}); err != nil {
+			start = e.Now()
+			if err := e.AfterEv(0.5, Ev{Kind: 2}); err != nil {
 				t.Error(err)
 			}
 		case 2:
-			e.EmitTaskEnd(Task{Track: "cpu", Name: "MatMul", Step: 2, Start: ev.Start})
+			e.EmitTaskEnd(Task{Track: "cpu", Name: "MatMul", Step: 2, Start: start})
 			e.EmitCount("sched.path.cpu", 1)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"heteropim/internal/hw"
 )
@@ -30,23 +31,31 @@ func pointerField(typ reflect.Type, path string) string {
 	return ""
 }
 
-// TestEventStorageHoldsNoPointers keeps the event path pointer-free: a
-// pointer in the payload or in the heap entry would put GC write
-// barriers back on every sift and slab store.
+// TestEventStorageHoldsNoPointers keeps the event path pointer-free and
+// small: a pointer in the event or in the heap entry would put GC write
+// barriers back on every sift, and every byte an entry grows is copied
+// on every level of every sift. An event is 8 bytes and rides inside
+// its 24-byte heap key.
 func TestEventStorageHoldsNoPointers(t *testing.T) {
 	for _, typ := range []reflect.Type{reflect.TypeOf(Ev{}), reflect.TypeOf(eventHeap(nil)).Elem()} {
 		if p := pointerField(typ, typ.Name()); p != "" {
 			t.Errorf("%v holds a pointer at %s", typ, p)
 		}
 	}
+	if n := unsafe.Sizeof(Ev{}); n != 8 {
+		t.Errorf("Ev is %d bytes, want 8", n)
+	}
+	if n := reflect.TypeOf(eventHeap(nil)).Elem().Size(); n != 24 {
+		t.Errorf("a heap entry is %d bytes, want 24", n)
+	}
 }
 
-// TestSlabStorageRandomized interleaves AtEv calls, most of them on a
-// few shared timestamps, with single-event RunUntil steps. Every
-// dispatched event must be the (time, seq) minimum of a reference
-// queue and carry exactly the payload it was scheduled with, while
-// slots are reused and across a Checkpoint/Restore midway.
-func TestSlabStorageRandomized(t *testing.T) {
+// TestEventOrderRandomized interleaves AtEv calls, most of them on a few
+// shared timestamps, with single-event RunUntil steps. Every dispatched
+// event must be the (time, seq) minimum of a reference queue and carry
+// exactly the Kind and Ref it was scheduled with, before and after a
+// Checkpoint/Restore midway.
+func TestEventOrderRandomized(t *testing.T) {
 	type sched struct {
 		at  hw.Seconds
 		seq int
@@ -62,17 +71,7 @@ func TestSlabStorageRandomized(t *testing.T) {
 			if step < 200 {
 				for k := rng.Intn(4); k > 0; k-- {
 					scheduled++
-					ev := Ev{
-						Kind:  EventKind(1 + rng.Intn(8)),
-						A:     uint8(rng.Intn(256)),
-						Flag:  rng.Intn(2) == 1,
-						N:     rng.Int31() - 1<<30,
-						F1:    rng.NormFloat64(),
-						F2:    rng.ExpFloat64(),
-						F3:    -rng.Float64(),
-						Start: e.Now() - rng.Float64(),
-						Ref:   int32(scheduled),
-					}
+					ev := Ev{Kind: EventKind(1 + rng.Intn(8)), Ref: int32(scheduled)}
 					at := e.Now() + 0.25*float64(rng.Intn(3))
 					if err := e.AtEv(at, ev); err != nil {
 						t.Fatal(err)
@@ -89,6 +88,9 @@ func TestSlabStorageRandomized(t *testing.T) {
 				if err := e.Restore(cp); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if e.Pending() != len(ref) {
+				t.Fatalf("trial %d step %d: %d events pending, want %d", trial, step, e.Pending(), len(ref))
 			}
 			if len(ref) == 0 {
 				continue
@@ -112,10 +114,6 @@ func TestSlabStorageRandomized(t *testing.T) {
 		}
 		if len(ref) != 0 {
 			t.Fatalf("trial %d: %d scheduled events never ran", trial, len(ref))
-		}
-		if len(e.slab) >= scheduled {
-			t.Fatalf("trial %d: slab grew to %d slots for %d events; slots are not reused",
-				trial, len(e.slab), scheduled)
 		}
 	}
 }
