@@ -121,11 +121,11 @@ func Simulate(c BatchCell, m *Metrics) (Result, error) {
 
 // BatchRun evaluates the cells on the shared worker pool and returns
 // their results in input order — bit-identical to calling Simulate per
-// cell sequentially. Cells sharing a task-graph template (same model,
-// batch size and pipeline options) are grouped: one leader per group
-// runs first and warms the template and profile caches, then the rest
-// fan out (internal/batch). Group and leader counts are reported through
-// batch.ReadStats alongside the simulation-cache counters.
+// cell sequentially. Cells sharing a model, batch size and pipeline
+// options are grouped: one leader per group runs first and warms the
+// profile cache, then the rest fan out (internal/batch). Group and
+// leader counts are reported through batch.ReadStats alongside the
+// simulation-cache counters.
 func BatchRun(cells []BatchCell) ([]Result, error) {
 	bc := make([]batch.Cell[Result], len(cells))
 	for i, c := range cells {
@@ -148,8 +148,8 @@ func BatchRun(cells []BatchCell) ([]Result, error) {
 }
 
 // BatchStats reports the grouped-evaluation and DSE-pruning counters
-// accumulated since the last ResetBatchStats (cells evaluated, template
-// groups, leader warm-ups; DSE candidates, pruned, simulated).
+// accumulated since the last ResetBatchStats (cells evaluated, groups,
+// leader warm-ups; DSE candidates, pruned, simulated).
 type BatchStats = batch.Stats
 
 // BatchRunStats reads the process's batch-evaluation counters.

@@ -116,6 +116,27 @@ func main() {
 	applyCache()
 	defer startProfile()()
 
+	// -schedtrace, -explain and -fromtrace each run one single-stack
+	// Hetero PIM cell: a flag asking for another cell is an error, not
+	// something to ignore.
+	for _, f := range []struct {
+		name string
+		on   bool
+	}{{"-schedtrace", *schedTrace}, {"-explain", *explain}, {"-fromtrace", *fromTrace != ""}} {
+		if !f.on {
+			continue
+		}
+		if kind, err := heteropim.ParseConfig(*config); err != nil || kind != heteropim.ConfigHeteroPIM {
+			fail(fmt.Errorf("%s runs a Hetero PIM cell; -config %s is not supported with it", f.name, *config))
+		}
+		if *stacks > 1 {
+			fail(fmt.Errorf("%s runs a single-stack cell; -stacks %d is not supported with it", f.name, *stacks))
+		}
+	}
+	if *fromTrace != "" && *batch != 0 {
+		fail(fmt.Errorf("-fromtrace replays the trace's graph, which fixes the batch; -batch %d is not supported with it", *batch))
+	}
+
 	if plan, err := loadScenario(); err != nil {
 		fail(err)
 	} else if plan != nil {

@@ -67,7 +67,7 @@ func runJobs(jobs []func() (Result, error)) ([]Result, error) {
 // simulateMatrix simulates the cell cross(r, c) of every row r and
 // column c concurrently; the result is indexed [row][column]. Figures
 // fan out here rather than through BatchRun: their cells need no
-// template grouping.
+// leader grouping.
 func simulateMatrix(nr, nc int, cross func(r, c int) BatchCell) ([][]Result, error) {
 	flat, err := runner.Map(context.Background(), nr*nc, 0,
 		func(_ context.Context, i int) (Result, error) { return Simulate(cross(i/nc, i%nc), nil) })
@@ -99,15 +99,20 @@ func configIndex(configs []Config, want Config) int {
 	return -1
 }
 
-// rowGroups computes one group of table rows per item concurrently,
-// preserving item order for assembly. Its users (Table I, Fig. 2, the
-// workload summaries) build graphs and read cached profiles — a few
-// hundred microseconds per cell — so the cost hint keeps them inline
-// instead of paying worker dispatch that outweighs the work.
+// rowGroups computes one group of table rows per item, in item order.
+// Its users (Table I, Fig. 2, the workload summaries) build graphs and
+// read cached profiles — a few hundred microseconds per item — so they
+// run inline: worker dispatch would cost more than the work.
 func rowGroups(n int, fn func(i int) ([][]string, error)) ([][][]string, error) {
-	return runner.Map(context.Background(), n, 0,
-		func(_ context.Context, i int) ([][]string, error) { return fn(i) },
-		runner.WithCellCost(200e-6))
+	groups := make([][][]string, n)
+	for i := range groups {
+		g, err := fn(i)
+		if err != nil {
+			return nil, err
+		}
+		groups[i] = g
+	}
+	return groups, nil
 }
 
 // addGroups appends row groups to a table in order.

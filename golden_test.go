@@ -208,6 +208,42 @@ func TestGolden(t *testing.T) {
 	})
 }
 
+// TestPimtrainRefusesIgnoredFlags: -schedtrace, -explain and -fromtrace
+// run one single-stack Hetero PIM cell, so another -config, -stacks
+// above 1, or -batch with -fromtrace (the trace fixes the graph) must
+// fail naming the flag instead of running that one cell.
+func TestPimtrainRefusesIgnoredFlags(t *testing.T) {
+	t.Parallel()
+	trace := filepath.Join(t.TempDir(), "alexnet.trace")
+	if err := os.WriteFile(trace, runTool(t, "pimprof", "-trace", "AlexNet"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-explain", "-config", "cpu"},
+		{"-explain", "-stacks", "4"},
+		{"-schedtrace", "-config", "all"},
+		{"-schedtrace", "-stacks", "2"},
+		{"-fromtrace", trace, "-config", "progr"},
+		{"-fromtrace", trace, "-stacks", "2"},
+		{"-fromtrace", trace, "-batch", "16"},
+	} {
+		cmd := exec.Command(tool(t, "pimtrain"), append([]string{"-model", "AlexNet"}, args...)...)
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("pimtrain %s exited 0, want an error", strings.Join(args, " "))
+			continue
+		}
+		for _, flag := range []string{args[0], args[len(args)-2]} {
+			if !strings.Contains(string(out), flag) {
+				t.Errorf("pimtrain %s: error %q does not name %s", strings.Join(args, " "), out, flag)
+			}
+		}
+	}
+	// The cells the flags describe still run.
+	runTool(t, "pimtrain", "-model", "AlexNet", "-explain", "-config", "hetero", "-stacks", "1")
+	runTool(t, "pimtrain", "-fromtrace", trace)
+}
+
 // TestPimtrainMetricsFollowTheCell: pimtrain -metrics instruments the
 // cell its flags describe. A batch-16 or a 2-stack run has another
 // makespan than the paper-batch run, and the 2-stack run's link track

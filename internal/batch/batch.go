@@ -5,11 +5,11 @@
 // Two mechanisms:
 //
 //   - Grouped evaluation (Eval): cells sharing a (model, batch-size,
-//     steps, OP, pipeline-depth) key instantiate the same task-graph
-//     template and, per configuration, the same step-1 profile. One
-//     LEADER cell per group runs first and populates those caches, so
-//     the group's remaining cells fan out against warm caches instead
-//     of stacking up behind the per-entry build locks.
+//     steps, OP, pipeline-depth) key share, per configuration, the same
+//     step-1 profile. One LEADER cell per group runs first and
+//     populates the profile cache, so the group's remaining cells fan
+//     out against a warm cache instead of stacking up behind its
+//     per-entry build lock.
 //
 //   - Pruned design-space exploration (dse.go): candidates whose
 //     admissible analytic lower bound already exceeds the incumbent's
@@ -32,8 +32,8 @@ import (
 
 // Cell is one independent simulation of a sweep.
 type Cell[T any] struct {
-	// Group keys cells that share a task-graph template and step-1
-	// profile; see GroupKey. Empty groups get no leader (the cell goes
+	// Group keys cells that share a graph and step-1 profile; see
+	// GroupKey. Empty groups get no leader (the cell goes
 	// straight to the fan-out phase).
 	Group string
 	// Run executes the cell. It must be an independent, pure
@@ -41,9 +41,9 @@ type Cell[T any] struct {
 	Run func(ctx context.Context) (T, error)
 }
 
-// GroupKey builds the canonical grouping key: exactly the inputs that
-// determine the task-graph template (model structure x steps x OP) plus
-// the batch size (which changes the graph's content digest).
+// GroupKey builds the canonical grouping key: the model, the batch size
+// (which changes the graph's content digest), and the steps, OP and
+// pipeline depth that shape the run's task DAG.
 func GroupKey(model string, batchSize, steps int, op bool, pipelineDepth int) string {
 	return fmt.Sprintf("%s|b%d|s%d|op%t|d%d", model, batchSize, steps, op, pipelineDepth)
 }
@@ -81,8 +81,8 @@ func ReadStats() Stats {
 
 // Eval runs the cells and returns their results in input order
 // (bit-identical to a sequential loop). Grouped cells are evaluated in
-// two phases: one leader per group first — warming the group's template
-// and profile caches — then every remaining cell on the full worker
+// two phases: one leader per group first — warming the group's profile
+// cache entry — then every remaining cell on the full worker
 // pool. The first error cancels the remaining cells.
 func Eval[T any](ctx context.Context, cells []Cell[T]) ([]T, error) {
 	r := Registry()

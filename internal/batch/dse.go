@@ -372,7 +372,7 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 			})
 		}
 		// The first block is a single candidate: it warms the model's
-		// template/profile caches (the Eval leader mechanism) and — being
+		// profile cache entry (the Eval leader mechanism) and — being
 		// the most promising point under the current ordering — sets a
 		// tight incumbent before any parallel fan-out.
 		size := 1

@@ -28,7 +28,7 @@ import (
 //   - the engine restores its event heap verbatim and continues the
 //     sequence counter, so event order and tie-breaks match exactly
 //     (sim.Checkpoint);
-//   - the task DAG is rebuilt by the same template path and its mutable
+//   - the task DAG is rebuilt by the same builder and its mutable
 //     scalars overwritten from the snapshot; events, queued work items
 //     and the fixed-pool wait queue name tasks by slab index, which
 //     resolves to the same task in the fork's own DAG;
@@ -276,12 +276,11 @@ func CheckpointRun(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*RunCheckpoi
 	x.watch = w
 	x.seed()
 	res, err := x.drainRun()
-	x.teardown()
 	if err != nil {
 		return nil, Result{}, err
 	}
 	if resultCacheUsable(opts) {
-		storeResult(fingerprintRun("pim", g, cfg, opts, nil), res)
+		storeResult(fingerprintRun(tagPIM, g, cfg, opts, nil), res)
 	}
 	if w.horizon <= 1 {
 		// The budget diverges at the very first event (or never grants
@@ -310,7 +309,6 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 	if err != nil {
 		return nil, err
 	}
-	defer x.teardown()
 	w := &capWatch{maxUnits: math.MaxInt, deep: deep}
 	x.watch = w
 	x.pool.RecordAdvances(true)
@@ -392,7 +390,6 @@ func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer x.teardown()
 	for i, t := range x.all {
 		t.taskState = c.tasks[i]
 	}
@@ -422,7 +419,7 @@ func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
 	}
 	res, err := x.drainRun()
 	if err == nil && resultCacheUsable(c.opts) {
-		storeResult(fingerprintRun("pim", c.g, cfg2, c.opts, nil), res)
+		storeResult(fingerprintRun(tagPIM, c.g, cfg2, c.opts, nil), res)
 	}
 	return res, err
 }

@@ -178,7 +178,6 @@ func TestCaptureAtRejectsPostGrantPoints(t *testing.T) {
 	if _, err := x.drainRun(); err != nil {
 		t.Fatal(err)
 	}
-	x.teardown()
 	if w.horizon == 0 {
 		t.Fatal("toy hetero run never granted fixed units")
 	}

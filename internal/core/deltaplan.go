@@ -72,12 +72,11 @@ func NewDeltaPlan(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*DeltaPlan, R
 	res, err := x.drainRun()
 	probeTotal := x.eng.Processed()
 	baseUnits := x.pool.Total()
-	x.teardown()
 	if err != nil {
 		return nil, Result{}, err
 	}
 	if resultCacheUsable(opts) {
-		storeResult(fingerprintRun("pim", g, cfg, opts, nil), res)
+		storeResult(fingerprintRun(tagPIM, g, cfg, opts, nil), res)
 	}
 	if probeTotal <= 1 {
 		return nil, res, nil

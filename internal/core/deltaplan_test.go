@@ -26,7 +26,6 @@ func deepProbe(t *testing.T, g *nn.Graph, cfg hw.SystemConfig, opts Options) (*c
 	}
 	total := x.eng.Processed()
 	baseU := x.pool.Total()
-	x.teardown()
 	return w, total, baseU
 }
 

@@ -177,8 +177,8 @@ const (
 )
 
 // task is one operation instance (op x step) in flight: its place in
-// the task DAG, which the template builds once per arena, and the state
-// a run mutates.
+// the task DAG, which buildTasks wires once per run, and the state a
+// run mutates.
 type task struct {
 	op   *nn.Op
 	step int
@@ -326,12 +326,6 @@ type exec struct {
 	heldBack  [][]*task // dep-free tasks awaiting step admission
 	firstOpen int       // smallest step with unfinished tasks
 
-	// tpl/arena are set when the task DAG came from the template cache
-	// (template.go); the arena returns to the template's pool after the
-	// run.
-	tpl   *taskTemplate
-	arena *taskArena
-
 	bk      Breakdown // serial attribution sums
 	usage   Usage
 	offload int
@@ -359,7 +353,7 @@ type exec struct {
 // effects.
 func RunPIM(src nn.Source, cfg hw.SystemConfig, opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	return cachedRun("pim", src, cfg, opts, nil, func(g *nn.Graph) (Result, error) {
+	return cachedRun(tagPIM, src, cfg, opts, nil, func(g *nn.Graph) (Result, error) {
 		if opts.Stacks > 1 {
 			return runMultiPIM(g, cfg, opts)
 		}
@@ -374,13 +368,12 @@ func runPIM(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer x.teardown()
 	x.seed()
 	return x.drainRun()
 }
 
 // newExec assembles a ready-to-seed executor: validated configuration,
-// unit placement, a pooled engine with the executor attached as its
+// unit placement, a fresh engine with the executor attached as its
 // typed-event handler, the per-op timing table, the candidate set and
 // the instantiated task DAG.
 // Everything through here is shared verbatim between a normal run
@@ -409,9 +402,8 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 			return nil, err
 		}
 	}
-	eng := sim.Acquire()
-	// Attach the collector before any scheduling happens; Release's
-	// Reset detaches it, so the pooled engine cannot leak it.
+	eng := sim.New()
+	// Attach the collector before any scheduling happens.
 	eng.SetCollector(opts.Collector)
 	hostTrack := "cpu"
 	if opts.GPUHost {
@@ -431,8 +423,7 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 		cpu:  &serialDevice{slots: 2, sjf: true, name: hostTrack, queueMetric: "queue." + hostTrack},
 		prog: &serialDevice{slots: cfg.ProgPIM.Processors, name: "prog", queueMetric: "queue.prog"},
 	}
-	// The executor is the engine's typed-event dispatcher; Release's
-	// Reset detaches it along with the collector.
+	// The executor is the engine's typed-event dispatcher.
 	eng.SetHandler(x)
 	// Uniform placement throttles the hot central banks for the whole
 	// run: derate the stack once, then price every op on it.
@@ -473,21 +464,6 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 	return x, nil
 }
 
-// teardown returns the executor's pooled resources: the task arena to
-// its template's pool first, then the engine (whose Reset clears any
-// stale handler/collector references) — the same order the deferred
-// cleanups ran in before runPIM was split. Idempotent.
-func (x *exec) teardown() {
-	if x.tpl != nil {
-		x.tpl.release(x.arena)
-		x.tpl, x.arena = nil, nil
-	}
-	if x.eng != nil {
-		sim.Release(x.eng)
-		x.eng = nil
-	}
-}
-
 // drainRun executes the scheduled events to completion and folds the
 // executor's accumulated state into a Result. The caller must have
 // either seeded the run (seed) or restored a checkpoint into the
@@ -523,30 +499,15 @@ func max0(v int) int {
 	return v
 }
 
-// buildTasks instantiates op x step tasks and wires dependencies. The
-// fast path clones a memoized per-(structure, steps, OP) template from
-// a pooled arena (template.go); the from-scratch path below remains as
-// the reference builder the template path is tested against (and the
-// fallback when templates are disabled).
+// buildTasks instantiates op x step tasks and wires dependencies. All
+// tasks live in one contiguous slab and all dependency-edge slices are
+// carved from a second slab sized by a degree-counting pre-pass, so the
+// whole graph costs a handful of allocations instead of one per task
+// plus repeated append growth per edge. Each task's dependents are
+// wired in (step, op, input) order, same-step ones before the next
+// step's cross-step ones: the order its completion wakes them in, and
+// so part of the run's event order.
 func (x *exec) buildTasks() {
-	if !templatesOff.Load() {
-		x.tpl = templateFor(x.g, x.opts.Steps, x.opts.OP)
-		x.arena = x.tpl.acquire(x.g)
-		x.all = x.arena.all
-		x.tasks = x.arena.byStep
-		x.stepLeft = x.arena.stepLeft
-		x.heldBack = x.arena.heldBack
-		return
-	}
-	x.buildTasksScratch()
-}
-
-// buildTasksScratch builds the task DAG from scratch. All tasks live in
-// one contiguous slab and all dependency-edge slices are carved from a
-// second slab sized by a degree-counting pre-pass, so the whole graph
-// costs a handful of allocations instead of one per task plus repeated
-// append growth per edge.
-func (x *exec) buildTasksScratch() {
 	steps := x.opts.Steps
 	n := len(x.g.Ops)
 	// Out-degrees: same-step dependents, and (no-OP mode only)
@@ -613,6 +574,13 @@ func (x *exec) buildTasksScratch() {
 		}
 	}
 }
+
+// ResetTaskTemplates does nothing: every run builds its own task DAG
+// (buildTasks), so there is no template cache to drop.
+//
+// Deprecated: kept only because the benchmark module still calls it;
+// delete it once the benchmark no longer does.
+func ResetTaskTemplates() {}
 
 // ref returns the task's slab index, the name events carry for it.
 func (x *exec) ref(t *task) int32 { return int32(t.step*len(x.g.Ops) + t.op.ID) }
@@ -738,9 +706,9 @@ func (x *exec) complete(t *task) {
 				continue
 			}
 			held := x.heldBack[s]
-			// Keep the backing array (the pooled arena reuses it); no
-			// append can land on heldBack[s] while held is walked —
-			// dispatch never re-holds a task synchronously.
+			// Keep the backing array; no append can land on
+			// heldBack[s] while held is walked — dispatch never
+			// re-holds a task synchronously.
 			x.heldBack[s] = held[:0]
 			for _, ht := range held {
 				x.dispatch(ht)

@@ -22,10 +22,10 @@ func (c *countingCollector) Count(name string, delta float64)   { c.counts[name]
 // schedules and dispatches events without per-event heap allocations.
 //
 // Direct AllocsPerRun on a whole run would count per-run setup (system
-// model, placement, pool, registers), so the test measures the MARGINAL
-// allocations between a 4-step and a 12-step run of the same cell: the
-// setup is identical and cancels, leaving only what the extra eight
-// steps of event traffic allocated. That marginal cost, divided by the
+// model, placement, pool, registers, task graph, engine), so the test
+// measures the MARGINAL allocations between a 4-step and a 12-step run
+// of the same cell: the setup is identical and cancels, leaving only
+// what the extra eight steps of event traffic allocated. That marginal cost, divided by the
 // marginal event count, must be ~0 (the closure-based engine paid one
 // closure — and before PR 3 one boxing — per event).
 func TestSteadyStateZeroAllocsPerEvent(t *testing.T) {
@@ -51,8 +51,8 @@ func TestSteadyStateZeroAllocsPerEvent(t *testing.T) {
 		}
 		return c.counts["sim.events"]
 	}
-	// Warm every pooled structure (templates, arenas, engine heap,
-	// profile cache) for both step counts before measuring.
+	// Warm the profile cache before measuring; everything else a run
+	// allocates, it allocates afresh.
 	for _, s := range []int{4, 12} {
 		if _, err := RunPIM(g, cfg, optsFor(s)); err != nil {
 			t.Fatal(err)
@@ -74,8 +74,9 @@ func TestSteadyStateZeroAllocsPerEvent(t *testing.T) {
 	perEvent := (a12 - a4) / (e12 - e4)
 	t.Logf("allocs: steps=4 %.1f, steps=12 %.1f; events: %g vs %g; marginal %.4f allocs/event",
 		a4, a12, e4, e12, perEvent)
-	// Zero with headroom for sync.Pool evictions under AllocsPerRun's
-	// GC pressure; a single closure per event would read ~1.0 here.
+	// Zero with headroom for setup that grows with the step count (about
+	// one allocation per step); a single closure per event would read
+	// ~1.0 here.
 	if perEvent > 0.01 {
 		t.Fatalf("steady state allocates %.4f objects/event, want 0", perEvent)
 	}

@@ -128,7 +128,6 @@ func newSectionExec(t *testing.T, units int) *exec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(x.teardown)
 	return x
 }
 
@@ -221,7 +220,6 @@ func TestUnknownEventKindFailsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer x.teardown()
 	x.seed()
 	if err := x.eng.AtEv(0, sim.Ev{Kind: bogus, Ref: 1}); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 
 // BenchmarkLiveRun times live Hetero PIM runs — the result cache off,
 // so every iteration simulates — and reports the cost per simulated
-// event, each run's setup (placement, pool, task arena) included, and
+// event, each run's setup (placement, pool, task graph, engine) included, and
 // the run's event count. The VGG-19 cases are two DSE candidates (60
 // units; 400 units at 2x frequency), AlexNet runs the paper's platform.
 //

@@ -20,8 +20,8 @@ import (
 // pool — and the per-stack results are merged deterministically:
 //
 //   - shard i runs batch ShardBatches(B, M)[i] of the global batch B
-//     through the unmodified single-stack executor (its own pooled
-//     engine, slab task graph and result-cache entry), as an nn.Named
+//     through the unmodified single-stack executor (its own engine,
+//     slab task graph and result-cache entry), as an nn.Named
 //     source, so a cached shard builds no graph;
 //   - the merged compute phase is the slowest stack's step (argmax over
 //     StepTime, lowest stack index on ties), because data-parallel
@@ -161,8 +161,8 @@ func AllReduceStepTime(sched ReduceSchedule, stacks int, gradBytes float64, link
 	return t, bytes, nil
 }
 
-// simulateAllReduce runs the schedule's phase graph on a pooled event
-// engine: each transfer is one completion event, a phase opens when the
+// simulateAllReduce runs the schedule's phase graph on an engine of its
+// own: each transfer is one completion event, a phase opens when the
 // previous one fully drains, and transfers within a phase are scheduled
 // in template order so the (time, seq) heap order — and with it the
 // collector's span stream — is deterministic. Returns the synchronized
@@ -172,8 +172,7 @@ func simulateAllReduce(sched ReduceSchedule, stacks int, gradBytes float64, link
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	eng := sim.Acquire()
-	defer sim.Release(eng)
+	eng := sim.New()
 	eng.SetCollector(obs)
 	a := &allReduce{eng: eng, phases: phases, gradBytes: gradBytes, link: link}
 	eng.SetHandler(a)

@@ -249,7 +249,7 @@ func TestFingerprintDiscriminatesMultiStack(t *testing.T) {
 	base := HeteroOptions()
 	fps := map[Fingerprint]string{}
 	add := func(label string, cfg hw.SystemConfig, opts Options) {
-		fp := fingerprintRun("pim", g, cfg, opts, nil)
+		fp := fingerprintRun(tagPIM, g, cfg, opts, nil)
 		if prev, dup := fps[fp]; dup {
 			t.Errorf("fingerprint collision: %s vs %s", label, prev)
 		}

@@ -173,35 +173,6 @@ func runChecked(t testing.TB, label string, g *nn.Graph, cfg hw.SystemConfig, op
 	return r
 }
 
-// TestOracleCNNs attaches the oracle to the five CNNs on the three PIM
-// platforms, each with RC and OP switched on and off, and to 2- and
-// 4-stack Hetero PIM runs of each (stack 0's timeline and the
-// all-reduce's link spans).
-func TestOracleCNNs(t *testing.T) {
-	kinds := []hw.ConfigKind{hw.ConfigProgrPIM, hw.ConfigFixedPIM, hw.ConfigHeteroPIM}
-	for _, name := range nn.CNNModelNames() {
-		g, err := nn.Build(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, kind := range kinds {
-			cfg := hw.PaperConfigScaled(kind, 1)
-			for _, rc := range []bool{false, true} {
-				for _, op := range []bool{false, true} {
-					opts, _ := PIMOptionsFor(kind)
-					opts.RC, opts.OP = rc, op
-					runChecked(t, fmt.Sprintf("%s on %v RC=%t OP=%t", name, kind, rc, op), g, cfg, opts)
-				}
-			}
-		}
-		for _, stacks := range []int{2, 4} {
-			opts := HeteroOptions()
-			opts.Stacks = stacks
-			runChecked(t, fmt.Sprintf("%s on %d Hetero PIM stacks", name, stacks), g, hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1), opts)
-		}
-	}
-}
-
 // TestOracleHostOnly attaches the oracle to runs with HostOnly ops:
 // AlexNet and DCGAN with every other op HostOnly, and LSTM with every
 // op HostOnly (the Section VI-F non-CNN placement), with RC and OP

@@ -53,15 +53,24 @@ func resultCacheUsable(opts Options) bool {
 	return !resultCacheOff.Load() && opts.Collector == nil && opts.Trace == nil && opts.Census == nil
 }
 
+// Executor tags: the first field of a cell's fingerprint, one whole
+// constant per executor, so a lookup hashes it without building it.
+const (
+	tagPIM       = "heteropim-result/pim"
+	tagCPU       = "heteropim-result/cpu"
+	tagGPU       = "heteropim-result/gpu"
+	tagNeurocube = "heteropim-result/neurocube"
+)
+
 // fingerprintRun computes the content address of one simulation cell.
-// mode tags the executor ("pim", "cpu", "gpu", "neurocube"), extra is
-// executor-specific input (the Neurocube spec); opts must already be
-// normalized so default and explicit option spellings share an address.
-// The graph enters through its digest, so a Named source is looked up
-// without building its graph.
-func fingerprintRun(mode string, src nn.Source, cfg hw.SystemConfig, opts Options, extra []byte) Fingerprint {
+// tag names the executor (tagPIM, ...), extra is executor-specific
+// input (the Neurocube spec); opts must already be normalized so
+// default and explicit option spellings share an address. The graph
+// enters through its digest, so a Named source is looked up without
+// building its graph.
+func fingerprintRun(tag string, src nn.Source, cfg hw.SystemConfig, opts Options, extra []byte) Fingerprint {
 	h := fnv1a.New128()
-	h.Str("heteropim-result/" + mode)
+	h.Str(tag)
 	h.Sum128(cfgDigest(cfg))
 	h.Bytes(extra)
 	// Effective options (the instrumentation fields are nil by
@@ -134,12 +143,12 @@ var (
 // by its fingerprint before resolving src's graph, so a hit builds
 // nothing, and it counts the cell exactly once. An instrumented or
 // cache-disabled run goes live.
-func cachedRun(mode string, src nn.Source, cfg hw.SystemConfig, opts Options, extra []byte,
+func cachedRun(tag string, src nn.Source, cfg hw.SystemConfig, opts Options, extra []byte,
 	run func(*nn.Graph) (Result, error)) (Result, error) {
 	if !resultCacheUsable(opts) {
 		return run(src.Graph())
 	}
-	fp := fingerprintRun(mode, src, cfg, opts, extra)
+	fp := fingerprintRun(tag, src, cfg, opts, extra)
 	return cachedResult(fp, func() (Result, error) { return run(src.Graph()) })
 }
 
@@ -315,7 +324,7 @@ func PeekPIMResult(src nn.Source, cfg hw.SystemConfig, opts Options) (Result, bo
 	if !resultCacheUsable(opts) {
 		return Result{}, false
 	}
-	fp := fingerprintRun("pim", src, cfg, opts, nil)
+	fp := fingerprintRun(tagPIM, src, cfg, opts, nil)
 	if v, ok := resultCache.Load(fp); ok {
 		e := v.(*resultEntry)
 		if e.done.Load() && e.err == nil {

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"heteropim/internal/device"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
 	"heteropim/internal/runner"
@@ -179,6 +181,44 @@ func TestDiskTier(t *testing.T) {
 	}
 	if st := ResultCacheStats(); st.Misses != 1 || st.DiskHits != 0 {
 		t.Errorf("stale-entry stats %+v, want one miss", st)
+	}
+}
+
+// TestDiskAddressesPinned pins one disk-tier file name per executor,
+// AlexNet on its paper platform: a change to how fingerprintRun hashes
+// a cell moves these addresses, and with them every entry an existing
+// HETEROPIM_CACHE_DIR holds.
+func TestDiskAddressesPinned(t *testing.T) {
+	withCleanCache(t)
+	src, err := nn.Named(nn.AlexNetName, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hetero := hw.PaperConfig(hw.ConfigHeteroPIM)
+	for _, c := range []struct {
+		executor, want string
+		run            func()
+	}{
+		{"pim", "8a91db9b3bd0e984b51e2abf32a18a4d", func() {
+			if _, err := RunPIM(src, hetero, HeteroOptions()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"cpu", "6fe4a3912188f68dcca4b72c7a76cba9", func() { RunCPU(src, hw.PaperConfig(hw.ConfigCPU), nil) }},
+		{"gpu", "46a2bb4262c85041d5c4425eb894854d", func() { RunGPU(src, hw.PaperConfig(hw.ConfigGPU), nil) }},
+		{"neurocube", "6bbcab9de4ff7f01d48616bb13d336f9", func() { RunNeurocube(src, device.DefaultNeurocube(), hetero) }},
+	} {
+		ResetResultCache()
+		dir := t.TempDir()
+		SetResultCacheDir(dir)
+		c.run()
+		files, err := filepath.Glob(filepath.Join(dir, "heteropim-*", "*.json"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("%s: disk tier holds %d entries (%v), want 1", c.executor, len(files), err)
+		}
+		if got := strings.TrimSuffix(filepath.Base(files[0]), ".json"); got != c.want {
+			t.Errorf("%s: disk address %s, want %s", c.executor, got, c.want)
+		}
 	}
 }
 

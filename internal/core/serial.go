@@ -39,7 +39,7 @@ func splitWork(w device.Work) (operation, dataMove hw.Seconds) {
 // track at its serial position in the step. Uninstrumented calls go
 // through the result cache; instrumented ones bypass it (see RunPIM).
 func RunCPU(src nn.Source, cfg hw.SystemConfig, c sim.Collector) Result {
-	res, _ := cachedRun("cpu", src, cfg, Options{Collector: c}, nil, func(g *nn.Graph) (Result, error) {
+	res, _ := cachedRun(tagCPU, src, cfg, Options{Collector: c}, nil, func(g *nn.Graph) (Result, error) {
 		return runCPUSerial(g, cfg, c), nil
 	})
 	return res
@@ -85,7 +85,7 @@ func gpuEff(g *nn.Graph) float64 {
 // unhidden transfer one span on the "pcie" track. Uninstrumented calls
 // go through the result cache; instrumented ones bypass it (see RunPIM).
 func RunGPU(src nn.Source, cfg hw.SystemConfig, c sim.Collector) Result {
-	res, _ := cachedRun("gpu", src, cfg, Options{Collector: c}, nil, func(g *nn.Graph) (Result, error) {
+	res, _ := cachedRun(tagGPU, src, cfg, Options{Collector: c}, nil, func(g *nn.Graph) (Result, error) {
 		return runGPUSerial(g, cfg, c), nil
 	})
 	return res
@@ -131,7 +131,7 @@ func RunNeurocube(src nn.Source, spec device.NeurocubeSpec, cfg hw.SystemConfig)
 		res, _ := run(src.Graph())
 		return res
 	}
-	res, _ := cachedRun("neurocube", src, cfg, Options{}, specJSON, run)
+	res, _ := cachedRun(tagNeurocube, src, cfg, Options{}, specJSON, run)
 	return res
 }
 

@@ -1,7 +1,7 @@
 // Package fnv1a holds the FNV-1a mixing behind the simulator's content
 // addresses: the step-graph digest (internal/nn), and the result-cache
-// fingerprint, task-template key and disk-tier schema hash
-// (internal/core). It is the only copy of these helpers.
+// fingerprint and disk-tier schema hash (internal/core). It is the only
+// copy of these helpers.
 package fnv1a
 
 import "math"
@@ -11,8 +11,8 @@ const Offset = 14695981039346656037
 
 const prime = 1099511628211
 
-// Mix folds the eight bytes of v into h, low byte first.
-func Mix(h, v uint64) uint64 {
+// mix folds the eight bytes of v into h, low byte first.
+func mix(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {
 		h ^= v & 0xff
 		h *= prime
@@ -47,8 +47,8 @@ func New128() Hash128 {
 
 // Uint64 mixes one word.
 func (h *Hash128) Uint64(v uint64) {
-	h.hi = Mix(h.hi, v)
-	h.lo = Mix(h.lo, v*0x9e3779b97f4a7c15+1)
+	h.hi = mix(h.hi, v)
+	h.lo = mix(h.lo, v*0x9e3779b97f4a7c15+1)
 }
 
 // Int mixes an int as a 64-bit word.

@@ -61,28 +61,6 @@ func Workers() int {
 	return n
 }
 
-// InlineCellCost is the per-cell estimated cost (seconds) below which
-// Map runs cells inline on the calling goroutine: dispatching a
-// sub-threshold cell to a worker costs more in wakeups and cache
-// traffic than the cell itself.
-const InlineCellCost = 500e-6
-
-// mapConfig collects Map's per-call options.
-type mapConfig struct {
-	cellCost float64
-}
-
-// Option tunes one Map/ForEach call.
-type Option func(*mapConfig)
-
-// WithCellCost supplies an estimated per-cell cost in seconds. Cells
-// estimated below InlineCellCost run inline on the calling goroutine
-// (identical to a one-worker pool, so output order and determinism are
-// unchanged); at or above the threshold the hint has no effect.
-func WithCellCost(seconds float64) Option {
-	return func(c *mapConfig) { c.cellCost = seconds }
-}
-
 // Map runs fn(ctx, i) for i in [0, n) on at most `workers` goroutines
 // (Workers() when workers <= 0) and returns the results in input order.
 //
@@ -90,21 +68,13 @@ func WithCellCost(seconds float64) Option {
 // finish, unstarted cells are skipped, and that error is returned. A
 // canceled ctx stops issue of new cells the same way. With one worker
 // the cells run on the calling goroutine in input order — the
-// sequential baseline the determinism tests compare against; a
-// WithCellCost hint below InlineCellCost forces that inline path.
-func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error), opts ...Option) ([]T, error) {
+// sequential baseline the determinism tests compare against.
+func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	var cfg mapConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
 	if workers <= 0 {
 		workers = Workers()
-	}
-	if cfg.cellCost > 0 && cfg.cellCost < InlineCellCost {
-		workers = 1
 	}
 	if workers > n {
 		workers = n
@@ -175,9 +145,9 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 }
 
 // ForEach is Map for side-effecting cells with no result value.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error, opts ...Option) error {
+func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	_, err := Map(ctx, n, workers, func(ctx context.Context, i int) (struct{}, error) {
 		return struct{}{}, fn(ctx, i)
-	}, opts...)
+	})
 	return err
 }

@@ -63,12 +63,12 @@ func (e *Engine) Checkpoint() Checkpoint {
 	}
 }
 
-// Restore loads a checkpoint into a fresh (new or Reset) engine.
+// Restore loads a checkpoint into a fresh engine (New, nothing run).
 // Restore never mutates the checkpoint, so one checkpoint may be
 // restored concurrently into any number of engines.
 func (e *Engine) Restore(cp Checkpoint) error {
 	if e.now != 0 || e.seq != 0 || e.processed != 0 || len(e.events) != 0 {
-		return fmt.Errorf("sim: Restore needs a fresh or Reset engine (now=%.9g, %d pending)",
+		return fmt.Errorf("sim: Restore needs a fresh engine (now=%.9g, %d pending)",
 			e.now, len(e.events))
 	}
 	e.now = cp.now

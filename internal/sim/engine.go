@@ -8,7 +8,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"heteropim/internal/hw"
 )
@@ -16,7 +15,7 @@ import (
 // key is one heap entry: a scheduled event's order key and the event
 // itself. Keys hold no pointer, so moving them is a plain copy — no GC
 // write barrier on the heap's sift path, and nothing for the collector
-// to scan in a pooled engine's storage.
+// to scan in the heap's storage.
 type key struct {
 	at  hw.Seconds
 	seq uint64
@@ -165,37 +164,3 @@ func (e *Engine) drain(stopAfter uint64) error {
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.events) }
-
-// Reset returns the engine to its initial state (time zero, no events,
-// default budget) while keeping the heap's backing array, so a
-// recycled engine runs its next simulation without re-growing it.
-func (e *Engine) Reset() {
-	e.now = 0
-	e.seq = 0
-	e.processed = 0
-	e.MaxEvents = 0
-	e.obs = nil
-	e.handler = nil
-	e.events = e.events[:0]
-}
-
-// enginePool recycles engines (and their grown heap arrays) across
-// simulation runs. One steady-state run schedules tens of thousands of
-// events; reusing the backing array removes that re-growth from every
-// cell of a parallel sweep.
-var enginePool = sync.Pool{New: func() any { return New() }}
-
-// Acquire returns a reset engine from the pool.
-func Acquire() *Engine {
-	return enginePool.Get().(*Engine)
-}
-
-// Release resets the engine and returns it to the pool. The caller must
-// not use the engine afterwards.
-func Release(e *Engine) {
-	if e == nil {
-		return
-	}
-	e.Reset()
-	enginePool.Put(e)
-}

@@ -176,55 +176,6 @@ func TestClockMonotoneQuick(t *testing.T) {
 	}
 }
 
-func TestResetReusesHeapStorage(t *testing.T) {
-	e, _ := newLogged()
-	for i := 0; i < 1000; i++ {
-		_ = e.AtEv(float64(i), Ev{Kind: 1})
-	}
-	grown := cap(e.events)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.Reset()
-	if e.Now() != 0 || e.seq != 0 || e.Processed() != 0 || e.Pending() != 0 {
-		t.Fatalf("reset engine not pristine: now=%g seq=%d processed=%d pending=%d",
-			e.Now(), e.seq, e.Processed(), e.Pending())
-	}
-	if cap(e.events) != grown {
-		t.Fatalf("reset dropped the heap backing array: cap %d, want %d", cap(e.events), grown)
-	}
-	// A recycled engine must behave exactly like a fresh one.
-	h := &logHandler{e: e}
-	e.SetHandler(h)
-	for i := 0; i < 10; i++ {
-		_ = e.AtEv(1.0, Ev{Kind: 1, Ref: int32(i)})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range h.refs() {
-		if v != int32(i) {
-			t.Fatalf("recycled engine reordered same-time events: %v", h.refs())
-		}
-	}
-}
-
-func TestAcquireRelease(t *testing.T) {
-	e := Acquire()
-	e.SetHandler(&logHandler{e: e})
-	_ = e.AfterEv(1, Ev{Kind: 1})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	Release(e)
-	Release(nil) // must be a no-op
-	e2 := Acquire()
-	if e2.Now() != 0 || e2.Pending() != 0 {
-		t.Fatalf("pooled engine not reset: now=%g pending=%d", e2.Now(), e2.Pending())
-	}
-	Release(e2)
-}
-
 // tickHandler reschedules every event it dispatches, Ref+1 ns later,
 // until left reaches 0. With several chains in flight (distinct Refs)
 // the events interleave in the heap.

@@ -39,8 +39,7 @@ type Handler interface {
 	HandleEvent(ev Ev)
 }
 
-// SetHandler attaches the event dispatcher. Reset/Release detach
-// it, so a pooled engine never leaks a handler into its next run.
+// SetHandler attaches the event dispatcher.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 
 // AtEv schedules an event at an absolute time, which must be finite and

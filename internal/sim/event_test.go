@@ -50,17 +50,6 @@ func TestAtEvValidatesTime(t *testing.T) {
 	}
 }
 
-func TestResetDetachesHandler(t *testing.T) {
-	e, _ := newLogged()
-	e.Reset()
-	if err := e.AtEv(1, Ev{Kind: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(); err == nil {
-		t.Fatal("Reset must detach the handler")
-	}
-}
-
 // chainHandler reschedules n follow-up events, emulating a steady-state
 // executor that schedules from within event dispatch.
 type chainHandler struct {

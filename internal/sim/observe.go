@@ -39,8 +39,6 @@ type Collector interface {
 }
 
 // SetCollector attaches (or, with nil, detaches) the run's collector.
-// Release/Reset detaches automatically, so a pooled engine never leaks
-// a collector into its next run.
 func (e *Engine) SetCollector(c Collector) { e.obs = c }
 
 // Collector returns the attached collector (nil when uninstrumented).

@@ -90,16 +90,3 @@ func TestEmitTimestamps(t *testing.T) {
 		t.Fatalf("counts = %v, want sched.path.cpu=1", c.counts)
 	}
 }
-
-// TestResetDetachesCollector guards the engine pool: a recycled engine
-// must never leak its previous run's collector.
-func TestResetDetachesCollector(t *testing.T) {
-	e := Acquire()
-	e.SetCollector(newRecordingCollector())
-	Release(e)
-	e2 := Acquire()
-	defer Release(e2)
-	if e2.Observing() {
-		t.Fatal("pooled engine still has a collector after Release")
-	}
-}

@@ -320,7 +320,6 @@ func TestConcurrentRunAllMixed(t *testing.T) {
 	}
 	core.ResetResultCache()
 	core.ResetProfileCache()
-	core.ResetTaskTemplates()
 	got := make([][]MixedResult, 4)
 	errs := make([]error, len(got))
 	var wg sync.WaitGroup
