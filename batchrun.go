@@ -58,7 +58,12 @@ func (c BatchCell) validate() error {
 // timeline and metrics into m, which may be read concurrently while the
 // run executes (for a multi-stack cell: stack 0 and the all-reduce).
 // Either way the Result is bit-identical.
-func Simulate(c BatchCell, m *Metrics) (Result, error) {
+func Simulate(c BatchCell, m *Metrics) (Result, error) { return simulate(c, m, nil) }
+
+// simulate is Simulate on src, the source of the cell's graph that the
+// cells of a sweep share (nn.ShareNamed), or, if src is nil, on the
+// cell's own nn.Named source.
+func simulate(c BatchCell, m *Metrics, src nn.Source) (Result, error) {
 	if err := c.validate(); err != nil {
 		return Result{}, fmt.Errorf("heteropim: %w", err)
 	}
@@ -68,9 +73,10 @@ func Simulate(c BatchCell, m *Metrics) (Result, error) {
 	}
 	// The graph is looked up by its memoized digest and built only if
 	// the cell runs: a cached cell builds none.
-	src, err := nn.Named(c.Model, c.BatchSize)
-	if err != nil {
-		return Result{}, err
+	if src == nil {
+		if src, err = nn.Named(c.Model, c.BatchSize); err != nil {
+			return Result{}, err
+		}
 	}
 	scale := c.FreqScale
 	if scale == 0 {
@@ -125,8 +131,11 @@ func Simulate(c BatchCell, m *Metrics) (Result, error) {
 // options are grouped: one leader per group runs first and warms the
 // profile cache, then the rest fan out (internal/batch). Group and
 // leader counts are reported through batch.ReadStats alongside the
-// simulation-cache counters.
+// simulation-cache counters. Cells of one model and batch size share
+// one source, so the call builds each graph its uncached cells run at
+// most once, and lets it go when the last of those cells is done.
 func BatchRun(cells []BatchCell) ([]Result, error) {
+	srcs := nn.ShareNamed(len(cells), func(i int) (nn.ModelName, int) { return cells[i].Model, cells[i].BatchSize })
 	bc := make([]batch.Cell[Result], len(cells))
 	for i, c := range cells {
 		c := c
@@ -140,7 +149,9 @@ func BatchRun(cells []BatchCell) ([]Result, error) {
 		bc[i] = batch.Cell[Result]{
 			Group: batch.GroupKey(string(c.Model), c.BatchSize, 4, op, 2),
 			Run: func(context.Context) (Result, error) {
-				return Simulate(c, nil)
+				src := srcs[i]
+				srcs[i] = nil
+				return simulate(c, nil, src)
 			},
 		}
 	}

@@ -3,6 +3,9 @@ package heteropim
 import (
 	"sync"
 	"testing"
+
+	"heteropim/internal/core"
+	"heteropim/internal/nn"
 )
 
 // TestBatchRunMatchesSequentialRuns pins the BatchRun contract: results
@@ -170,5 +173,50 @@ func TestConcurrentColdSimulate(t *testing.T) {
 	}
 	if st := SimulationCacheStats(); st.Misses != 1 || st.Hits != int64(len(results)-1) {
 		t.Errorf("8 concurrent runs of one cold cell gave stats %+v, want 1 miss and 7 hits", st)
+	}
+}
+
+// TestBatchRunBuildsOneGraphPerModelBatch: the cells of one BatchRun or
+// simulateMatrix call that share a model and normalized batch size share
+// one source, so the call builds one graph per pair however many of its
+// cells miss the result cache.
+func TestBatchRunBuildsOneGraphPerModelBatch(t *testing.T) {
+	memoryCacheOnly(t)
+	cells := []BatchCell{
+		{Config: ConfigCPU, Model: AlexNet},
+		{Config: ConfigGPU, Model: AlexNet, BatchSize: 32}, // AlexNet's paper batch
+		{Config: ConfigHeteroPIM, Model: AlexNet},
+		{Config: ConfigHeteroPIM, Model: AlexNet, FreqScale: 2},
+		{Model: AlexNet, Variant: &Variant{RecursiveKernels: true}},
+		{Model: AlexNet, Processors: 4},
+		{Config: ConfigFixedPIM, Model: AlexNet, BatchSize: 16},
+		{Config: ConfigProgrPIM, Model: AlexNet, BatchSize: 16},
+		{Config: ConfigHeteroPIM, Model: DCGAN},
+		{Config: ConfigCPU, Model: DCGAN},
+	}
+	ResetSimulationCache()
+	core.ResetProfileCache()
+	before := nn.Builds()
+	if _, err := BatchRun(cells); err != nil {
+		t.Fatal(err)
+	}
+	if b := nn.Builds() - before; b != 3 {
+		t.Errorf("BatchRun of %d cold cells over 3 (model, batch) pairs built %d graphs, want 3", len(cells), b)
+	}
+	if st := SimulationCacheStats(); st.Misses != int64(len(cells)) {
+		t.Errorf("cache stats %+v, want every cell a miss", st)
+	}
+
+	ResetSimulationCache()
+	core.ResetProfileCache()
+	models, configs := []Model{AlexNet, DCGAN}, Configs()
+	before = nn.Builds()
+	if _, err := simulateMatrix(len(models), len(configs), func(r, c int) BatchCell {
+		return BatchCell{Config: configs[c], Model: models[r]}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if b := nn.Builds() - before; b != int64(len(models)) {
+		t.Errorf("a cold %dx%d figure matrix built %d graphs, want %d", len(models), len(configs), b, len(models))
 	}
 }

@@ -136,6 +136,28 @@ func main() {
 	if *fromTrace != "" && *batch != 0 {
 		fail(fmt.Errorf("-fromtrace replays the trace's graph, which fixes the batch; -batch %d is not supported with it", *batch))
 	}
+	// The schedule is checked on one stack too: a misspelt -allreduce is
+	// an error whether or not the cell exchanges gradients.
+	if _, err := nn.ParseAllReduceKind(*allreduce); err != nil {
+		fail(fmt.Errorf("-allreduce: %w", err))
+	}
+	// A scenario file declares its own cells, so every flag that
+	// describes or instruments a cell would be ignored next to it. An
+	// empty -scenario runs the flag-driven cells, like no -scenario.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if flag.Lookup("scenario").Value.String() != "" {
+		var ignored []string
+		for _, name := range []string{"model", "config", "freq", "batch", "stacks", "allreduce",
+			"schedtrace", "fromtrace", "explain", "metrics", "advise", "list"} {
+			if set[name] {
+				ignored = append(ignored, "-"+name)
+			}
+		}
+		if len(ignored) > 0 {
+			fail(fmt.Errorf("-scenario runs the cells its file declares; %s cannot be combined with it", strings.Join(ignored, ", ")))
+		}
+	}
 
 	if plan, err := loadScenario(); err != nil {
 		fail(err)

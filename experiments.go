@@ -1,9 +1,10 @@
 package heteropim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"heteropim/internal/core"
 	"heteropim/internal/device"
@@ -67,10 +68,20 @@ func runJobs(jobs []func() (Result, error)) ([]Result, error) {
 // simulateMatrix simulates the cell cross(r, c) of every row r and
 // column c concurrently; the result is indexed [row][column]. Figures
 // fan out here rather than through BatchRun: their cells need no
-// leader grouping.
+// leader grouping. Cells of one model and batch size share one source,
+// so the call builds each graph its uncached cells run at most once,
+// and lets it go when the last of those cells is done.
 func simulateMatrix(nr, nc int, cross func(r, c int) BatchCell) ([][]Result, error) {
+	srcs := nn.ShareNamed(nr*nc, func(i int) (nn.ModelName, int) {
+		c := cross(i/nc, i%nc)
+		return c.Model, c.BatchSize
+	})
 	flat, err := runner.Map(context.Background(), nr*nc, 0,
-		func(_ context.Context, i int) (Result, error) { return Simulate(cross(i/nc, i%nc), nil) })
+		func(_ context.Context, i int) (Result, error) {
+			src := srcs[i]
+			srcs[i] = nil
+			return simulate(cross(i/nc, i%nc), nil, src)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -100,9 +111,10 @@ func configIndex(configs []Config, want Config) int {
 }
 
 // rowGroups computes one group of table rows per item, in item order.
-// Its users (Table I, Fig. 2, the workload summaries) build graphs and
-// read cached profiles — a few hundred microseconds per item — so they
-// run inline: worker dispatch would cost more than the work.
+// Its users run inline, because worker dispatch would cost more than
+// the work: Table I and Fig. 2 read a cached per-type profile (a few
+// microseconds per item once warm; a cold item builds its graph once),
+// and the workload summaries build one graph per item.
 func rowGroups(n int, fn func(i int) ([][]string, error)) ([][][]string, error) {
 	groups := make([][][]string, n)
 	for i := range groups {
@@ -139,68 +151,36 @@ func TableIFor(models []Model) (*Table, error) {
 	}
 	groups, err := rowGroups(len(models), func(i int) ([][]string, error) {
 		m := models[i]
-		// A Named graph carries its memoized digest, so the profile
-		// lookup hashes nothing.
-		src, err := nn.Named(m, 0)
+		prof, err := modelTypeProfile(m)
 		if err != nil {
 			return nil, err
 		}
-		g := src.Graph()
-		prof := core.CachedProfileStep(g, hw.PaperCPU())
-		type agg struct {
-			time, mem float64
-			inv       int
-		}
-		byType := map[nn.OpType]*agg{}
-		for _, e := range prof.Entries {
-			op := g.Ops[e.OpID]
-			a, ok := byType[op.Type]
-			if !ok {
-				a = &agg{}
-				byType[op.Type] = a
-			}
-			a.time += e.Time
-			a.mem += e.MemAccesses
-			a.inv++
-		}
-		type row struct {
-			t nn.OpType
-			a *agg
-		}
-		rows := make([]row, 0, len(byType))
-		for tt, a := range byType {
-			rows = append(rows, row{tt, a})
-		}
-		// Map iteration order is random: sort by type name first so the
-		// time/mem orders (and their tie-breaks) are deterministic.
-		sort.Slice(rows, func(i, j int) bool { return rows[i].t < rows[j].t })
-		byTime := append([]row(nil), rows...)
-		sort.SliceStable(byTime, func(i, j int) bool { return byTime[i].a.time > byTime[j].a.time })
-		byMem := append([]row(nil), rows...)
-		sort.SliceStable(byMem, func(i, j int) bool { return byMem[i].a.mem > byMem[j].a.mem })
+		// The types come in name order, so the stable sorts break
+		// ties by name.
+		types := prof.Types
+		byTime := slices.Clone(types)
+		slices.SortStableFunc(byTime, func(a, b core.TypeTotal) int { return cmp.Compare(b.Time, a.Time) })
+		byMem := slices.Clone(types)
+		slices.SortStableFunc(byMem, func(a, b core.TypeTotal) int { return cmp.Compare(b.MemAccesses, a.MemAccesses) })
+		top := min(5, len(types))
 		var out [][]string
-		for i := 0; i < 5 && i < len(rows); i++ {
+		for i := 0; i < top; i++ {
 			ci, mi := byTime[i], byMem[i]
 			out = append(out, []string{string(m), fmt.Sprintf("%d", i+1),
-				string(ci.t), fmt.Sprintf("%.2f", 100*ci.a.time/prof.TotalTime), fmt.Sprintf("%d", ci.a.inv),
-				string(mi.t), fmt.Sprintf("%.2f", 100*mi.a.mem/prof.TotalAccesses), fmt.Sprintf("%d", mi.a.inv)})
+				string(ci.Type), fmt.Sprintf("%.2f", 100*ci.Time/prof.TotalTime), fmt.Sprintf("%d", ci.Ops),
+				string(mi.Type), fmt.Sprintf("%.2f", 100*mi.MemAccesses/prof.TotalAccesses), fmt.Sprintf("%d", mi.Ops)})
 		}
-		// The "Other N ops" tail.
-		var otherT, otherM float64
+		// The "Other N op types" tail, summed in type-name order.
+		var otherT float64
 		otherInv := 0
-		topT := map[nn.OpType]bool{}
-		for i := 0; i < 5 && i < len(byTime); i++ {
-			topT[byTime[i].t] = true
-		}
-		for _, r := range rows {
-			if !topT[r.t] {
-				otherT += r.a.time
-				otherM += r.a.mem
-				otherInv += r.a.inv
+		for _, tt := range types {
+			if !slices.ContainsFunc(byTime[:top], func(c core.TypeTotal) bool { return c.Type == tt.Type }) {
+				otherT += tt.Time
+				otherInv += tt.Ops
 			}
 		}
 		out = append(out, []string{string(m), "-",
-			fmt.Sprintf("Other %d op types", len(rows)-min(5, len(rows))),
+			fmt.Sprintf("Other %d op types", len(types)-top),
 			fmt.Sprintf("%.2f", 100*otherT/prof.TotalTime), fmt.Sprintf("%d", otherInv),
 			"", "", ""})
 		return out, nil
@@ -214,6 +194,17 @@ func TableIFor(models []Model) (*Table, error) {
 	return t, nil
 }
 
+// modelTypeProfile reads a model's cached step profile, summed per op
+// type, by the model's memoized digest: a warm call builds no graph,
+// and a cold one builds it once for Table I and Fig. 2 together.
+func modelTypeProfile(m Model) (core.TypeProfile, error) {
+	src, err := nn.Named(m, 0)
+	if err != nil {
+		return core.TypeProfile{}, err
+	}
+	return core.CachedTypeProfile(src, hw.PaperCPU()), nil
+}
+
 // Fig2Classes reproduces the four-class operation taxonomy.
 func Fig2Classes() (*Table, error) { return Fig2ClassesFor(profiledModels()) }
 
@@ -224,11 +215,11 @@ func Fig2ClassesFor(models []Model) (*Table, error) {
 		Columns: []string{"Model", "Class1", "Class2", "Class3", "Class4"},
 	}
 	groups, err := rowGroups(len(models), func(i int) ([][]string, error) {
-		g, err := nn.Build(models[i])
+		prof, err := modelTypeProfile(models[i])
 		if err != nil {
 			return nil, err
 		}
-		c := g.ClassCounts()
+		c := prof.Classes
 		return [][]string{{string(models[i]), fmt.Sprint(c[nn.Class1]), fmt.Sprint(c[nn.Class2]),
 			fmt.Sprint(c[nn.Class3]), fmt.Sprint(c[nn.Class4])}}, nil
 	})
@@ -547,13 +538,6 @@ func Fig17EDP() (*Table, error) {
 // EnergyOf evaluates the whole-system energy report for an internal
 // result (used by tools that need the itemized parts).
 func EnergyOf(r core.Result) energy.Report { return energy.Evaluate(r) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // ModelSummaries renders the workload-characteristics table: per model,
 // graph size, parameters, per-step arithmetic and main-memory traffic,

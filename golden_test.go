@@ -211,37 +211,56 @@ func TestGolden(t *testing.T) {
 // TestPimtrainRefusesIgnoredFlags: -schedtrace, -explain and -fromtrace
 // run one single-stack Hetero PIM cell, so another -config, -stacks
 // above 1, or -batch with -fromtrace (the trace fixes the graph) must
-// fail naming the flag instead of running that one cell.
+// fail naming the flag instead of running that one cell. So must an
+// unknown -allreduce on one stack, and a cell flag next to a -scenario
+// file, which declares the cells.
 func TestPimtrainRefusesIgnoredFlags(t *testing.T) {
 	t.Parallel()
-	trace := filepath.Join(t.TempDir(), "alexnet.trace")
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "alexnet.trace")
 	if err := os.WriteFile(trace, runTool(t, "pimprof", "-trace", "AlexNet"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, args := range [][]string{
-		{"-explain", "-config", "cpu"},
-		{"-explain", "-stacks", "4"},
-		{"-schedtrace", "-config", "all"},
-		{"-schedtrace", "-stacks", "2"},
-		{"-fromtrace", trace, "-config", "progr"},
-		{"-fromtrace", trace, "-stacks", "2"},
-		{"-fromtrace", trace, "-batch", "16"},
+	scenario := filepath.Join(dir, "one.json")
+	spec := `{"scenario": 1, "name": "one", "cells": [{"models": ["AlexNet"], "configs": ["hetero"]}]}`
+	if err := os.WriteFile(scenario, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args  []string
+		names []string // the flags the error must name
+	}{
+		{[]string{"-model", "AlexNet", "-explain", "-config", "cpu"}, []string{"-explain", "-config"}},
+		{[]string{"-model", "AlexNet", "-explain", "-stacks", "4"}, []string{"-explain", "-stacks"}},
+		{[]string{"-model", "AlexNet", "-schedtrace", "-config", "all"}, []string{"-schedtrace", "-config"}},
+		{[]string{"-model", "AlexNet", "-schedtrace", "-stacks", "2"}, []string{"-schedtrace", "-stacks"}},
+		{[]string{"-model", "AlexNet", "-fromtrace", trace, "-config", "progr"}, []string{"-fromtrace", "-config"}},
+		{[]string{"-model", "AlexNet", "-fromtrace", trace, "-stacks", "2"}, []string{"-fromtrace", "-stacks"}},
+		{[]string{"-model", "AlexNet", "-fromtrace", trace, "-batch", "16"}, []string{"-fromtrace", "-batch"}},
+		{[]string{"-model", "AlexNet", "-config", "hetero", "-allreduce", "bogus"}, []string{"-allreduce"}},
+		{[]string{"-scenario", scenario, "-config", "cpu", "-stacks", "4"}, []string{"-scenario", "-config", "-stacks"}},
+		{[]string{"-scenario", scenario, "-model", "VGG-19"}, []string{"-scenario", "-model"}},
+		{[]string{"-scenario", scenario, "-allreduce", "tree"}, []string{"-scenario", "-allreduce"}},
 	} {
-		cmd := exec.Command(tool(t, "pimtrain"), append([]string{"-model", "AlexNet"}, args...)...)
+		cmd := exec.Command(tool(t, "pimtrain"), tc.args...)
 		out, err := cmd.CombinedOutput()
 		if err == nil {
-			t.Errorf("pimtrain %s exited 0, want an error", strings.Join(args, " "))
+			t.Errorf("pimtrain %s exited 0, want an error", strings.Join(tc.args, " "))
 			continue
 		}
-		for _, flag := range []string{args[0], args[len(args)-2]} {
+		for _, flag := range tc.names {
 			if !strings.Contains(string(out), flag) {
-				t.Errorf("pimtrain %s: error %q does not name %s", strings.Join(args, " "), out, flag)
+				t.Errorf("pimtrain %s: error %q does not name %s", strings.Join(tc.args, " "), out, flag)
 			}
 		}
 	}
 	// The cells the flags describe still run.
 	runTool(t, "pimtrain", "-model", "AlexNet", "-explain", "-config", "hetero", "-stacks", "1")
 	runTool(t, "pimtrain", "-fromtrace", trace)
+	runTool(t, "pimtrain", "-model", "AlexNet", "-allreduce", "tree")
+	runTool(t, "pimtrain", "-scenario", scenario, "-nocache")
+	// An empty -scenario names no file: the flag-driven cell runs.
+	runTool(t, "pimtrain", "-scenario", "", "-model", "AlexNet", "-config", "cpu")
 }
 
 // TestPimtrainMetricsFollowTheCell: pimtrain -metrics instruments the

@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"heteropim/internal/core"
+	"heteropim/internal/nn"
 )
 
 func TestModelsAndConfigs(t *testing.T) {
@@ -138,6 +141,49 @@ func TestFig2Experiment(t *testing.T) {
 	}
 	if len(tab.Rows) != 3 {
 		t.Fatalf("Fig. 2 rows = %d", len(tab.Rows))
+	}
+}
+
+// TestWarmTableIAndFig2BuildNothing: Table I and Fig. 2 read each
+// model's cached per-type profile by its memoized digest, so a warm call
+// builds no graph: it renders the cold call's table and allocates fewer
+// times than building the smallest of its models does.
+func TestWarmTableIAndFig2BuildNothing(t *testing.T) {
+	build := testing.AllocsPerRun(3, func() {
+		if _, err := nn.Build(nn.AlexNetName); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, tc := range []struct {
+		name string
+		run  func() (*Table, error)
+	}{{"Table I", TableI}, {"Fig. 2", Fig2Classes}} {
+		ResetSimulationCache()
+		core.ResetProfileCache()
+		cold, err := tc.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := nn.Builds()
+		warm, err := tc.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := nn.Builds() - before; b != 0 {
+			t.Errorf("%s: a warm call built %d graphs", tc.name, b)
+		}
+		if warm.String() != cold.String() {
+			t.Errorf("%s: warm table differs from the cold one:\n%s\nwant\n%s", tc.name, warm, cold)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: a warm call allocates %.0f times, building AlexNet %.0f", tc.name, allocs, build)
+		if allocs >= build {
+			t.Errorf("%s: a warm call allocates %.0f times, no fewer than one AlexNet build (%.0f)", tc.name, allocs, build)
+		}
 	}
 }
 

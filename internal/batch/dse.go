@@ -167,28 +167,24 @@ func (m *deltaManager) group(key string) *deltaGroup {
 	return e
 }
 
-// run evaluates one candidate through the delta layer: the first
-// candidate of a group runs in full and leaves a checkpoint; siblings
-// replay its suffix. Every failure mode degrades to a plain full
-// simulation — replays are a pure optimization, bit-identical when they
-// apply (core/checkpoint_test.go).
-func (m *deltaManager) run(model nn.ModelName, c Candidate) (core.Result, error) {
-	cg, err := nn.Build(model)
-	if err != nil {
-		return core.Result{}, err
-	}
+// run evaluates one candidate of g's exploration through the delta
+// layer: the first candidate of a group runs in full and leaves a
+// checkpoint; siblings replay its suffix. Every failure mode degrades
+// to a plain full simulation — replays are a pure optimization,
+// bit-identical when they apply (core/checkpoint_test.go).
+func (m *deltaManager) run(g *nn.Graph, c Candidate) (core.Result, error) {
 	cfg := c.Config()
 	opts := core.HeteroOptions()
 	e := m.group(calKey(c))
 	e.once.Do(func() {
 		e.baseUnits = c.Units
 		if m.deep {
-			e.plan, e.base, e.err = core.NewDeltaPlan(cg, cfg, opts)
+			e.plan, e.base, e.err = core.NewDeltaPlan(g, cfg, opts)
 			if e.err == nil && e.plan != nil {
 				m.checkpoints.Add(1)
 			}
 		} else {
-			e.cp, e.base, e.err = core.CheckpointRun(cg, cfg, opts)
+			e.cp, e.base, e.err = core.CheckpointRun(g, cfg, opts)
 			if e.err == nil && e.cp != nil {
 				m.checkpoints.Add(1)
 			}
@@ -211,7 +207,7 @@ func (m *deltaManager) run(model nn.ModelName, c Candidate) (core.Result, error)
 			return res, nil
 		}
 	}
-	return core.RunPIM(cg, cfg, opts)
+	return core.RunPIM(g, cfg, opts)
 }
 
 // boundaries sums the distinct deep boundaries captured across groups.
@@ -250,10 +246,15 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 	if len(cands) == 0 {
 		return Exploration{}, fmt.Errorf("batch: empty candidate set")
 	}
-	g, err := nn.Build(model)
+	// The exploration builds its model once: the bound, the cache peeks
+	// and every candidate's run read this one graph, which simulations
+	// only read, so concurrent candidates share it. A Named graph carries
+	// its memoized digest, so no lookup hashes it.
+	src, err := nn.Named(model, 0)
 	if err != nil {
 		return Exploration{}, err
 	}
+	g := src.Graph()
 	opts := core.HeteroOptions()
 	if dopts.Stacks > 1 {
 		opts.Stacks = dopts.Stacks
@@ -415,16 +416,9 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 			}
 			cells[k] = Cell[core.Result]{Group: grp, Run: func(ctx context.Context) (core.Result, error) {
 				if mgr != nil {
-					return mgr.run(model, c)
+					return mgr.run(g, c)
 				}
-				// Each cell has its own source, so cells stay
-				// independent; it builds a graph only if the result
-				// cache misses.
-				src, err := nn.Named(model, 0)
-				if err != nil {
-					return core.Result{}, err
-				}
-				return core.RunPIM(src, c.Config(), opts)
+				return core.RunPIM(g, c.Config(), opts)
 			}}
 		}
 		results, err := Eval(ctx, cells)

@@ -3,6 +3,7 @@ package batch
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"heteropim/internal/core"
@@ -288,5 +289,57 @@ func TestLowerBoundBitsPinned(t *testing.T) {
 				t.Errorf("%s %v stacks=%d: bound bits %#x, want %#x", model, tc.c, tc.opts.Stacks, got, w)
 			}
 		}
+	}
+}
+
+// TestConcurrentExploreSharesGraph: an exploration builds its model
+// once and runs every candidate, on the plain and the delta path, on
+// that one graph, from many runner workers at once. Two explorations of
+// one model run concurrently (the result cache off, so every candidate
+// simulates) must each build one graph and find a sequential run's
+// winner.
+func TestConcurrentExploreSharesGraph(t *testing.T) {
+	defer core.EnableResultCache(core.EnableResultCache(false))
+	var cands []Candidate
+	for _, procs := range []int{1, 2} {
+		for _, c := range testCandidates() {
+			c.ProgProcessors = procs
+			cands = append(cands, c)
+		}
+	}
+	modes := []DSEOptions{
+		{Prune: true, Calibrate: true},
+		{Prune: true, Calibrate: true, Delta: true, DeepDelta: true},
+	}
+	want, err := ExploreDSE(context.Background(), nn.AlexNetName, cands, modes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := nn.Builds()
+	got := make([]Exploration, len(modes))
+	errs := make([]error, len(modes))
+	var wg sync.WaitGroup
+	for i, opts := range modes {
+		wg.Add(1)
+		go func(i int, opts DSEOptions) {
+			defer wg.Done()
+			got[i], errs[i] = ExploreDSE(context.Background(), nn.AlexNetName, cands, opts)
+		}(i, opts)
+	}
+	wg.Wait()
+	for i := range modes {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i].Winner.Candidate != want.Winner.Candidate || got[i].Winner.Result != want.Winner.Result {
+			t.Errorf("mode %+v: winner %v (%g s), sequential %v (%g s)", modes[i],
+				got[i].Winner.Candidate, got[i].Winner.Result.StepTime, want.Winner.Candidate, want.Winner.Result.StepTime)
+		}
+		if got[i].Simulated < 2 {
+			t.Errorf("mode %+v simulated %d candidates; the test needs concurrent runs", modes[i], got[i].Simulated)
+		}
+	}
+	if b := nn.Builds() - before; b != int64(len(modes)) {
+		t.Errorf("%d concurrent explorations built %d graphs, want one each", len(modes), b)
 	}
 }

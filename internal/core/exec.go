@@ -278,13 +278,16 @@ func (d *serialDevice) pop() workItem {
 	return w
 }
 
-// opConst is one op's timing constants for a run: its profile and the
+// opConst is one op's timing constants for a run: its profile, the
 // two rates every fixed-pool chunk is priced with (device.FixedUnitRate
-// and device.FixedBandwidth on the run's stack).
+// and device.FixedBandwidth on the run's stack) and the units one of
+// its kernels occupies (nn.Op.UnitGranule, at least 1), the multiple
+// every fixed-pool grant comes in.
 type opConst struct {
 	prof     nn.Profile
 	unitRate hw.FlopsPerSec
 	fixedBW  hw.BytesPerSec
+	granule  int
 }
 
 // exec is the discrete-event executor state.
@@ -440,6 +443,7 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 		c.prof = nn.ProfileFor(op.Type)
 		c.unitRate = device.FixedUnitRate(&c.prof, cfg.FixedPIM, x.stack)
 		c.fixedBW = device.FixedBandwidth(&c.prof, x.stack)
+		c.granule = max(op.UnitGranule, 1)
 	}
 	// The placement is static, so the bank list reported to the status
 	// registers is too: compute it once instead of per offloaded op.
@@ -615,7 +619,8 @@ func (x *exec) maybeDispatch(t *task) {
 
 // dispatch applies the three scheduling principles to place a task.
 func (x *exec) dispatch(t *task) {
-	prof := &x.ops[t.op.ID].prof
+	c := &x.ops[t.op.ID]
+	prof := &c.prof
 	isCand := x.cand[t.op.ID]
 	if t.op.HostOnly {
 		// Section VI-F policy: the non-CNN model "executes on CPU or
@@ -638,10 +643,7 @@ func (x *exec) dispatch(t *task) {
 	// "do not have to be offloaded to PIMs, but we can offload them when
 	// there are idling hardware units in PIMs" — opportunistic offload
 	// when units are free right now (candidates may queue instead).
-	granule := t.op.UnitGranule
-	if granule <= 0 {
-		granule = 1
-	}
+	granule := c.granule
 	x.pool.Advance(x.eng.Now())
 	// Offload opportunistically when units are idle right now, or when
 	// the host is itself saturated (waiting for units beats queueing on
@@ -997,11 +999,8 @@ func (x *exec) runResidual(t *task, before bool) {
 // requestSection tries to grant fixed units for the task's next chunk.
 func (x *exec) requestSection(t *task) {
 	x.markGrant()
-	granule := t.op.UnitGranule
-	if granule <= 0 {
-		granule = 1
-	}
-	granule = x.watchClampGranule(granule)
+	c := &x.ops[t.op.ID]
+	granule := x.watchClampGranule(c.granule)
 	x.pool.Advance(x.eng.Now())
 	avail := x.pool.Available()
 	granules := avail / granule
@@ -1011,7 +1010,7 @@ func (x *exec) requestSection(t *task) {
 		return
 	}
 	granted := x.pool.Grant(granules * granule)
-	x.runSection(t, granted)
+	x.runSection(t, c, granted)
 }
 
 // popFixedPending removes the head of the fixed-pool wait queue.
@@ -1023,9 +1022,9 @@ func (x *exec) popFixedPending() {
 	}
 }
 
-// runSection executes one time-quantum chunk on granted units.
-func (x *exec) runSection(t *task, granted int) {
-	c := &x.ops[t.op.ID]
+// runSection executes one time-quantum chunk on granted units; c is
+// the task's op constants.
+func (x *exec) runSection(t *task, c *opConst, granted int) {
 	full := device.FixedSectionTime(t.remFlops, t.remBytes, granted, c.unitRate, c.fixedBW)
 	if math.IsInf(full, 1) || math.IsNaN(full) {
 		x.err = fmt.Errorf("core: op %s: non-finite section time with %d units", t.op.Name, granted)
@@ -1049,7 +1048,7 @@ func (x *exec) runSection(t *task, granted int) {
 	// Breakdown attribution follows the roofline split.
 	rate := c.unitRate * float64(granted)
 	compT := chunkFlops / rate
-	opT := math.Min(compT, dur)
+	opT := min(compT, dur)
 	x.bk.Operation += opT
 	x.bk.DataMovement += dur - opT
 	if x.eng.Observing() {
@@ -1098,11 +1097,8 @@ func (x *exec) pumpFixedPending() {
 	for x.fixedHead < len(x.fixedPending) {
 		x.markGrant()
 		t := x.all[x.fixedPending[x.fixedHead]]
-		granule := t.op.UnitGranule
-		if granule <= 0 {
-			granule = 1
-		}
-		granule = x.watchClampGranule(granule)
+		c := &x.ops[t.op.ID]
+		granule := x.watchClampGranule(c.granule)
 		granules := x.pool.Available() / granule
 		x.watchQuotient(x.pool.Busy(), granule, granules)
 		if granules == 0 {
@@ -1110,7 +1106,7 @@ func (x *exec) pumpFixedPending() {
 		}
 		x.popFixedPending()
 		granted := x.pool.Grant(granules * granule)
-		x.runSection(t, granted)
+		x.runSection(t, c, granted)
 	}
 }
 

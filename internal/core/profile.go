@@ -53,6 +53,49 @@ func ProfileStep(g *nn.Graph, cpu hw.CPUSpec) StepProfile {
 	return prof
 }
 
+// TypeTotal is one op type's part of a profiled training step.
+type TypeTotal struct {
+	Type nn.OpType
+	// Ops counts the type's operations (Table I's invocations).
+	Ops int
+	// Time and MemAccesses sum the type's profile entries.
+	Time        hw.Seconds
+	MemAccesses float64
+}
+
+// TypeProfile is a step profile summed per op type, the form Table I
+// and Fig. 2 read it in (Table I aggregates invocations by type).
+type TypeProfile struct {
+	// Types holds one total per op type, in type-name order.
+	Types []TypeTotal
+	// TotalTime and TotalAccesses are the profile's step totals.
+	TotalTime     hw.Seconds
+	TotalAccesses float64
+	// Classes is the graph's Fig. 2 tally (nn.Graph.ClassCounts).
+	Classes map[nn.Class]int
+}
+
+// typeProfile sums prof, the profile of g, per op type, in op order.
+func typeProfile(g *nn.Graph, prof StepProfile) TypeProfile {
+	out := TypeProfile{TotalTime: prof.TotalTime, TotalAccesses: prof.TotalAccesses, Classes: g.ClassCounts()}
+	idx := map[nn.OpType]int{}
+	for _, e := range prof.Entries {
+		op := g.Ops[e.OpID]
+		i, ok := idx[op.Type]
+		if !ok {
+			i = len(out.Types)
+			idx[op.Type] = i
+			out.Types = append(out.Types, TypeTotal{Type: op.Type})
+		}
+		t := &out.Types[i]
+		t.Ops++
+		t.Time += e.Time
+		t.MemAccesses += e.MemAccesses
+	}
+	sort.Slice(out.Types, func(i, j int) bool { return out.Types[i].Type < out.Types[j].Type })
+	return out
+}
+
 // SelectCandidates implements the paper's candidate-selection algorithm
 // verbatim: sort the operations into two descending lists (by execution
 // time and by main-memory accesses); each operation gets an index in

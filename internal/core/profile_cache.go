@@ -19,37 +19,61 @@ import (
 // callers; anything that needs a filtered or modified profile (e.g.
 // RunPIM dropping HostOnly ops from selection) must build its own copy.
 
-// profileKey identifies one profiling input. Graphs are rebuilt per
-// experiment cell, so identity is by content: the graph's digest
-// (nn.Graph.Digest), which covers every descriptor field the profiler
-// reads. Synthetic graphs (combined co-run steps, scaled or replayed
-// traces) have keys of their own and simply occupy extra entries.
+// profileKey identifies one profiling input. Identity is by content:
+// the source's digest (nn.Graph.Digest, or the memoized digest of an
+// nn.Named model), which covers every descriptor field the profiler
+// reads, so a lookup needs no graph. Synthetic graphs (combined co-run
+// steps, scaled or replayed traces) have keys of their own and simply
+// occupy extra entries.
 type profileKey struct {
 	digest fnv1a.Sum128
 	cpu    hw.CPUSpec
 }
 
 // profileEntry is one cache slot; once guards the single computation.
+// The per-type view is computed by its own once, on the first
+// CachedTypeProfile call: most entries only ever feed candidate
+// selection, and the cache holds thousands of entries' worth of
+// profiles, so the view is not paid for where nobody reads it.
 type profileEntry struct {
 	once sync.Once
 	prof StepProfile
+
+	typesOnce sync.Once
+	types     TypeProfile
 }
 
 var profileCache sync.Map // profileKey -> *profileEntry
 
-// CachedProfileStep returns the memoized step profile for (g, cpu),
+// CachedProfileStep returns the memoized step profile for (src, cpu),
 // computing it at most once per distinct input across all goroutines.
-// The returned profile is shared: callers must not modify it or its
-// Entries. Use ProfileStep directly for a private copy.
-func CachedProfileStep(g *nn.Graph, cpu hw.CPUSpec) StepProfile {
-	key := profileKey{digest: g.Digest(), cpu: cpu}
+// The lookup keys on src's digest, so src's graph is resolved (for an
+// nn.Named source: built) only on a miss. The returned profile is
+// shared: callers must not modify it or its Entries. Use ProfileStep
+// directly for a private copy.
+func CachedProfileStep(src nn.Source, cpu hw.CPUSpec) StepProfile {
+	return profileEntryFor(src, cpu).prof
+}
+
+// CachedTypeProfile returns the memoized profile of (src, cpu) summed
+// per op type, computing the sums at most once per entry. A warm call
+// resolves no graph. The result is shared and must not be modified.
+func CachedTypeProfile(src nn.Source, cpu hw.CPUSpec) TypeProfile {
+	e := profileEntryFor(src, cpu)
+	e.typesOnce.Do(func() { e.types = typeProfile(src.Graph(), e.prof) })
+	return e.types
+}
+
+// profileEntryFor returns the filled cache entry of (src, cpu).
+func profileEntryFor(src nn.Source, cpu hw.CPUSpec) *profileEntry {
+	key := profileKey{digest: src.Digest(), cpu: cpu}
 	v, ok := profileCache.Load(key)
 	if !ok {
 		v, _ = profileCache.LoadOrStore(key, &profileEntry{})
 	}
 	e := v.(*profileEntry)
-	e.once.Do(func() { e.prof = ProfileStep(g, cpu) })
-	return e.prof
+	e.once.Do(func() { e.prof = ProfileStep(src.Graph(), cpu) })
+	return e
 }
 
 // ResetProfileCache drops every memoized profile (tests and

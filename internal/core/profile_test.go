@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -144,5 +145,62 @@ func TestAllOpsCandidates(t *testing.T) {
 	c := AllOpsCandidates(g)
 	if len(c) != len(g.Ops) {
 		t.Fatalf("%d candidates for %d ops", len(c), len(g.Ops))
+	}
+}
+
+// The per-type totals Table I reads equal a per-op recomputation on
+// every model, and the Fig. 2 tally beside them is the graph's own. A
+// second lookup, through a fresh Named source, is found by the model's
+// digest: it builds no graph and returns the totals the first computed.
+func TestTypeProfileMatchesPerOp(t *testing.T) {
+	ResetProfileCache()
+	cpu := hw.PaperCPU()
+	for _, name := range nn.AllModelNames() {
+		src, err := nn.Named(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := src.Graph()
+		prof := ProfileStep(g, cpu)
+		want := map[nn.OpType]TypeTotal{}
+		for _, e := range prof.Entries {
+			op := g.Ops[e.OpID]
+			w := want[op.Type]
+			w.Type = op.Type
+			w.Ops++
+			w.Time += e.Time
+			w.MemAccesses += e.MemAccesses
+			want[op.Type] = w
+		}
+		got := CachedTypeProfile(src, cpu)
+		if len(got.Types) != len(want) {
+			t.Errorf("%s: %d type totals, want %d", name, len(got.Types), len(want))
+		}
+		for i, tt := range got.Types {
+			if i > 0 && got.Types[i-1].Type >= tt.Type {
+				t.Errorf("%s: types out of name order at %q", name, tt.Type)
+			}
+			if tt != want[tt.Type] {
+				t.Errorf("%s %s: totals %+v, per-op %+v", name, tt.Type, tt, want[tt.Type])
+			}
+		}
+		if got.TotalTime != prof.TotalTime || got.TotalAccesses != prof.TotalAccesses {
+			t.Errorf("%s: step totals %g s, %g accesses; want %g, %g", name,
+				got.TotalTime, got.TotalAccesses, prof.TotalTime, prof.TotalAccesses)
+		}
+		if c, w := got.Classes, g.ClassCounts(); !reflect.DeepEqual(c, w) {
+			t.Errorf("%s: Fig. 2 classes %v, from the graph %v", name, c, w)
+		}
+		before := nn.Builds()
+		warm, err := nn.Named(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := CachedTypeProfile(warm, cpu); &again.Types[0] != &got.Types[0] {
+			t.Errorf("%s: a warm lookup recomputed the per-type totals", name)
+		}
+		if b := nn.Builds() - before; b != 0 {
+			t.Errorf("%s: a warm lookup built %d graphs", name, b)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"math"
 
 	"heteropim/internal/device"
 	"heteropim/internal/hw"
@@ -29,7 +28,7 @@ const cpuDispatchOverhead hw.Seconds = 2e-6
 // is "operation time", the bandwidth-stall excess is "data movement".
 func splitWork(w device.Work) (operation, dataMove hw.Seconds) {
 	t := w.Time()
-	op := math.Min(w.Compute, t)
+	op := min(w.Compute, t)
 	return op, t - op
 }
 

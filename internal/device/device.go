@@ -31,7 +31,7 @@ type Work struct {
 }
 
 // Time is the roofline execution time: max of the two limits.
-func (w Work) Time() hw.Seconds { return math.Max(w.Compute, w.Memory) }
+func (w Work) Time() hw.Seconds { return max(w.Compute, w.Memory) }
 
 // MemBound reports whether the op is bandwidth limited on this device.
 func (w Work) MemBound() bool { return w.Memory > w.Compute }

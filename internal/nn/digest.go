@@ -120,44 +120,86 @@ type Source interface {
 // Graph returns g itself, making *Graph a Source.
 func (g *Graph) Graph() *Graph { return g }
 
-// named is the Source of a built-in model at a batch size.
+// named is the Source of a built-in model at a batch size. Its digest
+// and its graph are each resolved once, whichever goroutine asks first.
 type named struct {
 	name  ModelName
 	batch int
-	d     fnv1a.Sum128
-	g     *Graph
+
+	digestOnce sync.Once
+	d          fnv1a.Sum128
+	graphOnce  sync.Once
+	g          *Graph
 }
 
 // Named returns the Source of a built-in model at a batch size (0 = the
 // paper's). Its digest comes from ModelDigest; its graph is the one
 // ModelDigest built on a memo miss, or is built by the first Graph
-// call. It fails where BuildWithBatch fails. A Named source serves one
-// run at a time.
+// call. It fails where BuildWithBatch fails. A Named source is safe for
+// concurrent use: however many runs share it, it builds at most one
+// graph.
 func Named(name ModelName, batch int) (Source, error) {
 	batch, err := checkModel(name, batch)
 	if err != nil {
 		return nil, err
 	}
-	d, g := modelDigest(name, batch)
-	return &named{name: name, batch: batch, d: d, g: g}, nil
+	n := &named{name: name, batch: batch}
+	n.Digest()
+	return n, nil
 }
 
-func (n *named) Digest() fnv1a.Sum128 { return n.d }
+func (n *named) Digest() fnv1a.Sum128 {
+	n.digestOnce.Do(func() { n.d, n.g = modelDigest(n.name, n.batch) })
+	return n.d
+}
 
 func (n *named) Graph() *Graph {
-	if n.g == nil {
-		g := build(n.name, n.batch)
-		// Builds are deterministic, so the memoized digest is this
-		// graph's: seed it instead of walking the graph again.
-		g.digestOnce.Do(func() { g.digest = n.d })
-		n.g = g
-	}
+	n.graphOnce.Do(func() {
+		d := n.Digest()
+		if n.g == nil {
+			g := build(n.name, n.batch)
+			// Builds are deterministic, so the memoized digest is this
+			// graph's: seed it instead of walking the graph again.
+			g.digestOnce.Do(func() { g.digest = d })
+			n.g = g
+		}
+	})
 	return n.g
+}
+
+// ShareNamed returns one Named source per element i in [0, n), for the
+// model and batch size key(i) names. Elements of one (model, normalized
+// batch) get the same source, so a sweep's cells share one graph build
+// and one digest lookup; each source resolves its digest on its first
+// use, so workers resolve different models in parallel. The slice is
+// the only thing that keeps the sources: a caller that clears each
+// element as its cell takes it lets a graph go once the last cell of
+// its pair has it. An element whose model or batch Named refuses is
+// nil, and Named reports the error.
+func ShareNamed(n int, key func(i int) (ModelName, int)) []Source {
+	out := make([]Source, n)
+	shared := map[modelKey]*named{}
+	for i := range out {
+		name, batch := key(i)
+		batch, err := checkModel(name, batch)
+		if err != nil {
+			continue
+		}
+		k := modelKey{name, batch}
+		src := shared[k]
+		if src == nil {
+			src = &named{name: name, batch: batch}
+			shared[k] = src
+		}
+		out[i] = src
+	}
+	return out
 }
 
 // derived is the Source of a graph built from a recipe.
 type derived struct {
 	d     fnv1a.Sum128
+	once  sync.Once
 	build func() *Graph
 	g     *Graph
 }
@@ -168,7 +210,7 @@ type derived struct {
 // (so a result-cache hit never runs it), and must return a fresh graph,
 // which is seeded with d instead of being hashed. d does not cover
 // build's code, so a change to what a builder builds must change its
-// tag. Like Named, a Derive source serves one run at a time.
+// tag. Like Named, a Derive source is safe for concurrent use.
 func Derive(d fnv1a.Sum128, build func() *Graph) Source {
 	return &derived{d: d, build: build}
 }
@@ -176,10 +218,10 @@ func Derive(d fnv1a.Sum128, build func() *Graph) Source {
 func (s *derived) Digest() fnv1a.Sum128 { return s.d }
 
 func (s *derived) Graph() *Graph {
-	if s.g == nil {
+	s.once.Do(func() {
 		g := s.build()
 		g.digestOnce.Do(func() { g.digest = s.d })
 		s.g = g
-	}
+	})
 	return s.g
 }

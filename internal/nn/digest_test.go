@@ -249,3 +249,123 @@ func TestDeriveBuildsOnceAndSeedsDigest(t *testing.T) {
 		t.Error("seeding the digest changed the graph")
 	}
 }
+
+// A sweep hands one Named source to every cell of a model, and runner
+// workers call Graph on it at once: they all get the one graph it built.
+func TestConcurrentNamedSharedGraph(t *testing.T) {
+	if _, err := Named(AlexNetName, 0); err != nil { // fill the memo: the next source builds on demand
+		t.Fatal(err)
+	}
+	src, err := Named(AlexNetName, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := Builds()
+	const n = 8
+	got := make([]*Graph, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = src.Graph()
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g == nil || g != got[0] {
+			t.Errorf("goroutine %d got graph %p, goroutine 0 got %p", i, g, got[0])
+		}
+	}
+	if b := Builds() - before; b != 1 {
+		t.Errorf("%d concurrent Graph calls built %d graphs, want 1", n, b)
+	}
+	if got[0].Digest() != src.Digest() {
+		t.Error("the shared graph's digest is not its source's")
+	}
+}
+
+// ShareNamed hands every element of one (model, normalized batch) the
+// same source, whose digest its first user resolves; workers that use
+// the shared source at once build one graph per pair. Another batch gets
+// a source of its own, and an element Named refuses gets none.
+func TestConcurrentShareNamed(t *testing.T) {
+	ResetModelDigests()
+	type key struct {
+		name  ModelName
+		batch int
+	}
+	const n = 8
+	keys := make([]key, 0, n+3)
+	for i := 0; i < n; i++ {
+		keys = append(keys, key{VGG19Name, 32 * (i % 2)}) // 0 and 32 are both VGG-19's paper batch
+	}
+	keys = append(keys, key{VGG19Name, 16}, key{"NoSuchNet", 0}, key{LSTMName, 5})
+	srcs := ShareNamed(len(keys), func(i int) (ModelName, int) { return keys[i].name, keys[i].batch })
+	before := Builds()
+	graphs := make([]*Graph, n)
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			graphs[i] = srcs[i].Graph()
+		}(i)
+	}
+	wg.Wait()
+	for i := range graphs {
+		if srcs[i] != srcs[0] || graphs[i] != graphs[0] {
+			t.Errorf("element %d got source %p and graph %p, element 0 got %p and %p",
+				i, srcs[i], graphs[i], srcs[0], graphs[0])
+		}
+	}
+	if b := Builds() - before; b != 1 {
+		t.Errorf("a memo miss shared by %d elements built %d graphs, want 1", n, b)
+	}
+	if want := mustBuild(t, VGG19Name, 32).Digest(); srcs[0].Digest() != want {
+		t.Errorf("shared source digest %v, want %v", srcs[0].Digest(), want)
+	}
+	if srcs[n] == nil || srcs[n] == srcs[0] {
+		t.Errorf("batch 16 got source %v, want one of its own", srcs[n])
+	}
+	if want := mustBuild(t, VGG19Name, 16).Digest(); srcs[n] != nil && srcs[n].Digest() != want {
+		t.Errorf("batch-16 source digest %v, want %v", srcs[n].Digest(), want)
+	}
+	for _, i := range []int{n + 1, n + 2} {
+		if srcs[i] != nil {
+			t.Errorf("ShareNamed gave %q at batch %d a source", keys[i].name, keys[i].batch)
+		}
+	}
+}
+
+// Runs that share a Derive source race to its first Graph call; build
+// still runs once.
+func TestConcurrentDeriveBuildsOnce(t *testing.T) {
+	var calls sync.Map
+	src := Derive(fnv1a.Sum128{Hi: 3, Lo: 4}, func() *Graph {
+		g := mustBuild(t, AlexNetName, 32)
+		calls.Store(g, true)
+		return g
+	})
+	const n = 8
+	got := make([]*Graph, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = src.Graph()
+		}(i)
+	}
+	wg.Wait()
+	built := 0
+	calls.Range(func(_, _ any) bool { built++; return true })
+	if built != 1 {
+		t.Errorf("build ran %d times, want once", built)
+	}
+	for i, g := range got {
+		if g != got[0] {
+			t.Errorf("goroutine %d got graph %p, goroutine 0 got %p", i, g, got[0])
+		}
+	}
+}

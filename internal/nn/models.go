@@ -1,6 +1,9 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // ModelName enumerates the paper's training workloads (Section V-C).
 type ModelName string
@@ -79,8 +82,18 @@ func checkModel(name ModelName, batch int) (int, error) {
 	}
 }
 
+// builds counts build calls (Builds).
+var builds atomic.Int64
+
+// Builds returns how many built-in model graphs the process has built
+// by name (Build, BuildWithBatch, and the Named sources and ModelDigest
+// memo misses that build one). Tests read it to check that a call
+// builds each graph it needs once.
+func Builds() int64 { return builds.Load() }
+
 // build constructs a model that checkModel accepted.
 func build(name ModelName, batch int) *Graph {
+	builds.Add(1)
 	switch name {
 	case VGG19Name:
 		return buildVGG19(batch)
