@@ -32,8 +32,9 @@ import (
 //     scalars overwritten from the snapshot; events, queued work items
 //     and the fixed-pool wait queue name tasks by slab index, which
 //     resolves to the same task in the fork's own DAG;
-//   - the register file resumes from a deep copy with token numbering
-//     continued (pim.RegistersSnapshot);
+//   - the register file resumes from a deep copy with its slots,
+//     generations and free list, so the fork issues the same tokens
+//     (pim.RegistersSnapshot);
 //   - the pool's utilization integral is replayed advance-by-advance so
 //     the fork accumulates its OWN unit budget over the same piecewise
 //     intervals, reproducing the float sum a scratch run computes
@@ -337,7 +338,7 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 		minUnits:  w.minUnits,
 		maxUnits:  w.maxUnits,
 		eng:       x.eng.Checkpoint(),
-		tasks:     make([]taskState, len(x.all)),
+		tasks:     make([]taskState, len(x.tasks)),
 		stepLeft:  append([]int(nil), x.stepLeft...),
 		heldBack:  make([][]int32, len(x.heldBack)),
 		firstOpen: x.firstOpen,
@@ -353,8 +354,8 @@ func captureAt(g *nn.Graph, cfg hw.SystemConfig, opts Options, stopAfter uint64,
 		offload:   x.offload,
 		cpuOps:    x.cpuOps,
 	}
-	for i, t := range x.all {
-		cp.tasks[i] = t.taskState
+	for i := range x.tasks {
+		cp.tasks[i] = x.tasks[i].taskState
 	}
 	for s, held := range x.heldBack {
 		for _, t := range held {
@@ -390,14 +391,14 @@ func (c *RunCheckpoint) Replay(cfg2 hw.SystemConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	for i, t := range x.all {
-		t.taskState = c.tasks[i]
+	for i := range x.tasks {
+		x.tasks[i].taskState = c.tasks[i]
 	}
 	copy(x.stepLeft, c.stepLeft)
 	for s := range x.heldBack {
 		hb := x.heldBack[s][:0]
 		for _, idx := range c.heldBack[s] {
-			hb = append(hb, x.all[idx])
+			hb = append(hb, &x.tasks[idx])
 		}
 		x.heldBack[s] = hb
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"heteropim/internal/device"
 	"heteropim/internal/hmc"
@@ -176,13 +177,12 @@ const (
 	evSyncGap
 )
 
-// task is one operation instance (op x step) in flight: its place in
-// the task DAG, which buildTasks wires once per run, and the state a
-// run mutates.
+// task is one operation instance (op x step) in flight: the op and step
+// it instantiates, and the state a run mutates. Its dependents are not
+// stored on it: complete finds them in the run's consumer lists.
 type task struct {
 	op   *nn.Op
 	step int
-	outs []*task
 	taskState
 }
 
@@ -296,7 +296,10 @@ type exec struct {
 	cfg  hw.SystemConfig
 	g    *nn.Graph
 	opts Options
-	cand map[int]bool
+	// cand is the run's offload-candidate set, shared with the profile
+	// cache; nil makes every op a candidate (the no-selection
+	// baselines).
+	cand *candidateSet
 
 	pool *pim.Pool
 	regs *pim.Registers
@@ -320,14 +323,19 @@ type exec struct {
 	fixedPending []int32
 	fixedHead    int
 
-	// all holds every task at its slab index (step*len(g.Ops) + opID),
-	// the index events, work items and fixedPending name tasks by;
-	// tasks[step] is its row for one step.
-	all       []*task
-	tasks     [][]*task // [step][opID]
-	stepLeft  []int
-	heldBack  [][]*task // dep-free tasks awaiting step admission
-	firstOpen int       // smallest step with unfinished tasks
+	// tasks holds every task at its slab index (step*len(g.Ops) + opID),
+	// the index events, work items and fixedPending name tasks by.
+	tasks []task
+	// consumers[consumersAt[id]:consumersAt[id+1]] lists the tasks that
+	// wait on op id's task, as slab offsets from its step's row: the
+	// same-step consumers (offset = consumer ID, one per input edge, in
+	// (consumer ID, input) order), then, with OP off, the next step's
+	// CrossStep consumers (offset = len(g.Ops) + consumer ID).
+	consumers   []int32
+	consumersAt []int32
+	stepLeft    []int
+	heldBack    [][]*task // dep-free tasks awaiting step admission
+	firstOpen   int       // smallest step with unfinished tasks
 
 	bk      Breakdown // serial attribution sums
 	usage   Usage
@@ -356,11 +364,11 @@ type exec struct {
 // effects.
 func RunPIM(src nn.Source, cfg hw.SystemConfig, opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	return cachedRun(tagPIM, src, cfg, opts, nil, func(g *nn.Graph) (Result, error) {
+	return cachedRun(tagPIM, src, cfg, opts, nil, func() (Result, error) {
 		if opts.Stacks > 1 {
-			return runMultiPIM(g, cfg, opts)
+			return runMultiPIM(src, cfg, opts)
 		}
-		return runPIM(g, cfg, opts)
+		return runPIM(src.Graph(), cfg, opts)
 	})
 }
 
@@ -455,15 +463,15 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 			}
 		}
 	}
+	candidates := len(g.Ops)
 	if opts.UseSelection {
-		x.cand = SelectCandidates(withoutHostOnly(g, CachedProfileStep(g, cfg.CPU)), opts.XPercent)
-	} else {
-		x.cand = AllOpsCandidates(g)
+		x.cand = cachedCandidates(g, cfg.CPU, opts.XPercent)
+		candidates = x.cand.n
 	}
 	// Selection-rank decisions, for the metrics dump: how many ops the
 	// dual-index rank admitted to the candidate set.
 	eng.EmitCount("sched.ops", float64(len(g.Ops)))
-	eng.EmitCount("sched.candidates", float64(len(x.cand)))
+	eng.EmitCount("sched.candidates", float64(candidates))
 	x.buildTasks()
 	return x, nil
 }
@@ -495,85 +503,65 @@ func (x *exec) drainRun() (Result, error) {
 	return x.finish(), nil
 }
 
-// max0 clamps a count to zero.
-func max0(v int) int {
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// buildTasks instantiates op x step tasks and wires dependencies. All
-// tasks live in one contiguous slab and all dependency-edge slices are
-// carved from a second slab sized by a degree-counting pre-pass, so the
-// whole graph costs a handful of allocations instead of one per task
-// plus repeated append growth per edge. Each task's dependents are
-// wired in (step, op, input) order, same-step ones before the next
-// step's cross-step ones: the order its completion wakes them in, and
-// so part of the run's event order.
+// buildTasks instantiates the op x step tasks in one slab, each with
+// its dependency count, and wires the DAG once for all steps: op id's
+// consumer list (CSR form, built from op.Inputs and op.CrossStep)
+// serves the task of op id in every step, as offsets from that step's
+// row. A task's consumers come in the order its completion wakes them
+// in, which is part of the run's event order: same-step ones in
+// (consumer ID, input) order, then the next step's cross-step ones.
 func (x *exec) buildTasks() {
 	steps := x.opts.Steps
 	n := len(x.g.Ops)
-	// Out-degrees: same-step dependents, and (no-OP mode only)
-	// cross-step dependents of the previous step's instance.
-	outDeg := make([]int, n)
-	crossDeg := make([]int, n)
-	sameEdges, crossEdges := 0, 0
+	// Cross-step weight gates: under OP the runtime double-buffers
+	// parameter updates so next-step forward work can start on
+	// in-flight weights (the paper's next-step partial execution,
+	// Section III-C); without OP the step barrier subsumes the gates, so
+	// the explicit edges are only wired for the strict (no-OP) mode.
+	cross := !x.opts.OP
+	at := make([]int32, n+1)
 	for _, op := range x.g.Ops {
 		for _, in := range op.Inputs {
-			outDeg[in]++
-			sameEdges++
+			at[in+1]++
 		}
-		if !x.opts.OP {
+		if cross {
 			for _, cs := range op.CrossStep {
-				crossDeg[cs]++
-				crossEdges++
+				at[cs+1]++
 			}
 		}
 	}
-	slab := make([]task, steps*n)
-	x.all = make([]*task, steps*n)
-	edgeSlab := make([]*task, steps*sameEdges+max0(steps-1)*crossEdges)
-	x.tasks = make([][]*task, steps)
+	for i := 1; i <= n; i++ {
+		at[i] += at[i-1]
+	}
+	cons := make([]int32, at[n])
+	next := slices.Clone(at[:n])
+	for _, op := range x.g.Ops {
+		for _, in := range op.Inputs {
+			cons[next[in]] = int32(op.ID)
+			next[in]++
+		}
+	}
+	if cross {
+		for _, op := range x.g.Ops {
+			for _, cs := range op.CrossStep {
+				cons[next[cs]] = int32(n + op.ID)
+				next[cs]++
+			}
+		}
+	}
+	x.consumers, x.consumersAt = cons, at
+	x.tasks = make([]task, steps*n)
 	x.stepLeft = make([]int, steps)
 	x.heldBack = make([][]*task, steps)
-	off := 0
 	for s := 0; s < steps; s++ {
-		x.tasks[s] = x.all[s*n : (s+1)*n]
 		x.stepLeft[s] = n
+		row := x.tasks[s*n : (s+1)*n]
 		for _, op := range x.g.Ops {
-			t := &slab[s*n+op.ID]
+			t := &row[op.ID]
 			t.op, t.step = op, s
-			// Carve the outs slice at its exact final capacity.
-			deg := outDeg[op.ID]
-			if s < steps-1 && !x.opts.OP {
-				deg += crossDeg[op.ID]
-			}
-			t.outs = edgeSlab[off : off : off+deg]
-			off += deg
-			x.tasks[s][op.ID] = t
-		}
-	}
-	for s := 0; s < steps; s++ {
-		for _, op := range x.g.Ops {
-			t := x.tasks[s][op.ID]
-			for _, in := range op.Inputs {
-				src := x.tasks[s][in]
-				src.outs = append(src.outs, t)
-				t.deps++
-			}
-			// Cross-step weight gates: under OP the runtime
-			// double-buffers parameter updates so next-step forward
-			// work can start on in-flight weights (the paper's
-			// next-step partial execution, Section III-C); without OP
-			// the step barrier subsumes the gates, so the explicit
-			// edges are only wired for the strict (no-OP) mode.
-			if s > 0 && !x.opts.OP {
-				for _, cs := range op.CrossStep {
-					src := x.tasks[s-1][cs]
-					src.outs = append(src.outs, t)
-					t.deps++
-				}
+			t.deps = len(op.Inputs)
+			if s > 0 && cross {
+				t.deps += len(op.CrossStep)
 			}
 		}
 	}
@@ -599,11 +587,9 @@ func (x *exec) admitted(step int) bool {
 
 // seed dispatches every dependency-free task of admissible steps.
 func (x *exec) seed() {
-	for s := range x.tasks {
-		for _, t := range x.tasks[s] {
-			if t.deps == 0 {
-				x.maybeDispatch(t)
-			}
+	for i := range x.tasks {
+		if t := &x.tasks[i]; t.deps == 0 {
+			x.maybeDispatch(t)
 		}
 	}
 }
@@ -621,7 +607,7 @@ func (x *exec) maybeDispatch(t *task) {
 func (x *exec) dispatch(t *task) {
 	c := &x.ops[t.op.ID]
 	prof := &c.prof
-	isCand := x.cand[t.op.ID]
+	isCand := x.cand == nil || x.cand.has(t.op.ID)
 	if t.op.HostOnly {
 		// Section VI-F policy: the non-CNN model "executes on CPU or
 		// the programmable PIM, when they are idle". Pick the idle
@@ -694,7 +680,13 @@ func (x *exec) trace(t *task) {
 // drains it may open admission for held-back steps.
 func (x *exec) complete(t *task) {
 	x.stepLeft[t.step]--
-	for _, d := range t.outs {
+	row := t.step * len(x.g.Ops)
+	for _, c := range x.consumers[x.consumersAt[t.op.ID]:x.consumersAt[t.op.ID+1]] {
+		i := row + int(c)
+		if i >= len(x.tasks) {
+			break // cross-step consumers come last; the last step has none
+		}
+		d := &x.tasks[i]
 		d.deps--
 		if d.deps == 0 {
 			x.maybeDispatch(d)
@@ -757,7 +749,7 @@ func (x *exec) pumpDevice(d *serialDevice) {
 		w := d.pop()
 		d.busy += w.slots
 		d.busySeconds += w.dur * float64(w.slots)
-		t := x.all[w.t]
+		t := &x.tasks[w.t]
 		if x.eng.Observing() {
 			x.eng.EmitSample(d.queueMetric, float64(d.pending()))
 			x.eng.EmitTaskStart(sim.Task{Track: d.name, Name: t.op.Name, Kind: "op", Step: t.step})
@@ -791,7 +783,7 @@ func (x *exec) residualTrack() string {
 // bit-sensitive to it. An event of a kind the executor never schedules
 // fails the run.
 func (x *exec) HandleEvent(ev sim.Ev) {
-	t := x.all[ev.Ref]
+	t := &x.tasks[ev.Ref]
 	switch ev.Kind {
 	case evItemDone:
 		d := x.cpu
@@ -1096,7 +1088,7 @@ func (x *exec) sectionDone(t *task) {
 func (x *exec) pumpFixedPending() {
 	for x.fixedHead < len(x.fixedPending) {
 		x.markGrant()
-		t := x.all[x.fixedPending[x.fixedHead]]
+		t := &x.tasks[x.fixedPending[x.fixedHead]]
 		c := &x.ops[t.op.ID]
 		granule := x.watchClampGranule(c.granule)
 		granules := x.pool.Available() / granule

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"heteropim/internal/hw"
@@ -79,5 +81,68 @@ func TestSteadyStateZeroAllocsPerEvent(t *testing.T) {
 	// ~1.0 here.
 	if perEvent > 0.01 {
 		t.Fatalf("steady state allocates %.4f objects/event, want 0", perEvent)
+	}
+}
+
+// setupCells are the cells TestRunSetupAllocs and BenchmarkRunSetup
+// assemble: three models of very different op and edge counts, on
+// Hetero PIM (candidate selection, OP on) and on Fixed PIM (every op a
+// candidate, OP off, so the cross-step edges are wired).
+func setupCells() []struct {
+	platform hw.ConfigKind
+	opts     Options
+} {
+	fixed, _ := PIMOptionsFor(hw.ConfigFixedPIM)
+	return []struct {
+		platform hw.ConfigKind
+		opts     Options
+	}{
+		{hw.ConfigHeteroPIM, HeteroOptions().withDefaults()},
+		{hw.ConfigFixedPIM, fixed.withDefaults()},
+	}
+}
+
+// setupModels are the models of the set-up test and benchmark.
+var setupModels = []nn.ModelName{nn.VGG19Name, nn.ResNet50Name, nn.InceptionV3Name}
+
+// TestRunSetupAllocs pins what a run's set-up allocates: newExec
+// allocates its task slab, its consumer lists and its per-op tables
+// once each, and reads the candidate set its profile-cache entry holds,
+// so its allocation count does not grow with a model's ops, edges or
+// steps. The three models have 200 (VGG-19) to 817 (Inception-v3) ops;
+// their counts may differ by a small constant only.
+func TestRunSetupAllocs(t *testing.T) {
+	for _, c := range setupCells() {
+		cfg := hw.PaperConfigScaled(c.platform, 1)
+		counts := map[string]float64{}
+		for _, name := range setupModels {
+			g, err := nn.Build(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, steps := range []int{4, 12} {
+				opts := c.opts
+				opts.Steps = steps
+				// The first call fills the profile cache; set-up reads it.
+				if _, err := newExec(g, cfg, opts); err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("%s/%d ops/%d steps", name, len(g.Ops), steps)
+				counts[key] = testing.AllocsPerRun(20, func() {
+					if _, err := newExec(g, cfg, opts); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, n := range counts {
+			lo, hi = min(lo, n), max(hi, n)
+		}
+		t.Logf("%v set-up allocations: %v", c.platform, counts)
+		if hi-lo > 2 {
+			t.Errorf("%v: set-up allocations range over %g..%g across models and step counts, want a spread of at most 2: %v",
+				c.platform, lo, hi, counts)
+		}
 	}
 }

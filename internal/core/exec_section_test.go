@@ -133,7 +133,7 @@ func newSectionExec(t *testing.T, units int) *exec {
 
 // sectionTask readies step 0's task of op id for a section request.
 func sectionTask(x *exec, id int) *task {
-	t := x.tasks[0][id]
+	t := &x.tasks[id]
 	t.remFlops, t.remBytes = 1e9, 1e7
 	return t
 }
@@ -164,7 +164,7 @@ func TestRequestSectionZeroGrantQueues(t *testing.T) {
 	if got := len(x.fixedPending) - x.fixedHead; got != 1 {
 		t.Fatalf("%d tasks pending after one-granule release, want 1", got)
 	}
-	if x.all[x.fixedPending[x.fixedHead]] != b {
+	if &x.tasks[x.fixedPending[x.fixedHead]] != b {
 		t.Fatal("FIFO violated: task B served before task A")
 	}
 	if x.pool.Available() != 0 {

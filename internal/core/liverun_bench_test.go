@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"heteropim/internal/hw"
@@ -53,5 +54,35 @@ func BenchmarkLiveRun(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
 			b.ReportMetric(events, "events")
 		})
+	}
+}
+
+// BenchmarkRunSetup times a run's set-up alone (newExec: configuration,
+// placement, engine, per-op tables, candidate set and task DAG) on
+// three models, with the profile cache warm, as every run after a
+// model's first pays it.
+//
+//	go test -run '^$' -bench BenchmarkRunSetup -benchmem ./internal/core
+func BenchmarkRunSetup(b *testing.B) {
+	for _, c := range setupCells() {
+		cfg := hw.PaperConfigScaled(c.platform, 1)
+		for _, name := range setupModels {
+			g, err := nn.Build(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%v/%s", c.platform, name), func(b *testing.B) {
+				if _, err := newExec(g, cfg, c.opts); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := newExec(g, cfg, c.opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -22,7 +22,10 @@ import (
 //   - shard i runs batch ShardBatches(B, M)[i] of the global batch B
 //     through the unmodified single-stack executor (its own engine,
 //     slab task graph and result-cache entry), as an nn.Named
-//     source, so a cached shard builds no graph;
+//     source, so a cached shard builds no graph; shards of one batch
+//     size share their source, so a cold run builds one graph per
+//     distinct shard batch, and at the global batch only the graph its
+//     digest needs when the digest memo lacks it;
 //   - the merged compute phase is the slowest stack's step (argmax over
 //     StepTime, lowest stack index on ties), because data-parallel
 //     peers proceed in lockstep at all-reduce barriers;
@@ -52,24 +55,32 @@ const (
 	ReduceTree = nn.AllReduceTree
 )
 
-// runMultiPIM is the Stacks > 1 arm of RunPIM. opts is normalized.
-func runMultiPIM(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, error) {
+// runMultiPIM is the Stacks > 1 arm of RunPIM. opts is normalized. It
+// reads the model, batch size and parameter footprint of src without
+// resolving its graph (nn.NamedModel), so only the shards' graphs are
+// built.
+func runMultiPIM(src nn.Source, cfg hw.SystemConfig, opts Options) (Result, error) {
 	m := opts.Stacks
 	if err := cfg.ValidateMultiStack(); err != nil {
 		return Result{}, err
 	}
-	shards, err := nn.ShardBatches(g.BatchSize, m)
+	// Each shard runs the model by name at its own batch size, so the
+	// input must be a named model, unmodified at its batch size —
+	// otherwise the shards would silently simulate a different network.
+	name, batch, paramBytes, err := nn.NamedModel(src)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: multi-stack run needs a named model graph: %w", err)
+	}
+	shards, err := nn.ShardBatches(batch, m)
 	if err != nil {
 		return Result{}, err
 	}
-	// Each shard runs the model by name at its own batch size, so the
-	// input graph must be a named model, unmodified at its batch size —
-	// otherwise the shards would silently simulate a different network.
-	name := nn.ModelName(g.Model)
-	if ref, _, rerr := nn.ModelDigest(name, g.BatchSize); rerr != nil {
-		return Result{}, fmt.Errorf("core: multi-stack run needs a named model graph: %v", rerr)
-	} else if ref != g.Digest() {
-		return Result{}, fmt.Errorf("core: multi-stack run of %q: graph differs from the named model at batch %d", g.Model, g.BatchSize)
+	srcs := nn.ShareNamed(m, func(i int) (nn.ModelName, int) { return name, shards[i] })
+	for i, s := range srcs {
+		if s == nil {
+			_, err := nn.Named(name, shards[i])
+			return Result{}, err
+		}
 	}
 	shardOpts := opts
 	shardOpts.Stacks, shardOpts.AllReduce = 1, ""
@@ -84,18 +95,14 @@ func runMultiPIM(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, error)
 		if i > 0 {
 			so.Collector, so.Trace, so.Census = nil, nil, nil
 		}
-		src, err := nn.Named(name, shards[i])
-		if err != nil {
-			return Result{}, err
-		}
-		return RunPIM(src, cfg, so)
+		return RunPIM(srcs[i], cfg, so)
 	})
 	if err != nil {
 		return Result{}, err
 	}
 	// The gradient all-reduce, as its own event timeline over the
 	// template's phase graph.
-	arTime, arBytes, _, err := simulateAllReduce(opts.AllReduce, m, g.ParamBytes, cfg.Link, opts.Collector)
+	arTime, arBytes, _, err := simulateAllReduce(opts.AllReduce, m, paramBytes, cfg.Link, opts.Collector)
 	if err != nil {
 		return Result{}, err
 	}
@@ -109,7 +116,7 @@ func runMultiPIM(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, error)
 	res := results[slow]
 	res.Config = cfg
 	res.Config.Name = fmt.Sprintf("%s x%d", cfg.Name, m)
-	res.Model = g.Model
+	res.Model = string(name)
 	res.Stacks = m
 	res.AllReduce = string(opts.AllReduce)
 	res.StackStepTime = res.StepTime

@@ -105,12 +105,19 @@ func typeProfile(g *nn.Graph, prof StepProfile) TypeProfile {
 // they account for x% of the step's execution time (x = 90 in the
 // paper's evaluation).
 func SelectCandidates(prof StepProfile, xPercent float64) map[int]bool {
-	n := len(prof.Entries)
-	if n == 0 {
-		return map[int]bool{}
+	candidates := map[int]bool{}
+	for _, id := range selectOps(prof, xPercent) {
+		candidates[id] = true
 	}
-	if xPercent <= 0 {
-		return map[int]bool{}
+	return candidates
+}
+
+// selectOps is SelectCandidates's selection, as the selected op IDs in
+// rank order.
+func selectOps(prof StepProfile, xPercent float64) []int {
+	n := len(prof.Entries)
+	if n == 0 || xPercent <= 0 {
+		return nil
 	}
 	if xPercent > 100 {
 		xPercent = 100
@@ -144,7 +151,7 @@ func SelectCandidates(prof StepProfile, xPercent float64) map[int]bool {
 		// Deterministic tie-break: the more time-consuming op first.
 		return prof.Entries[order[a]].Time > prof.Entries[order[b]].Time
 	})
-	candidates := map[int]bool{}
+	var ids []int
 	target := prof.TotalTime * xPercent / 100
 	var acc hw.Seconds
 	for _, pos := range order {
@@ -152,10 +159,10 @@ func SelectCandidates(prof StepProfile, xPercent float64) map[int]bool {
 			break
 		}
 		e := prof.Entries[pos]
-		candidates[e.OpID] = true
+		ids = append(ids, e.OpID)
 		acc += e.Time
 	}
-	return candidates
+	return ids
 }
 
 // withoutHostOnly drops g's HostOnly ops from prof: host-pinned
@@ -183,15 +190,4 @@ func withoutHostOnly(g *nn.Graph, prof StepProfile) StepProfile {
 // paper's x = 90 threshold.
 func CandidateSet(g *nn.Graph, cpu hw.CPUSpec) map[int]bool {
 	return SelectCandidates(ProfileStep(g, cpu), 90)
-}
-
-// AllOpsCandidates marks every op a candidate; the Fixed PIM and Progr
-// PIM baselines have no runtime selection — eligibility alone decides
-// placement.
-func AllOpsCandidates(g *nn.Graph) map[int]bool {
-	out := make(map[int]bool, len(g.Ops))
-	for _, op := range g.Ops {
-		out[op.ID] = true
-	}
-	return out
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"heteropim/internal/fnv1a"
 	"heteropim/internal/hw"
@@ -34,13 +36,70 @@ type profileKey struct {
 // The per-type view is computed by its own once, on the first
 // CachedTypeProfile call: most entries only ever feed candidate
 // selection, and the cache holds thousands of entries' worth of
-// profiles, so the view is not paid for where nobody reads it.
+// profiles, so the view is not paid for where nobody reads it. The
+// candidate sets selected from the profile are kept beside it, one per
+// selection threshold a run asked for, each computed once.
 type profileEntry struct {
 	once sync.Once
 	prof StepProfile
 
 	typesOnce sync.Once
 	types     TypeProfile
+
+	candMu sync.Mutex
+	cands  []*candidateSlot
+}
+
+// candidateSlot is one x% selection of an entry's profile.
+type candidateSlot struct {
+	x    float64
+	once sync.Once
+	set  candidateSet
+}
+
+// candidateSet is a set of offload candidates: one bit per op ID, and
+// the number of ops in the set.
+type candidateSet struct {
+	bits []uint64
+	n    int
+}
+
+// has reports whether op id is a candidate.
+func (c *candidateSet) has(id int) bool { return c.bits[id>>6]&(1<<(id&63)) != 0 }
+
+// candidateSelections counts candidate sets computed, for the tests.
+var candidateSelections atomic.Int64
+
+// cachedCandidates returns the offload candidates of g at the selection
+// threshold xPercent: SelectCandidates on g's profile without its
+// HostOnly ops (withoutHostOnly). It is computed at most once per
+// profile-cache entry and threshold, across all goroutines; HostOnly
+// placement is part of g's digest, so the entry determines the set. The
+// result is shared and must not be modified.
+func cachedCandidates(g *nn.Graph, cpu hw.CPUSpec, xPercent float64) *candidateSet {
+	e := profileEntryFor(g, cpu)
+	e.candMu.Lock()
+	var slot *candidateSlot
+	for _, c := range e.cands {
+		if math.Float64bits(c.x) == math.Float64bits(xPercent) {
+			slot = c
+			break
+		}
+	}
+	if slot == nil {
+		slot = &candidateSlot{x: xPercent}
+		e.cands = append(e.cands, slot)
+	}
+	e.candMu.Unlock()
+	slot.once.Do(func() {
+		candidateSelections.Add(1)
+		ids := selectOps(withoutHostOnly(g, e.prof), xPercent)
+		slot.set = candidateSet{bits: make([]uint64, (len(g.Ops)+63)/64), n: len(ids)}
+		for _, id := range ids {
+			slot.set.bits[id>>6] |= 1 << (id & 63)
+		}
+	})
+	return &slot.set
 }
 
 var profileCache sync.Map // profileKey -> *profileEntry

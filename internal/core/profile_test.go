@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -140,11 +141,27 @@ func TestSelectCandidatesMonotoneQuick(t *testing.T) {
 	}
 }
 
+// TestAllOpsCandidates: the baselines without runtime selection (Fixed
+// PIM, Progr PIM) hold no candidate set, so every op is a candidate,
+// and their runs report as many candidates as ops.
 func TestAllOpsCandidates(t *testing.T) {
 	g := nn.DCGAN()
-	c := AllOpsCandidates(g)
-	if len(c) != len(g.Ops) {
-		t.Fatalf("%d candidates for %d ops", len(c), len(g.Ops))
+	for _, kind := range []hw.ConfigKind{hw.ConfigFixedPIM, hw.ConfigProgrPIM} {
+		opts, _ := PIMOptionsFor(kind)
+		c := &countingCollector{counts: map[string]float64{}}
+		opts.Collector = c
+		x, err := newExec(g, hw.PaperConfig(kind), opts.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range g.Ops {
+			if x.cand != nil && !x.cand.has(op.ID) {
+				t.Fatalf("%v: op %d is not a candidate", kind, op.ID)
+			}
+		}
+		if got := c.counts["sched.candidates"]; got != float64(len(g.Ops)) {
+			t.Errorf("%v: %g candidates for %d ops", kind, got, len(g.Ops))
+		}
 	}
 }
 
@@ -203,4 +220,62 @@ func TestTypeProfileMatchesPerOp(t *testing.T) {
 			t.Errorf("%s: a warm lookup built %d graphs", name, b)
 		}
 	}
+}
+
+// TestConcurrentCandidateSets races the candidate sets a profile-cache
+// entry holds: goroutines resolve one entry's selection at several
+// thresholds at once. Each (entry, threshold) is selected once, every
+// goroutine gets that one set, and it equals SelectCandidates's map on
+// the profile without HostOnly ops. The second graph pins some ops to
+// the host, so its entry's sets must leave them out.
+func TestConcurrentCandidateSets(t *testing.T) {
+	hostOnly := nn.VGG19()
+	for i := 0; i < len(hostOnly.Ops); i += 7 {
+		hostOnly.Ops[i].HostOnly = true
+	}
+	cpu := hw.PaperCPU()
+	xs := []float64{30, 60, 90, 100}
+	for _, g := range []*nn.Graph{nn.VGG19(), hostOnly} {
+		ResetProfileCache()
+		before := candidateSelections.Load()
+		const goroutines = 8
+		got := make([][]*candidateSet, goroutines)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = make([]*candidateSet, len(xs))
+				for j := range xs {
+					k := (i + j) % len(xs)
+					got[i][k] = cachedCandidates(g, cpu, xs[k])
+				}
+			}()
+		}
+		wg.Wait()
+		if n := candidateSelections.Load() - before; n != int64(len(xs)) {
+			t.Errorf("%d goroutines at %d thresholds computed %d selections, want %d", goroutines, len(xs), n, len(xs))
+		}
+		for k, x := range xs {
+			want := SelectCandidates(withoutHostOnly(g, ProfileStep(g, cpu)), x)
+			set := got[0][k]
+			for i := range got {
+				if got[i][k] != set {
+					t.Fatalf("x=%g: goroutine %d got its own set", x, i)
+				}
+			}
+			if set.n != len(want) {
+				t.Errorf("x=%g: %d candidates, want %d", x, set.n, len(want))
+			}
+			for _, op := range g.Ops {
+				if set.has(op.ID) != want[op.ID] {
+					t.Errorf("x=%g: op %d candidate %v, want %v", x, op.ID, set.has(op.ID), want[op.ID])
+				}
+				if op.HostOnly && set.has(op.ID) {
+					t.Errorf("x=%g: host-only op %d selected", x, op.ID)
+				}
+			}
+		}
+	}
+	ResetProfileCache()
 }

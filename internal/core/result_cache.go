@@ -140,16 +140,16 @@ var (
 
 // cachedRun is the one path of the cached entry points (RunPIM, RunCPU,
 // RunGPU, RunNeurocube) through the result cache. It looks the cell up
-// by its fingerprint before resolving src's graph, so a hit builds
-// nothing, and it counts the cell exactly once. An instrumented or
-// cache-disabled run goes live.
+// by src's digest, and run resolves src's graph (or, for a multi-stack
+// run, its shards' graphs) only on a miss, so a hit builds nothing; it
+// counts the cell exactly once. An instrumented or cache-disabled run
+// goes live.
 func cachedRun(tag string, src nn.Source, cfg hw.SystemConfig, opts Options, extra []byte,
-	run func(*nn.Graph) (Result, error)) (Result, error) {
+	run func() (Result, error)) (Result, error) {
 	if !resultCacheUsable(opts) {
-		return run(src.Graph())
+		return run()
 	}
-	fp := fingerprintRun(tag, src, cfg, opts, extra)
-	return cachedResult(fp, func() (Result, error) { return run(src.Graph()) })
+	return cachedResult(fingerprintRun(tag, src, cfg, opts, extra), run)
 }
 
 // resultEntry is one in-memory cache slot; once gives singleflight

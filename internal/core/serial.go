@@ -38,8 +38,8 @@ func splitWork(w device.Work) (operation, dataMove hw.Seconds) {
 // track at its serial position in the step. Uninstrumented calls go
 // through the result cache; instrumented ones bypass it (see RunPIM).
 func RunCPU(src nn.Source, cfg hw.SystemConfig, c sim.Collector) Result {
-	res, _ := cachedRun(tagCPU, src, cfg, Options{Collector: c}, nil, func(g *nn.Graph) (Result, error) {
-		return runCPUSerial(g, cfg, c), nil
+	res, _ := cachedRun(tagCPU, src, cfg, Options{Collector: c}, nil, func() (Result, error) {
+		return runCPUSerial(src.Graph(), cfg, c), nil
 	})
 	return res
 }
@@ -84,8 +84,8 @@ func gpuEff(g *nn.Graph) float64 {
 // unhidden transfer one span on the "pcie" track. Uninstrumented calls
 // go through the result cache; instrumented ones bypass it (see RunPIM).
 func RunGPU(src nn.Source, cfg hw.SystemConfig, c sim.Collector) Result {
-	res, _ := cachedRun(tagGPU, src, cfg, Options{Collector: c}, nil, func(g *nn.Graph) (Result, error) {
-		return runGPUSerial(g, cfg, c), nil
+	res, _ := cachedRun(tagGPU, src, cfg, Options{Collector: c}, nil, func() (Result, error) {
+		return runGPUSerial(src.Graph(), cfg, c), nil
 	})
 	return res
 }
@@ -123,11 +123,11 @@ func runGPUSerial(g *nn.Graph, cfg hw.SystemConfig, c sim.Collector) Result {
 // no dynamic runtime scheduling — Section VI-C). Runs go through the
 // result cache, with the spec folded into the fingerprint.
 func RunNeurocube(src nn.Source, spec device.NeurocubeSpec, cfg hw.SystemConfig) Result {
-	run := func(g *nn.Graph) (Result, error) { return runNeurocubeSerial(g, spec, cfg), nil }
+	run := func() (Result, error) { return runNeurocubeSerial(src.Graph(), spec, cfg), nil }
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		// Unreachable for the plain-value spec; run uncached.
-		res, _ := run(src.Graph())
+		res, _ := run()
 		return res
 	}
 	res, _ := cachedRun(tagNeurocube, src, cfg, Options{}, specJSON, run)

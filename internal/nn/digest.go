@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"sync"
 
 	"heteropim/internal/fnv1a"
@@ -60,11 +61,19 @@ type modelKey struct {
 	batch int
 }
 
-// The ModelDigest memo holds 16-byte digests, never graphs: a graph
-// lives only as long as the call that built it.
+// modelInfo is what the ModelDigest memo keeps of a built-in graph: its
+// digest, and its parameter footprint, which a multi-stack run reads
+// without the graph (NamedModel).
+type modelInfo struct {
+	digest     fnv1a.Sum128
+	paramBytes float64
+}
+
+// The ModelDigest memo holds digests and footprints, never graphs: a
+// graph lives only as long as the call that built it.
 var (
 	digestMu   sync.Mutex
-	digestMemo = map[modelKey]fnv1a.Sum128{}
+	digestMemo = map[modelKey]modelInfo{}
 )
 
 // ModelDigest returns BuildWithBatch(name, batch).Digest() without
@@ -78,26 +87,26 @@ func ModelDigest(name ModelName, batch int) (fnv1a.Sum128, *Graph, error) {
 	if err != nil {
 		return fnv1a.Sum128{}, nil, err
 	}
-	d, g := modelDigest(name, batch)
-	return d, g, nil
+	info, g := modelDigest(name, batch)
+	return info.digest, g, nil
 }
 
 // modelDigest is ModelDigest for a model and normalized batch that
-// checkModel accepted.
-func modelDigest(name ModelName, batch int) (fnv1a.Sum128, *Graph) {
+// checkModel accepted, returning the memo's whole entry.
+func modelDigest(name ModelName, batch int) (modelInfo, *Graph) {
 	k := modelKey{name, batch}
 	digestMu.Lock()
-	d, ok := digestMemo[k]
+	info, ok := digestMemo[k]
 	digestMu.Unlock()
 	if ok {
-		return d, nil
+		return info, nil
 	}
 	g := build(name, batch)
-	d = g.Digest()
+	info = modelInfo{digest: g.Digest(), paramBytes: g.ParamBytes}
 	digestMu.Lock()
-	digestMemo[k] = d
+	digestMemo[k] = info
 	digestMu.Unlock()
-	return d, g
+	return info, g
 }
 
 // ResetModelDigests empties the ModelDigest memo, so the next lookup of
@@ -127,7 +136,7 @@ type named struct {
 	batch int
 
 	digestOnce sync.Once
-	d          fnv1a.Sum128
+	info       modelInfo
 	graphOnce  sync.Once
 	g          *Graph
 }
@@ -149,8 +158,8 @@ func Named(name ModelName, batch int) (Source, error) {
 }
 
 func (n *named) Digest() fnv1a.Sum128 {
-	n.digestOnce.Do(func() { n.d, n.g = modelDigest(n.name, n.batch) })
-	return n.d
+	n.digestOnce.Do(func() { n.info, n.g = modelDigest(n.name, n.batch) })
+	return n.info.digest
 }
 
 func (n *named) Graph() *Graph {
@@ -165,6 +174,29 @@ func (n *named) Graph() *Graph {
 		}
 	})
 	return n.g
+}
+
+// NamedModel reports the built-in model and batch size src is, and the
+// model's parameter footprint (Graph.ParamBytes). A Named source
+// answers from its digest, so it resolves no graph beyond what that
+// digest needs. Any other source must be a built-in model unmodified at
+// its batch size: its digest must equal ModelDigest's for the model and
+// batch its graph names, or NamedModel returns an error.
+func NamedModel(src Source) (ModelName, int, float64, error) {
+	if n, ok := src.(*named); ok {
+		n.Digest()
+		return n.name, n.batch, n.info.paramBytes, nil
+	}
+	g := src.Graph()
+	name := ModelName(g.Model)
+	ref, _, err := ModelDigest(name, g.BatchSize)
+	if err != nil {
+		return "", 0, 0, err
+	}
+	if ref != src.Digest() {
+		return "", 0, 0, fmt.Errorf("nn: %s graph differs from the named model at batch %d", g.Model, g.BatchSize)
+	}
+	return name, g.BatchSize, g.ParamBytes, nil
 }
 
 // ShareNamed returns one Named source per element i in [0, n), for the

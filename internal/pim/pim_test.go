@@ -2,6 +2,7 @@ package pim
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +310,198 @@ func TestProgPIMPerProcessorFlops(t *testing.T) {
 	want := 4 * 2e9 * 2.0
 	if got := p.PerProcessorFlops(); math.Abs(got-want) > 1 {
 		t.Fatalf("per-processor flops = %g, want %g", got, want)
+	}
+}
+
+// tokenState reads what the register file says about tok: "live",
+// "completed" or "unknown", checking that QueryCompletion,
+// QueryLocation and a trial Complete agree. The trial Complete runs on
+// a fork, so r is left as it was.
+func tokenState(t *testing.T, r *Registers, tok OpToken) string {
+	t.Helper()
+	done, qerr := r.QueryCompletion(tok)
+	_, lerr := r.QueryLocation(tok)
+	cerr := r.Snapshot().NewRegisters().Complete(tok)
+	switch {
+	case qerr == nil && !done:
+		if lerr != nil || cerr != nil {
+			t.Fatalf("token %d in flight, but QueryLocation says %v and Complete %v", tok, lerr, cerr)
+		}
+		return "live"
+	case qerr == nil && done:
+		for _, err := range []error{lerr, cerr} {
+			if err == nil || !strings.Contains(err.Error(), "already completed") {
+				t.Fatalf("completed token %d: got error %v, want \"already completed\"", tok, err)
+			}
+		}
+		return "completed"
+	default:
+		for _, err := range []error{qerr, lerr, cerr} {
+			if err == nil || !strings.Contains(err.Error(), "unknown op token") {
+				t.Fatalf("token %d: got error %v, want \"unknown op token\"", tok, err)
+			}
+		}
+		return "unknown"
+	}
+}
+
+// TestRegistersTokenStates covers the slot-addressed tokens: a
+// completed token reads completed, never unknown; a token never issued
+// reads unknown, whatever its slot and generation bits; and a recycled
+// slot never revives the token that held it before.
+func TestRegistersTokenStates(t *testing.T) {
+	r := NewRegisters(8, 2)
+	for _, tok := range []OpToken{0, 1, 99, token(0, 1)} {
+		if got := tokenState(t, r, tok); got != "unknown" {
+			t.Errorf("fresh file: token %d reads %s, want unknown", tok, got)
+		}
+	}
+	a, err := r.Offload(Location{Banks: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Offload(Location{OnProgrammable: true, Processor: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Complete(a); err != nil {
+		t.Fatal(err)
+	}
+	// a's slot is reused by c, at the next generation.
+	c, err := r.Offload(Location{Banks: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c == a {
+		t.Fatalf("recycled slot reissued token %d", a)
+	}
+	if uint32(c) != uint32(a) {
+		t.Fatalf("token %d did not reuse the slot of completed token %d", c, a)
+	}
+	for tok, want := range map[OpToken]string{
+		a: "completed", b: "live", c: "live",
+		0: "unknown", c + 1<<32: "unknown", token(2, 1): "unknown", token(1, 2): "unknown",
+	} {
+		if got := tokenState(t, r, tok); got != want {
+			t.Errorf("token %d reads %s, want %s", tok, got, want)
+		}
+	}
+	if loc, _ := r.QueryLocation(c); len(loc.Banks) != 1 || loc.Banks[0] != 2 {
+		t.Errorf("recycled slot locates token %d at %+v, want bank 2", c, loc)
+	}
+	if r.IsBankBusy(0) || !r.IsBankBusy(2) || !r.IsProcessorBusy(1) {
+		t.Error("busy bits wrong after a recycled offload")
+	}
+	if err := r.Complete(a); err == nil || !strings.Contains(err.Error(), "already completed") {
+		t.Errorf("completing %d twice: %v, want \"already completed\"", a, err)
+	}
+	if !r.IsBankBusy(2) {
+		t.Error("a stale Complete released the slot's new operation")
+	}
+}
+
+// TestRegistersStorageBounded runs 10^5 offload/complete cycles with up
+// to four operations in flight: the register file keeps one slot per
+// operation in flight at once, not one per operation ever offloaded,
+// and every token stays unique.
+func TestRegistersStorageBounded(t *testing.T) {
+	const cycles, window = 100000, 4
+	r := NewRegisters(4, 1)
+	seen := make(map[OpToken]bool, cycles)
+	var open []OpToken
+	for i := 0; i < cycles; i++ {
+		tok, err := r.Offload(Location{Banks: []int{i % 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[tok] {
+			t.Fatalf("cycle %d: token %d issued twice", i, tok)
+		}
+		seen[tok] = true
+		open = append(open, tok)
+		if len(open) == window {
+			// Complete out of issue order, so slots recycle shuffled.
+			j := i % window
+			if err := r.Complete(open[j]); err != nil {
+				t.Fatal(err)
+			}
+			open = append(open[:j], open[j+1:]...)
+		}
+	}
+	if len(r.slots) != window {
+		t.Errorf("%d slots after %d cycles, want %d (the most in flight at once)", len(r.slots), cycles, window)
+	}
+	if len(r.free)+len(open) != len(r.slots) {
+		t.Errorf("%d free + %d open slots, want %d", len(r.free), len(open), len(r.slots))
+	}
+	for _, tok := range open {
+		if err := r.Complete(tok); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for b := 0; b < 4; b++ {
+		if r.IsBankBusy(b) {
+			t.Errorf("bank %d busy after every operation completed", b)
+		}
+	}
+}
+
+// TestRegistersSnapshotRoundTrip checks that a fork of a snapshot
+// answers every token as the source does (in flight, completed,
+// recycled, never issued), issues the same next tokens, and shares no
+// storage with the source.
+func TestRegistersSnapshotRoundTrip(t *testing.T) {
+	r := NewRegisters(8, 2)
+	banks := []int{3, 4}
+	var toks []OpToken
+	for i := 0; i < 5; i++ {
+		loc := Location{Banks: banks}
+		if i%2 == 1 {
+			loc = Location{OnProgrammable: true, Processor: i % 2}
+		}
+		tok, err := r.Offload(loc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks = append(toks, tok)
+	}
+	for _, i := range []int{1, 3, 0} {
+		if err := r.Complete(toks[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recycled, err := r.Offload(Location{Banks: []int{5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks = append(toks, recycled, 0, 99, recycled+1<<32, token(9, 1))
+	snap := r.Snapshot()
+	if snap.InFlight() != 3 {
+		t.Fatalf("snapshot holds %d operations in flight, want 3", snap.InFlight())
+	}
+	fork := snap.NewRegisters()
+	for _, tok := range toks {
+		if got, want := tokenState(t, fork, tok), tokenState(t, r, tok); got != want {
+			t.Errorf("token %d: fork reads %s, source %s", tok, got, want)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		a, aerr := r.Offload(Location{Banks: []int{i}})
+		b, berr := fork.Offload(Location{Banks: []int{i}})
+		if a != b || aerr != nil || berr != nil {
+			t.Fatalf("next offload %d: source issued %d (%v), fork %d (%v)", i, a, aerr, b, berr)
+		}
+	}
+	// The fork owns its bank lists: completing in the fork and editing
+	// the source's slice leave each other alone.
+	banks[0] = 7
+	if loc, err := fork.QueryLocation(toks[2]); err != nil || loc.Banks[0] != 3 {
+		t.Errorf("fork location %+v (%v) follows the source's bank slice", loc, err)
+	}
+	if err := fork.Complete(toks[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := tokenState(t, r, toks[2]); got != "live" {
+		t.Errorf("completing in the fork left the source's token %s", got)
 	}
 }

@@ -2,6 +2,7 @@ package pim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"heteropim/internal/hw"
@@ -16,27 +17,38 @@ import (
 // interrupting anyone.
 //
 // Storage is sized by the number of IN-FLIGHT operations, not the total
-// ever offloaded: completed entries release their slab slot and map
-// cell for reuse. Tokens are still issued from a monotonic sequence, so
-// a completed token stays distinguishable from a never-issued one (the
-// hardware keeps one completion bit per epoch, not a location history).
-// This is what keeps a steady-state run's offload traffic free of
-// per-operation allocations.
+// ever offloaded: a completed operation's slot is recycled. A token
+// carries its slot and the slot's generation, so every call addresses
+// its slot directly, and a completed token stays distinguishable from
+// a never-issued one: a slot issued generations 1 to gen, and only the
+// latest can be in flight (the hardware keeps one completion bit per
+// epoch, not a location history). This is what keeps a steady-state
+// run's offload traffic free of per-operation allocations and hashing.
 type Registers struct {
 	mu       sync.Mutex
 	bankBusy []int // busy kernel count per bank
 	progBusy []int // busy kernel count per programmable processor
-	// inflight maps live tokens to their slab slot; completed tokens are
-	// deleted, so the map's size is bounded by the in-flight count and
-	// its cells are recycled.
-	inflight map[OpToken]int32
-	slab     []Location
-	free     []int32 // free slab slots
-	lastTok  OpToken // highest token issued
+	slots    []regSlot
+	free     []int32 // recycled slots, reused last-freed first
 }
 
-// OpToken identifies one offloaded operation in the low-level API.
-type OpToken int
+// regSlot is one operation register: the location of its latest token
+// and that token's generation.
+type regSlot struct {
+	loc Location
+	// gen is the generation of the slot's latest token, counting from 1;
+	// live reports that token still in flight.
+	gen  uint32
+	live bool
+}
+
+// OpToken identifies one offloaded operation in the low-level API: its
+// register slot in the low 32 bits, the slot's generation above them.
+// The zero token is never issued.
+type OpToken uint64
+
+// token returns the token of slot i's generation gen.
+func token(i int32, gen uint32) OpToken { return OpToken(gen)<<32 | OpToken(uint32(i)) }
 
 // Location answers the paper's pimQueryLocation: which compute resource
 // runs an operation and which DRAM banks hold its input/output data.
@@ -57,7 +69,6 @@ func NewRegisters(banks, processors int) *Registers {
 	return &Registers{
 		bankBusy: make([]int, banks),
 		progBusy: make([]int, processors),
-		inflight: map[OpToken]int32{},
 	}
 }
 
@@ -79,19 +90,29 @@ func (r *Registers) Offload(loc Location) (OpToken, error) {
 			r.bankBusy[b]++
 		}
 	}
-	r.lastTok++
-	tok := r.lastTok
-	var slot int32
+	var i int32
 	if n := len(r.free); n > 0 {
-		slot = r.free[n-1]
+		i = r.free[n-1]
 		r.free = r.free[:n-1]
 	} else {
-		r.slab = append(r.slab, Location{})
-		slot = int32(len(r.slab) - 1)
+		r.slots = append(r.slots, regSlot{})
+		i = int32(len(r.slots) - 1)
 	}
-	r.slab[slot] = loc
-	r.inflight[tok] = slot
-	return tok, nil
+	s := &r.slots[i]
+	s.loc, s.live = loc, true
+	s.gen++
+	return token(i, s.gen), nil
+}
+
+// lookup resolves tok to its slot and whether tok is still in flight
+// there; a token never issued is an error.
+func (r *Registers) lookup(tok OpToken) (*regSlot, bool, error) {
+	i, gen := uint32(tok), uint32(tok>>32)
+	if gen == 0 || uint64(i) >= uint64(len(r.slots)) || gen > r.slots[i].gen {
+		return nil, false, fmt.Errorf("pim: unknown op token %d", tok)
+	}
+	s := &r.slots[i]
+	return s, s.live && gen == s.gen, nil
 }
 
 // Complete marks an operation finished and frees its hardware (the
@@ -100,24 +121,26 @@ func (r *Registers) Offload(loc Location) (OpToken, error) {
 func (r *Registers) Complete(tok OpToken) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	slot, ok := r.inflight[tok]
-	if !ok {
-		if tok >= 1 && tok <= r.lastTok {
-			return fmt.Errorf("pim: op token %d already completed", tok)
-		}
-		return fmt.Errorf("pim: unknown op token %d", tok)
+	s, live, err := r.lookup(tok)
+	if err != nil {
+		return err
 	}
-	loc := r.slab[slot]
-	if loc.OnProgrammable {
-		r.progBusy[loc.Processor]--
+	if !live {
+		return fmt.Errorf("pim: op token %d already completed", tok)
+	}
+	if s.loc.OnProgrammable {
+		r.progBusy[s.loc.Processor]--
 	} else {
-		for _, b := range loc.Banks {
+		for _, b := range s.loc.Banks {
 			r.bankBusy[b]--
 		}
 	}
-	delete(r.inflight, tok)
-	r.slab[slot] = Location{}
-	r.free = append(r.free, slot)
+	s.loc, s.live = Location{}, false
+	// A slot whose generations are spent is retired instead of reused,
+	// so no token is ever issued twice.
+	if s.gen < math.MaxUint32 {
+		r.free = append(r.free, int32(uint32(tok)))
+	}
 	return nil
 }
 
@@ -147,13 +170,11 @@ func (r *Registers) IsProcessorBusy(p int) bool {
 func (r *Registers) QueryCompletion(tok OpToken) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.inflight[tok]; ok {
-		return false, nil
+	_, live, err := r.lookup(tok)
+	if err != nil {
+		return false, err
 	}
-	if tok >= 1 && tok <= r.lastTok {
-		return true, nil
-	}
-	return false, fmt.Errorf("pim: unknown op token %d", tok)
+	return !live, nil
 }
 
 // QueryLocation answers pimQueryLocation for an in-flight op; a
@@ -161,14 +182,14 @@ func (r *Registers) QueryCompletion(tok OpToken) (bool, error) {
 func (r *Registers) QueryLocation(tok OpToken) (Location, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	slot, ok := r.inflight[tok]
-	if !ok {
-		if tok >= 1 && tok <= r.lastTok {
-			return Location{}, fmt.Errorf("pim: op token %d already completed", tok)
-		}
-		return Location{}, fmt.Errorf("pim: unknown op token %d", tok)
+	s, live, err := r.lookup(tok)
+	if err != nil {
+		return Location{}, err
 	}
-	return r.slab[slot], nil
+	if !live {
+		return Location{}, fmt.Errorf("pim: op token %d already completed", tok)
+	}
+	return s.loc, nil
 }
 
 // IdleProcessor returns the index of an idle programmable processor, or

@@ -2,6 +2,7 @@ package pim
 
 import (
 	"fmt"
+	"slices"
 
 	"heteropim/internal/hw"
 )
@@ -17,63 +18,53 @@ import (
 // immutable once taken: one snapshot may instantiate any number of
 // forked register files concurrently.
 type RegistersSnapshot struct {
-	bankBusy []int
-	progBusy []int
-	inflight map[OpToken]int32
-	slab     []Location
-	free     []int32
-	lastTok  OpToken
+	regs Registers
 }
 
 // Snapshot deep-copies the register file's current state, including the
-// per-entry bank lists (which may alias caller storage in the live
+// per-slot bank lists (which may alias caller storage in the live
 // file).
 func (r *Registers) Snapshot() *RegistersSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := &RegistersSnapshot{
-		bankBusy: append([]int(nil), r.bankBusy...),
-		progBusy: append([]int(nil), r.progBusy...),
-		inflight: make(map[OpToken]int32, len(r.inflight)),
-		slab:     make([]Location, len(r.slab)),
-		free:     append([]int32(nil), r.free...),
-		lastTok:  r.lastTok,
-	}
-	for tok, slot := range r.inflight {
-		s.inflight[tok] = slot
-	}
-	for i, loc := range r.slab {
-		loc.Banks = append([]int(nil), loc.Banks...)
-		s.slab[i] = loc
-	}
+	s := &RegistersSnapshot{}
+	r.copyTo(&s.regs)
 	return s
 }
 
 // NewRegisters instantiates a fresh register file at the snapshot's
-// state. Token numbering continues from the snapshot's sequence, so a
-// fork issues exactly the tokens the source run would have.
+// state. Slots, generations and the free list continue from the
+// snapshot, so a fork issues exactly the tokens the source run would
+// have.
 func (s *RegistersSnapshot) NewRegisters() *Registers {
-	r := &Registers{
-		bankBusy: append([]int(nil), s.bankBusy...),
-		progBusy: append([]int(nil), s.progBusy...),
-		inflight: make(map[OpToken]int32, len(s.inflight)),
-		slab:     make([]Location, len(s.slab)),
-		free:     append([]int32(nil), s.free...),
-		lastTok:  s.lastTok,
-	}
-	for tok, slot := range s.inflight {
-		r.inflight[tok] = slot
-	}
-	for i, loc := range s.slab {
-		loc.Banks = append([]int(nil), loc.Banks...)
-		r.slab[i] = loc
-	}
+	r := &Registers{}
+	s.regs.copyTo(r)
 	return r
+}
+
+// copyTo deep-copies r's state into dst, leaving dst's mutex alone.
+func (r *Registers) copyTo(dst *Registers) {
+	dst.bankBusy = slices.Clone(r.bankBusy)
+	dst.progBusy = slices.Clone(r.progBusy)
+	dst.free = slices.Clone(r.free)
+	dst.slots = make([]regSlot, len(r.slots))
+	for i, s := range r.slots {
+		s.loc.Banks = slices.Clone(s.loc.Banks)
+		dst.slots[i] = s
+	}
 }
 
 // InFlight returns how many offloaded operations the snapshot holds
 // open (their Complete calls happen in the forked suffix).
-func (s *RegistersSnapshot) InFlight() int { return len(s.inflight) }
+func (s *RegistersSnapshot) InFlight() int {
+	n := 0
+	for _, slot := range s.regs.slots {
+		if slot.live {
+			n++
+		}
+	}
+	return n
+}
 
 // PoolAdvance is one recorded clock move: the timestamp the pool
 // advanced to and the busy level it integrated over the interval ending

@@ -2,8 +2,12 @@ package heteropim
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
+
+	"heteropim/internal/core"
+	"heteropim/internal/nn"
 )
 
 func publicResultJSON(t *testing.T, r Result) string {
@@ -114,6 +118,59 @@ func TestBatchRunMultiStackCells(t *testing.T) {
 		}
 		if publicResultJSON(t, got[i]) != publicResultJSON(t, want) {
 			t.Errorf("cell %d: batch result diverged from the direct run", i)
+		}
+	}
+}
+
+// TestMultiStackBuildsOneGraphPerShardBatch: a cold multi-stack cell
+// reads its model, batch and parameter footprint from its source, so it
+// builds no graph at the global batch beyond the one its digest needs,
+// and its shards of one batch size share one source, so it builds one
+// graph per distinct shard batch. The shards' result-cache lookups are
+// unchanged: one miss per distinct shard batch, the other shards hits.
+func TestMultiStackBuildsOneGraphPerShardBatch(t *testing.T) {
+	memoryCacheOnly(t)
+	for _, c := range []BatchCell{
+		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 2},
+		{Config: ConfigHeteroPIM, Model: AlexNet, Stacks: 4},
+		{Config: ConfigHeteroPIM, Model: VGG19, Stacks: 2},
+		{Config: ConfigHeteroPIM, Model: VGG19, Stacks: 4},
+		{Config: ConfigFixedPIM, Model: AlexNet, BatchSize: 10, Stacks: 3}, // shards 4, 3, 3
+	} {
+		batch := c.BatchSize
+		if batch == 0 {
+			batch = nn.DefaultBatch(c.Model)
+		}
+		shards, err := nn.ShardBatches(batch, c.Stacks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := int64(len(slices.Compact(slices.Clone(shards))))
+		for _, warmDigest := range []bool{false, true} {
+			ResetSimulationCache()
+			core.ResetProfileCache()
+			// The global batch's graph is built only to hash it for the
+			// cell's address, which a warm digest memo already holds.
+			hashBuilds := int64(1)
+			if warmDigest {
+				if _, _, err := nn.ModelDigest(c.Model, batch); err != nil {
+					t.Fatal(err)
+				}
+				hashBuilds = 0
+			}
+			before := nn.Builds()
+			if _, err := Simulate(c, nil); err != nil {
+				t.Fatal(err)
+			}
+			if b := nn.Builds() - before; b != hashBuilds+distinct {
+				t.Errorf("%s on %d stacks (shards %v, warm digest %v): built %d graphs, want %d",
+					c.Model, c.Stacks, shards, warmDigest, b, hashBuilds+distinct)
+			}
+			st := SimulationCacheStats()
+			if st.Misses != 1+distinct || st.Hits != int64(c.Stacks)-distinct {
+				t.Errorf("%s on %d stacks: cache stats %+v, want %d misses and %d hits",
+					c.Model, c.Stacks, st, 1+distinct, int64(c.Stacks)-distinct)
+			}
 		}
 	}
 }
