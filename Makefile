@@ -95,9 +95,11 @@ fuzz:
 
 # golden rewrites the committed outputs under testdata/golden that
 # TestGolden (part of `go test ./...`) compares byte for byte: the
-# pimtrain, pimprof, pimbench -csv -ext and pimdse -dse outputs, and the
-# cells file. Run it (and review the diff) whenever an intentional
-# model/simulator change moves the numbers.
+# pimtrain, pimprof, pimbench -csv -ext and pimdse -dse outputs, what
+# instrumented pimtrain runs print (-metrics, -advise, -schedtrace,
+# -explain), the cells file, and the SHA-256 and length of four runs'
+# Chrome traces (timelines.txt). Run it (and review the diff) whenever
+# an intentional model/simulator change moves the numbers.
 golden:
 	$(GO) test -count=1 -run '^TestGolden$$' . -update
 
