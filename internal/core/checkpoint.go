@@ -259,7 +259,7 @@ func restoreDevice(d *serialDevice, s devSnap) {
 // side effects.
 func CheckpointRun(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*RunCheckpoint, Result, error) {
 	opts = opts.withDefaults()
-	if opts.Collector != nil || opts.Trace != nil || opts.Census != nil {
+	if opts.Collector != nil || opts.Trace != nil {
 		return nil, Result{}, fmt.Errorf("core: delta simulation requires an uninstrumented run")
 	}
 	if opts.Stacks > 1 {

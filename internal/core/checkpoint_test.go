@@ -195,7 +195,7 @@ func TestCheckpointRefusesInstrumentedRuns(t *testing.T) {
 	g := smallGraph()
 	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
 	opts := HeteroOptions()
-	opts.Census = &PlacementCensus{}
+	opts.Trace = func(hw.Seconds, int, *nn.Op, string) {}
 	if _, _, err := CheckpointRun(g, cfg, opts); err == nil {
 		t.Fatal("expected refusal for instrumented options")
 	}

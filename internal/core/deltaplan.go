@@ -55,7 +55,7 @@ type planEntry struct {
 // back to full simulations. Instrumented options are refused.
 func NewDeltaPlan(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*DeltaPlan, Result, error) {
 	opts = opts.withDefaults()
-	if opts.Collector != nil || opts.Trace != nil || opts.Census != nil {
+	if opts.Collector != nil || opts.Trace != nil {
 		return nil, Result{}, fmt.Errorf("core: delta simulation requires an uninstrumented run")
 	}
 	if opts.Stacks > 1 {

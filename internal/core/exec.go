@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
@@ -20,10 +19,8 @@ import (
 // Concurrency contract: an Options value is bound to ONE RunPIM call.
 // Independent simulations may run concurrently (the parallel sweep
 // layer in internal/runner does exactly that), but each run must get
-// its own Options value — in particular its own Census, which is
-// written without synchronization. A Trace writer shared between
-// concurrent runs must itself be safe for concurrent use (wrap it with
-// SyncWriter); os.Stderr-style single-run tracing needs nothing extra.
+// its own Options value. A Trace hook or Collector shared between
+// concurrent runs must itself be safe for concurrent use.
 type Options struct {
 	// Stacks is the number of HMC stacks the run shards the minibatch
 	// across (data-parallel training with a gradient all-reduce per
@@ -71,19 +68,16 @@ type Options struct {
 	// extension study): non-offloaded operations execute on the GPU at
 	// its kernel-launch granularity.
 	GPUHost bool
-	// Trace, when non-nil, receives one line per scheduling decision:
-	// "t=<sim time> step=<n> op=<name> path=<cpu|prog|fixed>". The
-	// writer is used from the run's own goroutine only; to share one
-	// writer across concurrent runs, wrap it with SyncWriter.
-	Trace io.Writer
+	// Trace, when non-nil, is called once per scheduling decision, from
+	// the run's own goroutine, with the simulated time of the decision,
+	// the step, the op and the path it was placed on ("cpu", "prog" or
+	// "fixed"). pimtrain -schedtrace prints these decisions and -explain
+	// counts them per op type.
+	Trace func(at hw.Seconds, step int, op *nn.Op, path string)
 	// DisableOpportunistic turns off the Fig. 2 class-1 rule (offload
 	// non-candidate compute ops when units idle) — an ablation that
 	// shows the rule is load-bearing for deep serial networks.
 	DisableOpportunistic bool
-	// Census, when non-nil, is filled with per-op-type placement counts.
-	// It is written without synchronization: never share one Census
-	// between concurrent runs.
-	Census *PlacementCensus
 	// Collector, when non-nil, receives the run's instrumentation
 	// events: per-device task spans, queue depths, fixed-pool busy
 	// units, pipeline occupancy and scheduling counters (the
@@ -359,9 +353,8 @@ type exec struct {
 // (result_cache.go): identical (graph, config, options) cells collapse
 // to a single live simulation, and a hit is found by src's digest
 // alone, so an nn.Named source builds no graph for it. Instrumented
-// runs — any run with a Collector, Trace writer or Census attached —
-// bypass the cache in both directions, because their value is the side
-// effects.
+// runs — any run with a Collector or Trace hook attached — bypass the
+// cache in both directions, because their value is the side effects.
 func RunPIM(src nn.Source, cfg hw.SystemConfig, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	return cachedRun(tagPIM, src, cfg, opts, nil, func() (Result, error) {
@@ -383,6 +376,23 @@ func runPIM(g *nn.Graph, cfg hw.SystemConfig, opts Options) (Result, error) {
 	return x.drainRun()
 }
 
+// placeFixedUnits builds the run's stack and places cfg's
+// fixed-function units on it, by the thermal-aware policy or, with
+// opts.UniformPlacement, uniformly. Without fixed units the placement
+// is empty.
+func placeFixedUnits(cfg hw.SystemConfig, opts Options) (*hmc.Stack, pim.Placement, error) {
+	stack, err := hmc.New(cfg.Stack)
+	if err != nil || cfg.FixedPIM.Units <= 0 {
+		return stack, pim.Placement{}, err
+	}
+	place := pim.ThermalPlacement
+	if opts.UniformPlacement {
+		place = pim.UniformPlacement
+	}
+	placement, err := place(stack, cfg.FixedPIM.Units)
+	return stack, placement, err
+}
+
 // newExec assembles a ready-to-seed executor: validated configuration,
 // unit placement, a fresh engine with the executor attached as its
 // typed-event handler, the per-op timing table, the candidate set and
@@ -398,20 +408,9 @@ func newExec(g *nn.Graph, cfg hw.SystemConfig, opts Options) (*exec, error) {
 	if opts.GPUHost && cfg.GPU.SMs <= 0 {
 		return nil, fmt.Errorf("core: GPU-host execution needs a GPU in the configuration")
 	}
-	stack, err := hmc.New(cfg.Stack)
+	_, placement, err := placeFixedUnits(cfg, opts)
 	if err != nil {
 		return nil, err
-	}
-	var placement pim.Placement
-	if cfg.FixedPIM.Units > 0 {
-		if opts.UniformPlacement {
-			placement, err = pim.UniformPlacement(stack, cfg.FixedPIM.Units)
-		} else {
-			placement, err = pim.ThermalPlacement(stack, cfg.FixedPIM.Units)
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 	eng := sim.New()
 	// Attach the collector before any scheduling happens.
@@ -648,19 +647,9 @@ func (x *exec) dispatch(t *task) {
 	}
 }
 
-// trace emits one scheduling-decision line when tracing is enabled and
-// feeds the placement census.
+// trace reports one scheduling decision to the Trace hook and the
+// collector, whichever is attached.
 func (x *exec) trace(t *task) {
-	if c := x.opts.Census; c != nil {
-		switch t.path {
-		case pathFixed:
-			c.Fixed[string(t.op.Type)]++
-		case pathProg:
-			c.Prog[string(t.op.Type)]++
-		default:
-			c.CPU[string(t.op.Type)]++
-		}
-	}
 	if x.eng.Observing() {
 		counters := [...]string{"sched.path.cpu", "sched.path.prog", "sched.path.fixed"}
 		x.eng.EmitCount(counters[t.path], 1)
@@ -668,12 +657,10 @@ func (x *exec) trace(t *task) {
 		// placement happens (1 without OP, up to PipelineDepth with).
 		x.eng.EmitSample("pipeline.steps_in_flight", float64(t.step-x.firstOpen+1))
 	}
-	if x.opts.Trace == nil {
-		return
+	if x.opts.Trace != nil {
+		names := [...]string{"cpu", "prog", "fixed"}
+		x.opts.Trace(x.eng.Now(), t.step, t.op, names[t.path])
 	}
-	names := [...]string{"cpu", "prog", "fixed"}
-	fmt.Fprintf(x.opts.Trace, "t=%.9f step=%d op=%s path=%s\n",
-		x.eng.Now(), t.step, t.op.Name, names[t.path])
 }
 
 // complete marks a task done and wakes its dependents; when a step

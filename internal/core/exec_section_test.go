@@ -208,11 +208,10 @@ func TestGranuleClampEndToEnd(t *testing.T) {
 	}
 }
 
-// TestUnknownEventKindFailsRun schedules an event of a kind no handler
-// defines, once into a PIM run and once into an all-reduce. With the
-// operands on the task and the phase on the all-reduce, the kind is all
-// that routes an event, so both runs must fail naming it rather than
-// drop the event.
+// TestUnknownEventKindFailsRun schedules an event of a kind the
+// executor does not define into a PIM run. With the operands on the
+// task, the kind is all that routes an event, so the run must fail
+// naming it rather than drop the event.
 func TestUnknownEventKindFailsRun(t *testing.T) {
 	const bogus sim.EventKind = 200
 	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)
@@ -226,23 +225,5 @@ func TestUnknownEventKindFailsRun(t *testing.T) {
 	}
 	if _, err := x.drainRun(); err == nil || !strings.Contains(err.Error(), "unknown kind 200") {
 		t.Errorf("PIM run with an event of unknown kind: err = %v, want an unknown-kind error", err)
-	}
-
-	phases, err := nn.AllReduceTemplate(ReduceRing, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.New()
-	a := &allReduce{eng: eng, phases: phases, gradBytes: 1e6, link: cfg.Link}
-	eng.SetHandler(a)
-	a.startPhase(0)
-	if err := eng.AtEv(0, sim.Ev{Kind: bogus}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if a.err == nil || !strings.Contains(a.err.Error(), "unknown kind 200") {
-		t.Errorf("all-reduce with an event of unknown kind: err = %v, want an unknown-kind error", a.err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -411,7 +412,9 @@ func TestScheduleTrace(t *testing.T) {
 	g := smallGraph()
 	var buf strings.Builder
 	opts := HeteroOptions()
-	opts.Trace = &buf
+	opts.Trace = func(at hw.Seconds, step int, op *nn.Op, path string) {
+		fmt.Fprintf(&buf, "t=%.9f step=%d op=%s path=%s\n", at, step, op.Name, path)
+	}
 	opts.Steps = 1
 	if _, err := RunPIM(g, hw.PaperConfig(hw.ConfigHeteroPIM), opts); err != nil {
 		t.Fatal(err)

@@ -104,18 +104,23 @@ func TestHeteroCollectorContent(t *testing.T) {
 // TestSharedCollectorAcrossParallelRuns shares ONE collector between
 // concurrent sweep cells — the supported sharing mode (the collector is
 // internally synchronized even though each Options value is
-// single-run). Meaningful under -race.
+// single-run). Two cells run on 2 and 4 stacks, so the link spans their
+// all-reduces emit race the other cells' spans. Meaningful under -race.
 func TestSharedCollectorAcrossParallelRuns(t *testing.T) {
 	g, err := nn.Build(nn.AlexNetName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := metrics.NewCollector()
-	const cells = 4
-	_, err = runner.Map(context.Background(), cells, cells,
+	cells := []struct {
+		stacks int
+		sched  ReduceSchedule
+	}{{1, ""}, {1, ""}, {1, ""}, {1, ""}, {2, ReduceRing}, {4, ReduceTree}}
+	_, err = runner.Map(context.Background(), len(cells), len(cells),
 		func(_ context.Context, i int) (Result, error) {
 			opts := HeteroOptions() // fresh Options per run, shared collector
 			opts.Collector = shared
+			opts.Stacks, opts.AllReduce = cells[i].stacks, cells[i].sched
 			return RunPIM(g, hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1), opts)
 		})
 	if err != nil {
@@ -127,5 +132,26 @@ func TestSharedCollectorAcrossParallelRuns(t *testing.T) {
 	snap := shared.Snapshot()
 	if len(snap.Tracks) == 0 {
 		t.Fatal("shared collector derived no track stats")
+	}
+	wantLinks := 0
+	for _, c := range cells {
+		if c.stacks > 1 {
+			phases, err := nn.AllReduceTemplate(c.sched, c.stacks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ph := range phases {
+				wantLinks += len(ph.Transfers)
+			}
+		}
+	}
+	links := 0
+	for _, ts := range snap.Tracks {
+		if ts.Track == "link" {
+			links = ts.Spans
+		}
+	}
+	if links != wantLinks {
+		t.Errorf("shared collector holds %d link spans, want one per all-reduce transfer (%d)", links, wantLinks)
 	}
 }

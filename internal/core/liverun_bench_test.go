@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"heteropim/internal/hw"
+	"heteropim/internal/metrics"
 	"heteropim/internal/nn"
 )
 
@@ -53,6 +55,51 @@ func BenchmarkLiveRun(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
 			b.ReportMetric(events, "events")
+		})
+	}
+}
+
+// BenchmarkInstrumentedRun times what observing a run costs: each
+// iteration simulates a cell plain and then with a fresh
+// metrics.Collector attached, the result cache off, and the benchmark
+// reports the instrumented/plain time ratio beside the plain run's time.
+//
+//	go test -run '^$' -bench BenchmarkInstrumentedRun -cpu 1 ./internal/core
+func BenchmarkInstrumentedRun(b *testing.B) {
+	prev := EnableResultCache(false)
+	defer EnableResultCache(prev)
+	for _, c := range []struct {
+		model    nn.ModelName
+		platform hw.ConfigKind
+	}{
+		{nn.AlexNetName, hw.ConfigHeteroPIM},
+		{nn.VGG19Name, hw.ConfigHeteroPIM},
+		{nn.DCGANName, hw.ConfigFixedPIM},
+	} {
+		g, err := nn.Build(c.model)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := hw.PaperConfigScaled(c.platform, 1)
+		opts, _ := PIMOptionsFor(c.platform)
+		b.Run(fmt.Sprintf("%s/%v", c.model, c.platform), func(b *testing.B) {
+			var plain, instrumented time.Duration
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				if _, err := RunPIM(g, cfg, opts); err != nil {
+					b.Fatal(err)
+				}
+				plain += time.Since(start)
+				observed := opts
+				observed.Collector = metrics.NewCollector()
+				start = time.Now()
+				if _, err := RunPIM(g, cfg, observed); err != nil {
+					b.Fatal(err)
+				}
+				instrumented += time.Since(start)
+			}
+			b.ReportMetric(float64(instrumented)/float64(plain), "instrumented/plain")
+			b.ReportMetric(float64(plain.Nanoseconds())/float64(b.N), "plain-ns/run")
 		})
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"heteropim/internal/hmc"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
-	"heteropim/internal/pim"
 	"heteropim/internal/runner"
 	"heteropim/internal/sim"
 	"heteropim/internal/thermal"
@@ -29,8 +27,9 @@ import (
 //   - the merged compute phase is the slowest stack's step (argmax over
 //     StepTime, lowest stack index on ties), because data-parallel
 //     peers proceed in lockstep at all-reduce barriers;
-//   - the all-reduce is simulated as its own event timeline from the
-//     nn.AllReduceTemplate task graph over cfg.Link;
+//   - the all-reduce is AllReduceStepTime over the
+//     nn.AllReduceTemplate phases and cfg.Link, the same model the DSE
+//     bound uses;
 //   - usage and energy sum over stacks in fixed index order, so the
 //     merged Result is byte-identical no matter how many workers ran
 //     the shards or in which order they finished.
@@ -93,16 +92,16 @@ func runMultiPIM(src nn.Source, cfg hw.SystemConfig, opts Options) (Result, erro
 	results, err := runner.Map(context.Background(), m, 0, func(_ context.Context, i int) (Result, error) {
 		so := shardOpts
 		if i > 0 {
-			so.Collector, so.Trace, so.Census = nil, nil, nil
+			so.Collector, so.Trace = nil, nil
 		}
 		return RunPIM(srcs[i], cfg, so)
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	// The gradient all-reduce, as its own event timeline over the
-	// template's phase graph.
-	arTime, arBytes, _, err := simulateAllReduce(opts.AllReduce, m, paramBytes, cfg.Link, opts.Collector)
+	// The gradient all-reduce over the template's phases, its link spans
+	// on the run's collector.
+	arTime, arBytes, err := allReduceStep(opts.AllReduce, m, paramBytes, cfg.Link, opts.Collector)
 	if err != nil {
 		return Result{}, err
 	}
@@ -142,19 +141,26 @@ func runMultiPIM(src nn.Source, cfg hw.SystemConfig, opts Options) (Result, erro
 // phaseDuration is the wall-clock of one all-reduce phase: every
 // transfer in a phase moves frac*gradBytes concurrently on its own
 // link, so the phase costs one link latency plus the chunk's serialized
-// bytes. Shared by the event simulation and the analytic bound so the
-// two agree bit for bit.
+// bytes.
 func phaseDuration(frac, gradBytes float64, link hw.InterStackLinkSpec) hw.Seconds {
 	return link.Latency + frac*gradBytes/link.Bandwidth
 }
 
 // AllReduceStepTime returns the per-step gradient synchronization time
 // and the total bytes crossing the inter-stack links for the given
-// schedule, analytically from the task-graph template. It matches the
-// event-simulated all-reduce exactly (same per-phase float additions in
-// the same order), which is what makes it usable as the synchronization
-// leg of the DSE's admissible lower bound.
+// schedule, from the task-graph template. It is both a multi-stack
+// run's all-reduce and the synchronization leg of the DSE's admissible
+// lower bound, so the two agree by construction.
 func AllReduceStepTime(sched ReduceSchedule, stacks int, gradBytes float64, link hw.InterStackLinkSpec) (hw.Seconds, float64, error) {
+	return allReduceStep(sched, stacks, gradBytes, link, nil)
+}
+
+// allReduceStep is AllReduceStepTime reporting each transfer to obs, if
+// non-nil, as a "link" span lasting its phase. A phase opens when the
+// previous one ends; its transfers run concurrently, so it emits every
+// TaskStart at its open time and then every TaskEnd at its close, both
+// in template order.
+func allReduceStep(sched ReduceSchedule, stacks int, gradBytes float64, link hw.InterStackLinkSpec, obs sim.Collector) (hw.Seconds, float64, error) {
 	phases, err := nn.AllReduceTemplate(sched, stacks)
 	if err != nil {
 		return 0, 0, err
@@ -162,109 +168,32 @@ func AllReduceStepTime(sched ReduceSchedule, stacks int, gradBytes float64, link
 	var t hw.Seconds
 	var bytes float64
 	for _, ph := range phases {
-		t += phaseDuration(ph.Frac, gradBytes, link)
-		bytes += ph.Frac * gradBytes * float64(len(ph.Transfers))
+		end := t + phaseDuration(ph.Frac, gradBytes, link)
+		for _, tr := range ph.Transfers {
+			if obs != nil {
+				obs.TaskStart(linkSpan(tr, t, 0))
+			}
+			bytes += ph.Frac * gradBytes
+		}
+		if obs != nil {
+			for _, tr := range ph.Transfers {
+				obs.TaskEnd(linkSpan(tr, t, end))
+			}
+		}
+		t = end
 	}
 	return t, bytes, nil
 }
 
-// simulateAllReduce runs the schedule's phase graph on an engine of its
-// own: each transfer is one completion event, a phase opens when the
-// previous one fully drains, and transfers within a phase are scheduled
-// in template order so the (time, seq) heap order — and with it the
-// collector's span stream — is deterministic. Returns the synchronized
-// time, total link bytes and processed event count.
-func simulateAllReduce(sched ReduceSchedule, stacks int, gradBytes float64, link hw.InterStackLinkSpec, obs sim.Collector) (hw.Seconds, float64, uint64, error) {
-	phases, err := nn.AllReduceTemplate(sched, stacks)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	eng := sim.New()
-	eng.SetCollector(obs)
-	a := &allReduce{eng: eng, phases: phases, gradBytes: gradBytes, link: link}
-	eng.SetHandler(a)
-	a.startPhase(0)
-	if err := eng.Run(); err != nil {
-		return 0, 0, 0, err
-	}
-	if a.err != nil {
-		return 0, 0, 0, a.err
-	}
-	return eng.Now(), a.bytes, eng.Processed(), nil
-}
-
-// evTransferDone is the all-reduce's one event kind: a link transfer of
-// the open phase finished.
-const evTransferDone sim.EventKind = 1
-
-// allReduce is the event handler of one simulated all-reduce. Only one
-// phase is open at a time, so the open phase and its start time live
-// here, not on the events.
-type allReduce struct {
-	eng       *sim.Engine
-	phases    []nn.AllReducePhase
-	gradBytes float64
-	link      hw.InterStackLinkSpec
-	// phase is the open phase, start the time it opened, and remaining
-	// counts its transfers still in flight.
-	phase     int
-	start     hw.Seconds
-	remaining int
-	bytes     float64
-	err       error
-}
-
-// startPhase schedules phase p's transfers, each completing one phase
-// duration from now. Each transfer's "link" span opens here and closes
-// in HandleEvent, when its completion event fires.
-func (a *allReduce) startPhase(p int) {
-	if p >= len(a.phases) || a.err != nil {
-		return
-	}
-	ph := a.phases[p]
-	dur := phaseDuration(ph.Frac, a.gradBytes, a.link)
-	a.phase, a.start = p, a.eng.Now()
-	a.remaining = len(ph.Transfers)
-	for _, tr := range ph.Transfers {
-		if a.eng.Observing() {
-			a.eng.EmitTaskStart(linkSpan(tr, a.start))
-		}
-		a.bytes += ph.Frac * a.gradBytes
-		if err := a.eng.AfterEv(dur, sim.Ev{Kind: evTransferDone}); err != nil {
-			a.err = err
-			return
-		}
-	}
-}
-
-// HandleEvent completes one transfer; the last one of its phase opens
-// the next phase. A phase's transfers share one duration and were
-// scheduled in template order, so they complete in that order: the
-// completion is transfer len(Transfers)-remaining of the open phase. An
-// event of any other kind fails the run.
-func (a *allReduce) HandleEvent(ev sim.Ev) {
-	if ev.Kind != evTransferDone {
-		a.err = fmt.Errorf("core: all-reduce event of unknown kind %d", ev.Kind)
-		return
-	}
-	if a.eng.Observing() {
-		ph := a.phases[a.phase]
-		a.eng.EmitTaskEnd(linkSpan(ph.Transfers[len(ph.Transfers)-a.remaining], a.start))
-	}
-	a.remaining--
-	if a.remaining == 0 {
-		a.startPhase(a.phase + 1)
-	}
-}
-
-// linkSpan is the timeline span of one all-reduce transfer started at
-// start.
-func linkSpan(tr [2]int, start hw.Seconds) sim.Task {
+// linkSpan is the timeline span of one all-reduce transfer from start
+// to end (0 while it is open).
+func linkSpan(tr [2]int, start, end hw.Seconds) sim.Task {
 	return sim.Task{
 		Track: "link",
 		Name:  fmt.Sprintf("allreduce %d->%d", tr[0], tr[1]),
 		Kind:  "allreduce",
 		Start: start,
+		End:   end,
 	}
 }
 
@@ -272,16 +201,7 @@ func linkSpan(tr [2]int, start hw.Seconds) sim.Task {
 // under the run's fixed-function placement — every stack of the array
 // is identical, so one solve covers the per-stack thermal budget.
 func stackMaxTemp(cfg hw.SystemConfig, opts Options) (float64, error) {
-	stack, err := hmc.New(cfg.Stack)
-	if err != nil {
-		return 0, err
-	}
-	var placement pim.Placement
-	if opts.UniformPlacement {
-		placement, err = pim.UniformPlacement(stack, cfg.FixedPIM.Units)
-	} else {
-		placement, err = pim.ThermalPlacement(stack, cfg.FixedPIM.Units)
-	}
+	stack, placement, err := placeFixedUnits(cfg, opts)
 	if err != nil {
 		return 0, err
 	}

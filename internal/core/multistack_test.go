@@ -154,34 +154,6 @@ func TestMultiStackDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// The analytic all-reduce time must equal the event-simulated one bit
-// for bit — it doubles as the DSE bound's synchronization leg.
-func TestAllReduceAnalyticMatchesSimulated(t *testing.T) {
-	link := hw.PaperInterStackLink()
-	const gradBytes = 576e6
-	for _, sched := range []ReduceSchedule{ReduceRing, ReduceTree} {
-		for _, m := range []int{2, 3, 4, 8} {
-			at, abytes, err := AllReduceStepTime(sched, m, gradBytes, link)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, sbytes, events, err := simulateAllReduce(sched, m, gradBytes, link, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if at != st {
-				t.Errorf("%s m=%d: analytic %.17g != simulated %.17g", sched, m, at, st)
-			}
-			if abytes != sbytes {
-				t.Errorf("%s m=%d: analytic bytes %g != simulated %g", sched, m, abytes, sbytes)
-			}
-			if events == 0 {
-				t.Errorf("%s m=%d: all-reduce processed no events", sched, m)
-			}
-		}
-	}
-}
-
 // Every all-reduce transfer of an instrumented run is a "link" span
 // that lasts its phase: it opens when the phase starts and closes when
 // the transfer's completion event fires, so the link track carries the

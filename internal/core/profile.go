@@ -185,9 +185,3 @@ func withoutHostOnly(g *nn.Graph, prof StepProfile) StepProfile {
 	}
 	return out
 }
-
-// CandidateSet derives the offload candidates for a graph at the
-// paper's x = 90 threshold.
-func CandidateSet(g *nn.Graph, cpu hw.CPUSpec) map[int]bool {
-	return SelectCandidates(ProfileStep(g, cpu), 90)
-}

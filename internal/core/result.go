@@ -110,15 +110,3 @@ func (r Result) Throughput() float64 {
 	}
 	return 1 / r.StepTime
 }
-
-// PlacementCensus counts operations per (type, path) for one run; the
-// executor fills it when Options.Census is set.
-type PlacementCensus struct {
-	// Fixed, Prog, CPU map op-type name to per-step counts.
-	Fixed, Prog, CPU map[string]int
-}
-
-// newCensus allocates the maps.
-func newCensus() *PlacementCensus {
-	return &PlacementCensus{Fixed: map[string]int{}, Prog: map[string]int{}, CPU: map[string]int{}}
-}

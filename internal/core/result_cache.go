@@ -37,9 +37,9 @@ import (
 // the cold run (Result is all value types; Go's JSON float encoding
 // round-trips exactly, so the disk tier preserves bit identity too).
 //
-// Instrumented runs — a Collector, Trace writer or Census attached —
-// bypass the cache entirely (no lookup, no store): their purpose is the
-// side effects, and a cached Result would silently skip them.
+// Instrumented runs — a Collector or Trace hook attached — bypass the
+// cache entirely (no lookup, no store): their purpose is the side
+// effects, and a cached Result would silently skip them.
 
 // Fingerprint is the 128-bit content address of one simulation cell.
 type Fingerprint struct{ Hi, Lo uint64 }
@@ -50,7 +50,7 @@ func (f Fingerprint) String() string { return fmt.Sprintf("%016x%016x", f.Hi, f.
 // resultCacheUsable reports whether a RunPIM call may go through the
 // cache: the cache must be enabled and the run uninstrumented.
 func resultCacheUsable(opts Options) bool {
-	return !resultCacheOff.Load() && opts.Collector == nil && opts.Trace == nil && opts.Census == nil
+	return !resultCacheOff.Load() && opts.Collector == nil && opts.Trace == nil
 }
 
 // Executor tags: the first field of a cell's fingerprint, one whole

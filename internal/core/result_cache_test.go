@@ -84,9 +84,9 @@ func TestResultCacheDistinguishesInputs(t *testing.T) {
 	}
 }
 
-// TestInstrumentedRunsBypassCache checks that runs with a Census (and by
-// the same gate: a Collector or Trace writer) neither read nor populate
-// the cache — their side effects must happen on every call.
+// TestInstrumentedRunsBypassCache checks that runs with a Trace hook
+// (and by the same gate: a Collector) neither read nor populate the
+// cache — their side effects must happen on every call.
 func TestInstrumentedRunsBypassCache(t *testing.T) {
 	withCleanCache(t)
 	g, err := nn.Build(nn.AlexNetName)
@@ -96,12 +96,13 @@ func TestInstrumentedRunsBypassCache(t *testing.T) {
 	cfg := hw.PaperConfig(hw.ConfigHeteroPIM)
 	for i := 0; i < 2; i++ {
 		opts := HeteroOptions()
-		opts.Census = newCensus()
+		decisions := 0
+		opts.Trace = func(hw.Seconds, int, *nn.Op, string) { decisions++ }
 		if _, err := RunPIM(g, cfg, opts); err != nil {
 			t.Fatal(err)
 		}
-		if len(opts.Census.Fixed)+len(opts.Census.Prog)+len(opts.Census.CPU) == 0 {
-			t.Fatalf("run %d: census not filled — instrumented run was skipped", i)
+		if decisions == 0 {
+			t.Fatalf("run %d: no scheduling decision traced — instrumented run was skipped", i)
 		}
 	}
 	if st := ResultCacheStats(); st.Hits != 0 || st.Misses != 0 {

@@ -12,8 +12,8 @@ import (
 // stacks must agree on the sum before the weight update. The two
 // classic schedules are expressed here as task-graph templates — an
 // ordered list of phases, each a set of simultaneous point-to-point
-// transfers — so the simulator core can instantiate them as events on
-// an engine without knowing the algorithms.
+// transfers — so the simulator core can time them phase by phase
+// without knowing the algorithms.
 //
 //   - ring: 2(M-1) phases of P/M-byte chunks around a ring
 //     (reduce-scatter then all-gather). Bandwidth-optimal: each stack

@@ -41,9 +41,6 @@ type Collector interface {
 // SetCollector attaches (or, with nil, detaches) the run's collector.
 func (e *Engine) SetCollector(c Collector) { e.obs = c }
 
-// Collector returns the attached collector (nil when uninstrumented).
-func (e *Engine) Collector() Collector { return e.obs }
-
 // Observing reports whether a collector is attached. Executors use it
 // to skip building event payloads entirely on the uninstrumented path,
 // keeping the overhead of the hooks to one nil check.
