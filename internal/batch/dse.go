@@ -465,8 +465,8 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 		}
 		r.Add("dse.surrogate.obs", float64(ex.SurrogateObs))
 		r.Add("dse.surrogate.seeded", float64(ex.SeededFromCache))
-		r.Set("dse.surrogate.r2", 0, ex.SurrogateR2)
-		r.Set("dse.surrogate.rank", 0, ex.SurrogateRank)
+		r.Set("dse.surrogate.r2", ex.SurrogateR2)
+		r.Set("dse.surrogate.rank", ex.SurrogateRank)
 	}
 	if mgr != nil {
 		ex.DeltaCheckpoints = int(mgr.checkpoints.Load())

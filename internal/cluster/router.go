@@ -130,7 +130,7 @@ func (rt *Router) AddReplica(r Replica) {
 	rt.replicas[r.Name] = &replicaState{name: r.Name, baseURL: r.BaseURL, ready: true}
 	rt.mu.Unlock()
 	rt.ring.Add(r.Name)
-	rt.reg.Set("cluster.replica_ready."+r.Name, 0, 1)
+	rt.reg.Set("cluster.replica_ready."+r.Name, 1)
 }
 
 // RemoveReplica unregisters a fleet member entirely (scale-down, as
@@ -140,7 +140,7 @@ func (rt *Router) RemoveReplica(name string) {
 	delete(rt.replicas, name)
 	rt.mu.Unlock()
 	rt.ring.Remove(name)
-	rt.reg.Set("cluster.replica_ready."+name, 0, 0)
+	rt.reg.Set("cluster.replica_ready."+name, 0)
 }
 
 // ReadyReplicas lists the members currently in the ring.
@@ -176,7 +176,7 @@ func (rt *Router) markUnready(name, why string) {
 		rt.ring.Remove(name)
 		rt.reg.Add("cluster.rehashes", 1)
 		rt.reg.Add("cluster.unready."+why, 1)
-		rt.reg.Set("cluster.replica_ready."+name, 0, 0)
+		rt.reg.Set("cluster.replica_ready."+name, 0)
 	}
 }
 
@@ -192,7 +192,7 @@ func (rt *Router) markReady(name string) {
 	if changed {
 		rt.ring.Add(name)
 		rt.reg.Add("cluster.recoveries", 1)
-		rt.reg.Set("cluster.replica_ready."+name, 0, 1)
+		rt.reg.Set("cluster.replica_ready."+name, 1)
 	}
 }
 
@@ -631,9 +631,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.mu.Unlock()
-	rt.reg.Set("cluster.replicas", 0, float64(total))
-	rt.reg.Set("cluster.replicas_ready", 0, float64(ready))
-	rt.reg.Set("cluster.uptime_seconds", 0, time.Since(rt.start).Seconds())
+	rt.reg.Set("cluster.replicas", float64(total))
+	rt.reg.Set("cluster.replicas_ready", float64(ready))
+	rt.reg.Set("cluster.uptime_seconds", time.Since(rt.start).Seconds())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = rt.reg.Snapshot().WritePrometheus(w)
 }

@@ -82,14 +82,13 @@ func TestHeteroCollectorContent(t *testing.T) {
 			t.Errorf("no samples in series %q", series)
 		}
 	}
-	reg := c.Registry()
-	if reg.CounterValue("sched.path.fixed") == 0 {
+	if c.CounterValue("sched.path.fixed") == 0 {
 		t.Error("no fixed-path scheduling decisions counted")
 	}
-	if reg.CounterValue("sched.candidates") == 0 || reg.CounterValue("sched.ops") == 0 {
+	if c.CounterValue("sched.candidates") == 0 || c.CounterValue("sched.ops") == 0 {
 		t.Error("selection-rank counters missing")
 	}
-	if reg.CounterValue("sim.events") == 0 {
+	if c.CounterValue("sim.events") == 0 {
 		t.Error("engine event count missing")
 	}
 	snap := c.Snapshot()
@@ -126,7 +125,7 @@ func TestSharedCollectorAcrossParallelRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := shared.Registry().CounterValue("sched.path.fixed"); got == 0 {
+	if got := shared.CounterValue("sched.path.fixed"); got == 0 {
 		t.Fatal("shared collector saw no fixed placements")
 	}
 	snap := shared.Snapshot()

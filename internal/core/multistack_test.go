@@ -155,9 +155,9 @@ func TestMultiStackDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // Every all-reduce transfer of an instrumented run is a "link" span
-// that lasts its phase: it opens when the phase starts and closes when
-// the transfer's completion event fires, so the link track carries the
-// synchronization time instead of zero-length markers.
+// that lasts its phase: allReduceStep's phase loop opens it when the
+// phase starts and closes it when the phase ends, so the link track
+// carries the synchronization time instead of zero-length markers.
 func TestAllReduceLinkSpansLastTheirPhase(t *testing.T) {
 	g := multiGraph(t, 8)
 	cfg := hw.PaperConfigScaled(hw.ConfigHeteroPIM, 1)

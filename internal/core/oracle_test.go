@@ -22,9 +22,9 @@ type spanKey struct {
 // the simulator's invariants while the run happens, event by event.
 //
 //   - Emitted timestamps (span starts and ends, samples) never decrease.
-//     A multi-stack run's all-reduce is simulated on an engine of its
-//     own, whose clock starts again at 0, so its link spans are checked
-//     as a timeline of their own.
+//     A multi-stack run's link spans come from allReduceStep's phase
+//     loop, whose clock starts again at 0, so they are checked as a
+//     timeline of their own.
 //   - Every TaskEnd closes an open TaskStart on its track with the same
 //     name, kind, step and Start, so the operands a task keeps for its
 //     pending event (the span start among them) survive until the event

@@ -10,60 +10,60 @@ import (
 	"heteropim/internal/sim"
 )
 
-// Collector implements sim.Collector: it records task spans into a
-// timeline, folds durations and counts into a Registry, and keeps gauge
-// time series for counter tracks. Every method takes the collector
-// lock, so one Collector may be shared across concurrent simulation
-// runs (the parallel-sweep race test does exactly that); spans from
-// different runs land in emission order.
+// Collector implements sim.Collector. It records each observed value
+// once: completed spans, gauge time series and counter totals, all
+// under one lock, so one Collector may be shared across concurrent
+// simulation runs (the parallel-sweep race test does exactly that);
+// spans from different runs land in emission order. Everything else a
+// report shows (per-track starts, busy time and duration histograms,
+// last gauge values, the makespan) Snapshot derives from that record.
 type Collector struct {
 	mu     sync.Mutex
-	reg    *Registry
 	spans  []Span
 	series map[string][]SamplePoint
-	// maxEnd tracks the observed makespan for busy-share derivation.
-	maxEnd float64
+	counts map[string]float64
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{reg: NewRegistry(), series: map[string][]SamplePoint{}}
+	return &Collector{series: map[string][]SamplePoint{}, counts: map[string]float64{}}
 }
 
-// TaskStart counts span starts per track.
-func (c *Collector) TaskStart(t sim.Task) {
-	c.reg.Add("starts."+t.Track, 1)
-}
+// TaskStart records nothing: TaskEnd records the whole span, and
+// Snapshot counts a track's starts as its spans.
+func (c *Collector) TaskStart(sim.Task) {}
 
-// TaskEnd records the completed span and aggregates its duration.
+// TaskEnd records the completed span.
 func (c *Collector) TaskEnd(t sim.Task) {
-	dur := float64(t.End - t.Start)
 	c.mu.Lock()
 	c.spans = append(c.spans, Span{
 		Track: t.Track, Name: t.Name, Kind: t.Kind, Step: t.Step,
 		Start: float64(t.Start), End: float64(t.End),
 	})
-	if float64(t.End) > c.maxEnd {
-		c.maxEnd = float64(t.End)
-	}
 	c.mu.Unlock()
-	c.reg.Add("busy_seconds."+t.Track, dur)
-	c.reg.Observe("span_seconds."+t.Track, dur)
 }
 
-// Sample appends to the gauge's time series and updates its last value.
+// Sample appends to the gauge's time series.
 func (c *Collector) Sample(name string, at hw.Seconds, v float64) {
 	c.mu.Lock()
 	c.series[name] = append(c.series[name], SamplePoint{At: float64(at), Value: v})
 	c.mu.Unlock()
-	c.reg.Set(name, float64(at), v)
 }
 
-// Count accumulates a registry counter.
-func (c *Collector) Count(name string, delta float64) { c.reg.Add(name, delta) }
+// Count accumulates a counter.
+func (c *Collector) Count(name string, delta float64) {
+	c.mu.Lock()
+	c.counts[name] += delta
+	c.mu.Unlock()
+}
 
-// Registry exposes the underlying registry (shared, concurrency-safe).
-func (c *Collector) Registry() *Registry { return c.reg }
+// CounterValue reads one counter a run counted (0 when absent). The
+// per-track entries Snapshot derives are not counters here.
+func (c *Collector) CounterValue(name string) float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.counts[name]
+}
 
 // Timeline copies the recorded spans and series.
 func (c *Collector) Timeline() *Timeline {
@@ -123,9 +123,11 @@ type Snapshot struct {
 // maxTopOps caps the per-op aggregate list in a snapshot.
 const maxTopOps = 15
 
-// Snapshot derives the metrics dump from the recorded state.
+// Snapshot derives the metrics dump from the recorded state. Its
+// registry part holds the counted totals, each gauge's last sample and,
+// per track, starts.<t> (the track's span count), busy_seconds.<t> and
+// the span_seconds.<t> duration histogram, all fed in span order.
 func (c *Collector) Snapshot() Snapshot {
-	c.mu.Lock()
 	type agg struct {
 		secs  float64
 		spans int
@@ -139,36 +141,57 @@ func (c *Collector) Snapshot() Snapshot {
 		a.secs += dur
 		a.spans++
 	}
-	tracks := map[string]*agg{}
+	type trackAgg struct {
+		agg
+		hist *histogram
+		ops  map[string]*agg
+	}
+	tracks := map[string]*trackAgg{}
 	ops := map[string]*agg{}
-	trackOps := map[string]map[string]*agg{}
+	reg := NewRegistry()
+	var makespan float64
+	c.mu.Lock()
 	for _, s := range c.spans {
 		dur := s.End - s.Start
-		accumulate(tracks, s.Track, dur)
-		accumulate(ops, s.Name, dur)
-		to, ok := trackOps[s.Track]
+		tr, ok := tracks[s.Track]
 		if !ok {
-			to = map[string]*agg{}
-			trackOps[s.Track] = to
+			tr = &trackAgg{hist: newHistogram(defaultBuckets), ops: map[string]*agg{}}
+			tracks[s.Track] = tr
 		}
-		accumulate(to, s.Name, dur)
+		tr.secs += dur
+		tr.spans++
+		tr.hist.observe(dur)
+		accumulate(tr.ops, s.Name, dur)
+		accumulate(ops, s.Name, dur)
+		if s.End > makespan {
+			makespan = s.End
+		}
 	}
-	makespan := c.maxEnd
+	for name, v := range c.counts {
+		reg.counters[name] = v
+	}
+	for name, pts := range c.series {
+		reg.gauges[name] = pts[len(pts)-1].Value
+	}
 	c.mu.Unlock()
 
-	snap := Snapshot{Makespan: makespan, RegistrySnapshot: c.reg.Snapshot()}
+	snap := Snapshot{Makespan: makespan}
 	for name, a := range tracks {
+		reg.counters["starts."+name] += float64(a.spans)
+		reg.counters["busy_seconds."+name] += a.secs
+		reg.hists["span_seconds."+name] = a.hist
 		ts := TrackStat{Track: name, BusySeconds: a.secs, Spans: a.spans}
 		if makespan > 0 {
 			ts.BusyShare = a.secs / makespan
 		}
-		for op, oa := range trackOps[name] {
+		for op, oa := range a.ops {
 			if oa.secs > ts.TopOpSeconds || (oa.secs == ts.TopOpSeconds && (ts.TopOp == "" || op < ts.TopOp)) {
 				ts.TopOp, ts.TopOpSeconds = op, oa.secs
 			}
 		}
 		snap.Tracks = append(snap.Tracks, ts)
 	}
+	snap.RegistrySnapshot = reg.Snapshot()
 	sort.Slice(snap.Tracks, func(i, j int) bool { return snap.Tracks[i].Track < snap.Tracks[j].Track })
 	for name, a := range ops {
 		snap.TopOps = append(snap.TopOps, OpStat{Name: name, Seconds: a.secs, Spans: a.spans})
@@ -183,11 +206,6 @@ func (c *Collector) Snapshot() Snapshot {
 		snap.TopOps = snap.TopOps[:maxTopOps]
 	}
 	return snap
-}
-
-// WriteJSON writes the full metrics dump (snapshot) as indented JSON.
-func (c *Collector) WriteJSON(w io.Writer) error {
-	return c.Snapshot().WriteJSON(w)
 }
 
 // WriteJSON writes the snapshot as indented JSON.

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -17,23 +18,24 @@ func TestRegistrySnapshotDeterminism(t *testing.T) {
 		r := NewRegistry()
 		r.Add("zeta", 2)
 		r.Add("alpha", 1)
-		r.Set("gauge.b", 1, 4)
-		r.Set("gauge.a", 2, 7)
+		r.Set("gauge.b", 4)
+		r.Set("gauge.a", 7)
 		r.Observe("hist.x", 1e-5)
 		r.Observe("hist.x", 3)
 		return r
 	}
-	var a, b bytes.Buffer
-	if err := feed().Snapshot().WriteJSON(&a); err != nil {
+	a, err := json.Marshal(feed().Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := feed().Snapshot().WriteJSON(&b); err != nil {
+	b, err := json.Marshal(feed().Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.String() != b.String() {
-		t.Fatalf("snapshots differ:\n%s\nvs\n%s", a.String(), b.String())
+	if !bytes.Equal(a, b) {
+		t.Fatalf("snapshots differ:\n%s\nvs\n%s", a, b)
 	}
-	if !strings.Contains(a.String(), `"alpha"`) {
+	if !bytes.Contains(a, []byte(`"alpha"`)) {
 		t.Fatal("snapshot lost a counter")
 	}
 }
@@ -72,7 +74,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				r.Add("n", 1)
 				r.Observe("h", 0.5)
-				r.Set("g", float64(i), float64(i))
+				r.Set("g", float64(i))
 			}
 		}()
 	}
@@ -177,7 +179,12 @@ func TestSnapshotAndAdvisor(t *testing.T) {
 	c.TaskEnd(span("cpu", "MatMul", 0, 6, 9))
 	c.TaskEnd(span("prog", "ReLU", 0, 0, 1))
 	c.TaskEnd(span("residual.prog", "Conv2D", 0, 9, 10))
+	c.TaskEnd(span("residual.prog", "ReLU", 1, 0.1, 0.3))
+	c.TaskEnd(span("residual.prog", "ReLU", 1, 0.3, 0.7))
 	c.Count("sched.cpu_fallback", 3)
+	c.Sample("queue.cpu", 1, 2)
+	c.Sample("fixed.busy_units", 2, 128)
+	c.Sample("queue.cpu", 4, 0)
 
 	s := c.Snapshot()
 	if s.Makespan != 10 {
@@ -185,6 +192,39 @@ func TestSnapshotAndAdvisor(t *testing.T) {
 	}
 	if len(s.Tracks) != 3 {
 		t.Fatalf("got %d tracks, want 3: %+v", len(s.Tracks), s.Tracks)
+	}
+
+	// The registry part is derived from the spans and series: per
+	// track, starts and busy_seconds equal its stats bit for bit and
+	// span_seconds counts its spans; each gauge reads its last sample.
+	values := func(vs []NamedValue) map[string]float64 {
+		m := map[string]float64{}
+		for _, v := range vs {
+			m[v.Name] = v.Value
+		}
+		return m
+	}
+	counters, gauges := values(s.Counters), values(s.Gauges)
+	hists := map[string]HistogramSnapshot{}
+	for _, h := range s.Histograms {
+		hists[h.Name] = h
+	}
+	if len(counters) != 1+2*len(s.Tracks) || len(hists) != len(s.Tracks) || counters["sched.cpu_fallback"] != 3 {
+		t.Fatalf("registry part wrong: counters %v, histograms %d", counters, len(hists))
+	}
+	for _, ts := range s.Tracks {
+		if got := counters["starts."+ts.Track]; got != float64(ts.Spans) {
+			t.Errorf("starts.%s = %v, want %d", ts.Track, got, ts.Spans)
+		}
+		if got := counters["busy_seconds."+ts.Track]; math.Float64bits(got) != math.Float64bits(ts.BusySeconds) {
+			t.Errorf("busy_seconds.%s = %v, want %v", ts.Track, got, ts.BusySeconds)
+		}
+		if h := hists["span_seconds."+ts.Track]; h.Count != int64(ts.Spans) {
+			t.Errorf("span_seconds.%s counts %d spans, want %d", ts.Track, h.Count, ts.Spans)
+		}
+	}
+	if len(gauges) != 2 || gauges["queue.cpu"] != 0 || gauges["fixed.busy_units"] != 128 {
+		t.Fatalf("gauges %v, want each series' last sample", gauges)
 	}
 	cpu := s.Tracks[0]
 	if cpu.Track != "cpu" || cpu.BusySeconds != 9 || cpu.BusyShare != 0.9 || cpu.TopOp != "Conv2D" {
@@ -203,6 +243,74 @@ func TestSnapshotAndAdvisor(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("advice text missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestCollectorConcurrent feeds one collector from several goroutines
+// while another polls CounterValue and Snapshot, as serve's progress
+// ticks do on an instrumented job. Meaningful under -race; the totals
+// must add up, and no poll may see a counter shrink.
+func TestCollectorConcurrent(t *testing.T) {
+	c := NewCollector()
+	const workers, per = 4, 500
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		last := 0.0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := c.CounterValue("n")
+			if n < last || n > workers*per {
+				t.Errorf("polled counter %v after %v (total %d)", n, last, workers*per)
+			}
+			last = n
+			for _, ts := range c.Snapshot().Tracks {
+				if ts.Spans > workers*per {
+					t.Errorf("polled snapshot holds %d spans on %s", ts.Spans, ts.Track)
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(track string) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				s := span(track, "op", i, float64(i), float64(i)+0.5)
+				c.TaskStart(s)
+				c.TaskEnd(s)
+				c.Sample("g", float64(i), float64(i))
+				c.Count("n", 1)
+			}
+		}([]string{"cpu", "fixed"}[w%2])
+	}
+	wg.Wait()
+	close(stop)
+	<-polled
+
+	if n := c.CounterValue("n"); n != workers*per {
+		t.Fatalf("counter = %v, want %d", n, workers*per)
+	}
+	s := c.Snapshot()
+	spans, busy := 0, 0.0
+	for _, ts := range s.Tracks {
+		spans += ts.Spans
+		busy += ts.BusySeconds
+	}
+	if spans != workers*per || busy != workers*per*0.5 {
+		t.Fatalf("tracks hold %d spans and %v busy seconds, want %d and %v", spans, busy, workers*per, workers*per*0.5)
+	}
+	if len(s.Gauges) != 1 || s.Gauges[0].Value != per-1 {
+		t.Fatalf("gauges %+v, want g at its last sample %d", s.Gauges, per-1)
+	}
+	if n := len(c.Timeline().Series["g"]); n != workers*per {
+		t.Fatalf("series g holds %d samples, want %d", n, workers*per)
 	}
 }
 

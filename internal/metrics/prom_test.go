@@ -13,7 +13,7 @@ func TestWritePrometheus(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
 		r.Add("serve.requests", 3)
-		r.Set("serve.queue_depth", 0, 2)
+		r.Set("serve.queue_depth", 2)
 		r.Observe("http.seconds.post-jobs", 5e-7) // first bucket <= 1e-6
 		r.Observe("http.seconds.post-jobs", 0.5)  // bucket <= 1
 		r.Observe("http.seconds.post-jobs", 100)  // +Inf bucket

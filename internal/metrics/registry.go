@@ -10,8 +10,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -49,11 +47,6 @@ func (h *histogram) observe(v float64) {
 	}
 }
 
-// gauge keeps the last set value and when it was set.
-type gauge struct {
-	at, v float64
-}
-
 // Registry is a mutex-protected collection of named metrics. One
 // registry may be shared by concurrent simulation runs (every method is
 // atomic under the registry lock); snapshots are deterministic — all
@@ -61,7 +54,7 @@ type gauge struct {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]float64
-	gauges   map[string]gauge
+	gauges   map[string]float64
 	hists    map[string]*histogram
 }
 
@@ -69,7 +62,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]float64{},
-		gauges:   map[string]gauge{},
+		gauges:   map[string]float64{},
 		hists:    map[string]*histogram{},
 	}
 }
@@ -81,10 +74,10 @@ func (r *Registry) Add(name string, delta float64) {
 	r.mu.Unlock()
 }
 
-// Set records the named gauge's value at time `at`.
-func (r *Registry) Set(name string, at, v float64) {
+// Set records the named gauge's value.
+func (r *Registry) Set(name string, v float64) {
 	r.mu.Lock()
-	r.gauges[name] = gauge{at: at, v: v}
+	r.gauges[name] = v
 	r.mu.Unlock()
 }
 
@@ -106,15 +99,6 @@ func (r *Registry) CounterValue(name string) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.counters[name]
-}
-
-// GaugeValue reads one gauge's last set value (0 when absent). The
-// cluster router uses it to read per-replica readiness gauges back out
-// of its own registry for the status page and the clustercheck gates.
-func (r *Registry) GaugeValue(name string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name].v
 }
 
 // NamedValue is one counter or gauge in a snapshot.
@@ -151,8 +135,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	for name, v := range r.counters {
 		s.Counters = append(s.Counters, NamedValue{Name: name, Value: v})
 	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, NamedValue{Name: name, Value: g.v})
+	for name, v := range r.gauges {
+		s.Gauges = append(s.Gauges, NamedValue{Name: name, Value: v})
 	}
 	for name, h := range r.hists {
 		hs := HistogramSnapshot{
@@ -169,11 +153,4 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (s RegistrySnapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

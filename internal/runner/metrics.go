@@ -1,25 +1,20 @@
 package runner
 
-import (
-	"sync/atomic"
-	"time"
-
-	"heteropim/internal/metrics"
-)
+import "sync/atomic"
 
 // Pool utilization gauges: how many workers are executing cells right
-// now and how many accepted jobs are waiting for one. The serving
-// daemon wires its /metrics registry here at startup so shard
-// scheduling (e.g. the per-stack engines of a multi-stack run fanned
-// out through Map) is observable alongside the simulation timelines;
-// with no registry attached the accounting cost is one atomic add per
-// transition.
+// now and how many accepted jobs are waiting for one. Each transition
+// costs one atomic add, and nothing is pushed anywhere: a reader, such
+// as the serving daemon's /metrics handler at scrape time, reads the
+// counts when it reports them, so shard scheduling (e.g. the per-stack
+// engines of a multi-stack run fanned out through Map) is observable
+// alongside the simulation timelines.
 //
 // The counts aggregate across every Map call and Pool in the process —
 // the package-level view matches how the process actually loads its
 // CPUs, which is the question the gauges answer.
 
-// Gauge names exported to the metrics registry.
+// Gauge names readers export the counts under.
 const (
 	// MetricWorkersBusy is the number of runner workers (Map worker
 	// goroutines plus Pool workers executing a job) currently busy.
@@ -30,45 +25,12 @@ const (
 )
 
 var (
-	gaugeReg    atomic.Pointer[metrics.Registry]
 	busyWorkers atomic.Int64
 	queuedJobs  atomic.Int64
-	gaugeEpoch  = time.Now()
 )
-
-// SetMetricsRegistry attaches (or with nil detaches) the registry that
-// receives the runner gauges, publishing the current values immediately
-// so the series exist even on an idle process. It returns the previous
-// registry.
-func SetMetricsRegistry(r *metrics.Registry) *metrics.Registry {
-	prev := gaugeReg.Swap(r)
-	if r != nil {
-		r.Set(MetricWorkersBusy, wallSeconds(), float64(busyWorkers.Load()))
-		r.Set(MetricQueueDepth, wallSeconds(), float64(queuedJobs.Load()))
-	}
-	return prev
-}
 
 // BusyWorkers reports the current busy-worker count.
 func BusyWorkers() int { return int(busyWorkers.Load()) }
 
 // QueuedJobs reports the current queued-job count across pools.
 func QueuedJobs() int { return int(queuedJobs.Load()) }
-
-// wallSeconds is the gauge timestamp: wall-clock seconds since process
-// start (runner work is real time, not simulated time).
-func wallSeconds() float64 { return time.Since(gaugeEpoch).Seconds() }
-
-func workerDelta(d int64) {
-	v := busyWorkers.Add(d)
-	if r := gaugeReg.Load(); r != nil {
-		r.Set(MetricWorkersBusy, wallSeconds(), float64(v))
-	}
-}
-
-func queueDelta(d int64) {
-	v := queuedJobs.Add(d)
-	if r := gaugeReg.Load(); r != nil {
-		r.Set(MetricQueueDepth, wallSeconds(), float64(v))
-	}
-}

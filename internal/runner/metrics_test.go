@@ -4,22 +4,11 @@ import (
 	"context"
 	"sync"
 	"testing"
-
-	"heteropim/internal/metrics"
 )
 
 // The pool gauges must rise while work is in flight and return to zero
-// once it drains, both in the package counters and in an attached
-// metrics registry.
+// once it drains.
 func TestWorkerGaugesRiseAndFall(t *testing.T) {
-	reg := metrics.NewRegistry()
-	prev := SetMetricsRegistry(reg)
-	defer SetMetricsRegistry(prev)
-
-	if v := reg.GaugeValue(MetricWorkersBusy); v != float64(BusyWorkers()) {
-		t.Fatalf("attach did not publish workers_busy: registry %g, package %d", v, BusyWorkers())
-	}
-
 	release := make(chan struct{})
 	var peak int
 	var mu sync.Mutex
@@ -53,16 +42,9 @@ func TestWorkerGaugesRiseAndFall(t *testing.T) {
 	if b := BusyWorkers(); b != 0 {
 		t.Errorf("workers still busy after Map returned: %d", b)
 	}
-	if v := reg.GaugeValue(MetricWorkersBusy); v != 0 {
-		t.Errorf("registry workers_busy %g after drain, want 0", v)
-	}
 }
 
 func TestQueueDepthGauge(t *testing.T) {
-	reg := metrics.NewRegistry()
-	prev := SetMetricsRegistry(reg)
-	defer SetMetricsRegistry(prev)
-
 	p := NewPool(1, 8)
 	block := make(chan struct{})
 	started := make(chan struct{})
@@ -78,17 +60,11 @@ func TestQueueDepthGauge(t *testing.T) {
 	if q := QueuedJobs(); q < 3 {
 		t.Errorf("queued jobs %d with a blocked worker, want >= 3", q)
 	}
-	if v := reg.GaugeValue(MetricQueueDepth); v < 3 {
-		t.Errorf("registry queue_depth %g, want >= 3", v)
-	}
 	close(block)
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if q := QueuedJobs(); q != 0 {
 		t.Errorf("queued jobs %d after drain, want 0", q)
-	}
-	if v := reg.GaugeValue(MetricQueueDepth); v != 0 {
-		t.Errorf("registry queue_depth %g after drain, want 0", v)
 	}
 }

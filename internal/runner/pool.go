@@ -65,12 +65,12 @@ func NewPool(workers, capacity int) *Pool {
 			defer p.wg.Done()
 			for job := range p.queue {
 				p.depth.Add(-1)
-				queueDelta(-1)
+				queuedJobs.Add(-1)
 				p.running.Add(1)
-				workerDelta(1)
+				busyWorkers.Add(1)
 				job(p.ctx)
 				p.running.Add(-1)
-				workerDelta(-1)
+				busyWorkers.Add(-1)
 			}
 		}()
 	}
@@ -89,7 +89,7 @@ func (p *Pool) Submit(job func(context.Context)) error {
 	select {
 	case p.queue <- job:
 		p.depth.Add(1)
-		queueDelta(1)
+		queuedJobs.Add(1)
 		return nil
 	default:
 		return ErrQueueFull

@@ -81,8 +81,8 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 	}
 	out := make([]T, n)
 	if workers == 1 {
-		workerDelta(1)
-		defer workerDelta(-1)
+		busyWorkers.Add(1)
+		defer busyWorkers.Add(-1)
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return out, err
@@ -111,10 +111,10 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 			defer wg.Done()
 			// One busy-gauge transition per worker lifetime, not per
 			// cell: Map workers exit as soon as the cells run out, so
-			// the gauge tracks real occupancy without putting a
-			// registry update on the per-cell hot path.
-			workerDelta(1)
-			defer workerDelta(-1)
+			// the gauge tracks real occupancy without putting an
+			// atomic add on the per-cell hot path.
+			busyWorkers.Add(1)
+			defer busyWorkers.Add(-1)
 			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {

@@ -85,12 +85,6 @@ func New(opts Options) *Server {
 		peerAsk:    opts.PeerAsk,
 		jobs:       map[string]*Job{},
 	}
-	// Expose the runner's process-wide pool gauges (workers busy, queue
-	// depth) through this server's /metrics. The gauges are global to
-	// the process, so with several in-process replicas (the cluster
-	// harness) the most recent server's registry receives them — each
-	// replica still reports the same process-wide truth.
-	runner.SetMetricsRegistry(s.reg)
 	s.mux.HandleFunc("POST /v1/jobs", s.route("post_jobs", s.handleSubmit))
 	s.mux.HandleFunc("POST /v1/scenarios", s.route("post_scenarios", s.handleScenarios))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.route("get_job", s.handleJob))
@@ -225,7 +219,6 @@ func (s *Server) admit(c cell) (JobStatus, int, error) {
 		s.reg.Add("serve.rejected_draining", 1)
 		return JobStatus{}, http.StatusServiceUnavailable, err
 	}
-	s.reg.Set("serve.queue_depth", 0, float64(s.pool.QueueDepth()))
 	return j.Status(), http.StatusAccepted, nil
 }
 
@@ -309,7 +302,6 @@ func (s *Server) remove(id string) {
 
 // execute runs one job on a pool worker.
 func (s *Server) execute(j *Job, deadline time.Time) {
-	s.reg.Set("serve.queue_depth", 0, float64(s.pool.QueueDepth()))
 	if time.Now().After(deadline) {
 		// Queue-wait timeouts are transient: drop the record so a
 		// resubmission is not deduplicated onto this failure.
@@ -491,24 +483,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	s.reg.Set("serve.queue_depth", 0, float64(s.pool.QueueDepth()))
-	s.reg.Set("serve.queue_capacity", 0, float64(s.pool.Capacity()))
-	s.reg.Set("serve.workers", 0, float64(s.pool.NumWorkers()))
-	s.reg.Set("serve.jobs_queued", 0, float64(queued))
-	s.reg.Set("serve.jobs_running", 0, float64(running))
-	s.reg.Set("serve.jobs_done", 0, float64(done))
-	s.reg.Set("serve.jobs_failed_state", 0, float64(failed))
-	s.reg.Set("serve.uptime_seconds", 0, time.Since(s.start).Seconds())
-	// Runner-level pool utilization (process-wide): refreshed at scrape
-	// time on top of the transition-driven updates, so a scrape always
-	// sees the current occupancy.
-	s.reg.Set(runner.MetricWorkersBusy, 0, float64(runner.BusyWorkers()))
-	s.reg.Set(runner.MetricQueueDepth, 0, float64(runner.QueuedJobs()))
+	s.reg.Set("serve.queue_depth", float64(s.pool.QueueDepth()))
+	s.reg.Set("serve.queue_capacity", float64(s.pool.Capacity()))
+	s.reg.Set("serve.workers", float64(s.pool.NumWorkers()))
+	s.reg.Set("serve.jobs_queued", float64(queued))
+	s.reg.Set("serve.jobs_running", float64(running))
+	s.reg.Set("serve.jobs_done", float64(done))
+	s.reg.Set("serve.jobs_failed_state", float64(failed))
+	s.reg.Set("serve.uptime_seconds", time.Since(s.start).Seconds())
+	// Runner-level pool utilization, process-wide: the runner keeps
+	// only its two counters, read here at scrape time.
+	s.reg.Set(runner.MetricWorkersBusy, float64(runner.BusyWorkers()))
+	s.reg.Set(runner.MetricQueueDepth, float64(runner.QueuedJobs()))
 	st := heteropim.SimulationCacheStats()
-	s.reg.Set("simcache.hits", 0, float64(st.Hits))
-	s.reg.Set("simcache.misses", 0, float64(st.Misses))
-	s.reg.Set("simcache.disk_hits", 0, float64(st.DiskHits))
-	s.reg.Set("simcache.bytes", 0, float64(st.Bytes))
+	s.reg.Set("simcache.hits", float64(st.Hits))
+	s.reg.Set("simcache.misses", float64(st.Misses))
+	s.reg.Set("simcache.disk_hits", float64(st.DiskHits))
+	s.reg.Set("simcache.bytes", float64(st.Bytes))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.Snapshot().WritePrometheus(w)

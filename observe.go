@@ -9,8 +9,10 @@ import (
 )
 
 // Metrics holds the observability data of one instrumented run: the
-// per-device timeline and the metrics registry (counters, gauges,
-// histograms). It is safe for concurrent use.
+// per-device timeline, the gauge series and the counters. The metrics
+// registry (counters, last gauge values, histograms) is derived from
+// them when WriteJSON or Advice reads the run. It is safe for
+// concurrent use.
 type Metrics struct {
 	c *metrics.Collector
 }
@@ -45,11 +47,14 @@ func NewMetrics() *Metrics {
 	return &Metrics{c: metrics.NewCollector()}
 }
 
-// CounterValue reads one registry counter (0 when absent). Counters of
-// an in-flight instrumented Simulate grow monotonically, so polling this is a
-// cheap progress signal ("sim.events" counts processed engine events).
+// CounterValue reads one counter the run counts (0 when absent): the
+// scheduling counters (sched.*) and "sim.events", the processed engine
+// events. The per-track entries (starts.*, busy_seconds.*) are derived
+// when WriteJSON snapshots the run, not counted, so they read 0 here.
+// Counters of an in-flight instrumented Simulate grow monotonically,
+// so polling this is a cheap progress signal.
 func (m *Metrics) CounterValue(name string) float64 {
-	return m.c.Registry().CounterValue(name)
+	return m.c.CounterValue(name)
 }
 
 // ConfigNames lists the flag-style platform names ParseConfig accepts,
