@@ -47,19 +47,37 @@ import (
 // pruning on `bound > incumbent` can never discard a true winner (see
 // the equivalence test across all models in dse_test.go).
 //
-// StepTimeLowerBound is prepareBound(g, opts).eval(cfg); an exploration
-// pricing many configurations of one graph prepares once.
+// StepTimeLowerBound is prepareBound(g, opts).price(cfg).at(units); an
+// exploration pricing many configurations of one graph prepares once and
+// prices once per group of configurations that differ only in units.
 func StepTimeLowerBound(g *nn.Graph, cfg hw.SystemConfig, opts core.Options) hw.Seconds {
-	return prepareBound(g, opts).eval(cfg)
+	return prepareBound(g, opts).price(cfg).at(cfg.FixedPIM.Units)
+}
+
+// candidateBounds returns StepTimeLowerBound of every candidate of an
+// exploration of g. It prepares the bound once and prices it once per
+// group; at prices each member's unit budget.
+func candidateBounds(g *nn.Graph, opts core.Options, cands []Candidate) []hw.Seconds {
+	lb := prepareBound(g, opts)
+	priced := map[groupKey]*pricedBound{}
+	bounds := make([]hw.Seconds, len(cands))
+	for i, c := range cands {
+		p := priced[c.group()]
+		if p == nil {
+			p = lb.price(c.Config())
+			priced[c.group()] = p
+		}
+		bounds[i] = p.at(c.Units)
+	}
+	return bounds
 }
 
 // preparedBound is StepTimeLowerBound split at the hardware: everything
 // that depends only on the graph and the options — the pipeline shape,
 // the flop and byte totals, the topological order, each op's profile and
-// fixed-function work volume — is computed once by prepareBound, and
-// eval prices one configuration against it with the same expressions,
-// in the same order, as an unprepared bound would. eval only reads the
-// prepared value.
+// fixed-function work volume — is computed once by prepareBound. price
+// and at then compute each time with the same expressions, in the same
+// order, as an unprepared bound would. Neither writes the prepared value.
 type preparedBound struct {
 	g            *nn.Graph
 	steps, depth int
@@ -134,77 +152,108 @@ func prepareBound(g *nn.Graph, opts core.Options) *preparedBound {
 	return b
 }
 
-// eval returns the bound on cfg.
-func (b *preparedBound) eval(cfg hw.SystemConfig) hw.Seconds {
+// pricedBound is a preparedBound priced on one configuration but for
+// its unit budget, which at takes: it serves every configuration that
+// differs from that one only in FixedPIM.Units. at reuses dist, so a
+// pricedBound serves one goroutine.
+type pricedBound struct {
+	b *preparedBound
+	// Capacity: the peak without the fixed pool, the pool's flops per
+	// unit-cycle and clock, and the traffic's time at the channel peaks.
+	peak, unitFlops, freq, memTime float64
+	ops                            []pricedOp // indexed by op ID
+	dist                           []hw.Seconds
+	// Sharded runs: the all-reduce time and shard 0's priced bound.
+	ar    hw.Seconds
+	shard *pricedBound
+}
+
+// pricedOp is one op's unit-independent floors: whole is its fastest
+// whole-op time (CPU, or the programmable PIM on every processor); for
+// a fixed-eligible op, res is the cheaper residual, and rate and bw
+// price its sections.
+type pricedOp struct {
+	whole, res hw.Seconds
+	fixed      bool
+	rate, bw   float64
+}
+
+// price prices the bound on cfg except for cfg.FixedPIM.Units.
+func (b *preparedBound) price(cfg hw.SystemConfig) *pricedBound {
+	p := &pricedBound{b: b}
 	if b.stacks > 1 {
-		var ar hw.Seconds
 		if t, _, err := core.AllReduceStepTime(b.sched, b.stacks, b.g.ParamBytes, cfg.Link); err == nil {
-			ar = t
+			p.ar = t
 		}
-		if b.shard == nil {
-			return ar
+		if b.shard != nil {
+			p.shard = b.shard.price(cfg)
 		}
-		return b.shard.eval(cfg) + ar
+		return p
 	}
+	p.peak = 2*cfg.CPU.Peak() + cfg.ProgPIM.Peak()
+	p.unitFlops, p.freq = cfg.FixedPIM.FlopsPerUnitCycle, cfg.Stack.EffectiveFreq()
+	p.memTime = b.bytes / (2*cfg.CPU.MemBandwidth + 2*cfg.Stack.ScaledInternalBandwidth())
+	p.ops = make([]pricedOp, len(b.ops))
+	p.dist = make([]hw.Seconds, len(b.ops))
+	for _, op := range b.g.Ops {
+		prof := &b.ops[op.ID].prof
+		o := &p.ops[op.ID]
+		o.whole = device.CPUOp(op, prof, cfg.CPU).Time()
+		if prof.ProgEligible && cfg.ProgPIM.Processors > 0 {
+			if t := device.ProgOp(op, prof, cfg.ProgPIM, cfg.ProgPIM.Processors, cfg.Stack).Time(); t < o.whole {
+				o.whole = t
+			}
+		}
+		if o.fixed = prof.FixedEligible; !o.fixed {
+			continue
+		}
+		o.rate, o.bw = device.FixedUnitRate(prof, cfg.FixedPIM, cfg.Stack), device.FixedBandwidth(prof, cfg.Stack)
+		o.res = device.CPUResidual(op, prof, cfg.CPU).Time()
+		if cfg.ProgPIM.Processors > 0 {
+			if t := device.ProgResidual(op, prof, cfg.ProgPIM, cfg.Stack).Time(); t < o.res {
+				o.res = t
+			}
+		}
+	}
+	return p
+}
 
-	// Relaxation 1: aggregate capacity.
-	peak := 2*cfg.CPU.Peak() + cfg.ProgPIM.Peak() +
-		float64(cfg.FixedPIM.Units)*cfg.FixedPIM.FlopsPerUnitCycle*cfg.Stack.EffectiveFreq()
-	bw := 2*cfg.CPU.MemBandwidth + 2*cfg.Stack.ScaledInternalBandwidth()
-	capacity := math.Max(b.flops/peak, b.bytes/bw)
-
-	// Relaxation 2: critical path of per-op best-case durations.
-	cp := b.criticalPath(&cfg)
+// at returns the bound with units fixed-function units: the max of the
+// aggregate capacity and the pipelined critical path of per-op floors.
+// An op's floor is its fastest path, excluding every overhead: whole,
+// or its section time on the whole pool plus its residual.
+func (p *pricedBound) at(units int) hw.Seconds {
+	b := p.b
+	if b.stacks > 1 {
+		if p.shard == nil {
+			return p.ar
+		}
+		return p.shard.at(units) + p.ar
+	}
+	peak := p.peak + float64(units)*p.unitFlops*p.freq
+	capacity := math.Max(b.flops/peak, p.memTime)
+	var cp hw.Seconds
+	for _, id := range b.order {
+		var in hw.Seconds
+		for _, dep := range b.g.Ops[id].Inputs {
+			if p.dist[dep] > in {
+				in = p.dist[dep]
+			}
+		}
+		o, w := &p.ops[id], &b.ops[id]
+		best := o.whole
+		if o.fixed && units > 0 {
+			if t := device.FixedSectionTime(w.df, w.db, units, o.rate, o.bw) + o.res; t < best {
+				best = t
+			}
+		}
+		p.dist[id] = in + best
+		if p.dist[id] > cp {
+			cp = p.dist[id]
+		}
+	}
 	pipelined := cp * hw.Seconds(ceilDiv(b.steps, b.depth)) / hw.Seconds(b.steps)
-
 	return hw.Seconds(math.Max(capacity, float64(pipelined)))
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// opFloor is the fastest any modeled path can execute op, excluding
-// every overhead.
-func (b *preparedBound) opFloor(op *nn.Op, cfg *hw.SystemConfig) hw.Seconds {
-	o := &b.ops[op.ID]
-	prof := &o.prof
-	best := device.CPUOp(op, prof, cfg.CPU).Time()
-	if prof.ProgEligible && cfg.ProgPIM.Processors > 0 {
-		if t := device.ProgOp(op, prof, cfg.ProgPIM, cfg.ProgPIM.Processors, cfg.Stack).Time(); t < best {
-			best = t
-		}
-	}
-	if prof.FixedEligible && cfg.FixedPIM.Units > 0 {
-		sect := device.FixedSectionTime(o.df, o.db, cfg.FixedPIM.Units,
-			device.FixedUnitRate(prof, cfg.FixedPIM, cfg.Stack), device.FixedBandwidth(prof, cfg.Stack))
-		res := device.CPUResidual(op, prof, cfg.CPU).Time()
-		if cfg.ProgPIM.Processors > 0 {
-			if t := device.ProgResidual(op, prof, cfg.ProgPIM, cfg.Stack).Time(); t < res {
-				res = t
-			}
-		}
-		if t := sect + res; t < best {
-			best = t
-		}
-	}
-	return best
-}
-
-// criticalPath is the longest Inputs-edge chain of opFloor durations.
-func (b *preparedBound) criticalPath(cfg *hw.SystemConfig) hw.Seconds {
-	dist := make([]hw.Seconds, len(b.g.Ops))
-	var cp hw.Seconds
-	for _, id := range b.order {
-		op := b.g.Ops[id]
-		var in hw.Seconds
-		for _, dep := range op.Inputs {
-			if dist[dep] > in {
-				in = dist[dep]
-			}
-		}
-		dist[id] = in + b.opFloor(op, cfg)
-		if dist[id] > cp {
-			cp = dist[id]
-		}
-	}
-	return cp
-}

@@ -1,10 +1,6 @@
 package batch
 
-import (
-	"fmt"
-
-	"heteropim/internal/hw"
-)
+import "heteropim/internal/hw"
 
 // Reference-calibrated admissible bound. Within one (FreqScale,
 // ProgProcessors) group the only knob left is the fixed-function unit
@@ -38,27 +34,20 @@ type calObs struct {
 	obj   hw.Seconds
 }
 
-// calibrator accumulates simulated objectives per (FreqScale,
-// ProgProcessors) group and serves calibrated bounds. It is only
-// touched from the exploration's sequential sections (between Eval
-// barriers), so it needs no locking.
+// calibrator accumulates simulated objectives per group (groupKey) and
+// serves calibrated bounds. It is only touched from the exploration's
+// sequential sections (between Eval barriers), so it needs no locking.
 type calibrator struct {
-	groups map[string][]calObs
+	groups map[groupKey][]calObs
 }
 
 func newCalibrator() *calibrator {
-	return &calibrator{groups: map[string][]calObs{}}
-}
-
-// calKey buckets a candidate into its calibration group — the same key
-// the delta layer shares checkpoints under.
-func calKey(c Candidate) string {
-	return fmt.Sprintf("%g|%d", c.FreqScale, c.ProgProcessors)
+	return &calibrator{groups: map[groupKey][]calObs{}}
 }
 
 // observe records a simulated objective.
 func (cal *calibrator) observe(c Candidate, obj hw.Seconds) {
-	k := calKey(c)
+	k := c.group()
 	cal.groups[k] = append(cal.groups[k], calObs{units: c.Units, obj: obj})
 }
 
@@ -70,7 +59,7 @@ func (cal *calibrator) observe(c Candidate, obj hw.Seconds) {
 // bound.
 func (cal *calibrator) bound(c Candidate) hw.Seconds {
 	var b hw.Seconds
-	for _, o := range cal.groups[calKey(c)] {
+	for _, o := range cal.groups[c.group()] {
 		if o.units >= c.Units {
 			if v := o.obj / dominanceSlack; v > b {
 				b = v

@@ -11,6 +11,7 @@ import (
 	"heteropim/internal/core"
 	"heteropim/internal/hw"
 	"heteropim/internal/nn"
+	"heteropim/internal/runner"
 )
 
 // Candidate is one point of the hardware design space: a fixed-function
@@ -34,6 +35,16 @@ func (c Candidate) Config() hw.SystemConfig {
 func (c Candidate) String() string {
 	return fmt.Sprintf("%du/%gx/%dP", c.Units, c.FreqScale, c.ProgProcessors)
 }
+
+// groupKey names a candidate's group: the candidates that differ only in
+// their unit budget. Priced bounds, calibration, group references and
+// delta checkpoints are kept per group.
+type groupKey struct {
+	freq  float64
+	procs int
+}
+
+func (c Candidate) group() groupKey { return groupKey{c.FreqScale, c.ProgProcessors} }
 
 // Explored is one explored candidate. Result is only valid when Simulated
 // is true; a pruned candidate carries just its bound.
@@ -146,18 +157,18 @@ type deltaGroup struct {
 type deltaManager struct {
 	deep   bool
 	mu     sync.Mutex
-	groups map[string]*deltaGroup
+	groups map[groupKey]*deltaGroup
 
 	checkpoints atomic.Int64
 	replays     atomic.Int64
 	shared      atomic.Uint64
 }
 
-func (m *deltaManager) group(key string) *deltaGroup {
+func (m *deltaManager) group(key groupKey) *deltaGroup {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.groups == nil {
-		m.groups = make(map[string]*deltaGroup)
+		m.groups = make(map[groupKey]*deltaGroup)
 	}
 	e := m.groups[key]
 	if e == nil {
@@ -175,7 +186,7 @@ func (m *deltaManager) group(key string) *deltaGroup {
 func (m *deltaManager) run(g *nn.Graph, c Candidate) (core.Result, error) {
 	cfg := c.Config()
 	opts := core.HeteroOptions()
-	e := m.group(calKey(c))
+	e := m.group(c.group())
 	e.once.Do(func() {
 		e.baseUnits = c.Units
 		if m.deep {
@@ -269,21 +280,20 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 	r.Add("dse.candidates", float64(len(cands)))
 
 	ex := Exploration{Evals: make([]Explored, len(cands))}
-	lb := prepareBound(g, opts)
-	for i, c := range cands {
-		ex.Evals[i] = Explored{Candidate: c, Bound: lb.eval(c.Config())}
+	for i, b := range candidateBounds(g, opts, cands) {
+		ex.Evals[i] = Explored{Candidate: cands[i], Bound: b}
 	}
 	// Group references for the calibrated bound: the LARGEST unit budget
-	// of each (FreqScale, ProgProcessors) group (ties to the earliest
-	// input position). Simulating a reference certifies a calibrated
-	// bound for its whole group, so references go first in every round.
+	// of each group (ties to the earliest input position). Simulating a
+	// reference certifies a calibrated bound for its whole group, so
+	// references go first in every round.
 	var cal *calibrator
 	isRef := make([]bool, len(cands))
 	if dopts.Calibrate {
 		cal = newCalibrator()
-		refIdx := map[string]int{}
+		refIdx := map[groupKey]int{}
 		for i, c := range cands {
-			k := calKey(c)
+			k := c.group()
 			if j, ok := refIdx[k]; !ok || c.Units > cands[j].Units {
 				refIdx[k] = i
 			}
@@ -293,21 +303,33 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 		}
 	}
 	// Canonical order: references first (when calibrating), then bound
-	// ascending, input position breaking ties.
+	// ascending, input position breaking ties. Once the surrogate fits,
+	// rounds also order by confidence and prediction (see below).
 	remaining := make([]int, len(cands))
 	for i := range remaining {
 		remaining[i] = i
 	}
-	sort.SliceStable(remaining, func(a, b int) bool {
+	incumbent := math.Inf(1)
+	pred := make([]float64, len(cands))
+	confident, spread := false, 0.0
+	likelyPrunable := func(idx int) bool { return confident && pred[idx]-2*spread > incumbent }
+	less := func(a, b int) bool {
 		ia, ib := remaining[a], remaining[b]
 		if isRef[ia] != isRef[ib] {
 			return isRef[ia]
+		}
+		if pa, pb := likelyPrunable(ia), likelyPrunable(ib); pa != pb {
+			return pb
+		}
+		if pred[ia] != pred[ib] {
+			return pred[ia] < pred[ib]
 		}
 		if ex.Evals[ia].Bound != ex.Evals[ib].Bound {
 			return ex.Evals[ia].Bound < ex.Evals[ib].Bound
 		}
 		return ia < ib
-	})
+	}
+	sort.SliceStable(remaining, less)
 
 	// Seed the surrogate from the cross-run result corpus: cells this
 	// process (or a previous run, via the disk tier) already simulated
@@ -315,11 +337,8 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 	// incumbent — cached cells still count as simulations when reached.
 	sur := &surrogate{}
 	if dopts.Surrogate {
-		for i, c := range cands {
-			if res, ok := core.PeekPIMResult(g, c.Config(), opts); ok {
-				sur.add(cands[i], res.StepTime)
-				ex.SeededFromCache++
-			}
+		if ex.SeededFromCache, err = seedSurrogate(ctx, sur, g, cands, opts); err != nil {
+			return Exploration{}, err
 		}
 		sur.fit()
 	}
@@ -328,7 +347,6 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 		mgr = &deltaManager{deep: dopts.DeepDelta}
 	}
 
-	incumbent := math.Inf(1)
 	winner := -1
 	group := GroupKey(g.Model, g.BatchSize, opts.Steps, opts.OP, opts.PipelineDepth)
 	firstBlock := true
@@ -338,7 +356,6 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 		// (bound, position) order built above is maintained by the
 		// in-place filtering below.
 		if sur.fitted {
-			pred := make(map[int]float64, len(remaining))
 			for _, idx := range remaining {
 				pred[idx] = sur.predict(cands[idx])
 			}
@@ -348,29 +365,10 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 			// incumbent or the calibration, so batching them last
 			// maximizes the chance they are pruned instead of simulated.
 			// Ordering only; admissibility still gates the actual prune.
-			likelyPrunable := func(int) bool { return false }
-			if dopts.Confidence && !math.IsInf(incumbent, 1) {
-				spread := sur.residualSpread()
-				likelyPrunable = func(idx int) bool {
-					return pred[idx]-2*spread > incumbent
-				}
+			if confident = dopts.Confidence && !math.IsInf(incumbent, 1); confident {
+				spread = sur.residualSpread()
 			}
-			sort.SliceStable(remaining, func(a, b int) bool {
-				ia, ib := remaining[a], remaining[b]
-				if isRef[ia] != isRef[ib] {
-					return isRef[ia]
-				}
-				if pa, pb := likelyPrunable(ia), likelyPrunable(ib); pa != pb {
-					return pb
-				}
-				if pred[ia] != pred[ib] {
-					return pred[ia] < pred[ib]
-				}
-				if ex.Evals[ia].Bound != ex.Evals[ib].Bound {
-					return ex.Evals[ia].Bound < ex.Evals[ib].Bound
-				}
-				return ia < ib
-			})
+			sort.SliceStable(remaining, less)
 		}
 		// The first block is a single candidate: it warms the model's
 		// profile cache entry (the Eval leader mechanism) and — being
@@ -485,4 +483,26 @@ func ExploreDSE(ctx context.Context, model nn.ModelName, cands []Candidate, dopt
 	}
 	ex.Winner = ex.Evals[winner]
 	return ex, nil
+}
+
+// seedSurrogate adds to sur every candidate the result cache holds, in
+// input order, and returns how many it held. The peeks run on the
+// worker pool: each one encodes its configuration to address the cache.
+func seedSurrogate(ctx context.Context, sur *surrogate, g *nn.Graph, cands []Candidate, opts core.Options) (int, error) {
+	type peek struct {
+		step hw.Seconds
+		ok   bool
+	}
+	peeks, err := runner.Map(ctx, len(cands), 0, func(_ context.Context, i int) (peek, error) {
+		res, ok := core.PeekPIMResult(g, cands[i].Config(), opts)
+		return peek{res.StepTime, ok}, nil
+	})
+	seeded := 0
+	for i, p := range peeks {
+		if p.ok {
+			sur.add(cands[i], p.step)
+			seeded++
+		}
+	}
+	return seeded, err
 }

@@ -3,6 +3,7 @@ package batch
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -147,26 +148,38 @@ func TestExploreRejectsEmptySpace(t *testing.T) {
 // per PLL point, a geometric unit ladder from the thermal maximum down
 // to an eighth of it, crossed with the processor counts.
 func gridCandidates(t *testing.T) []Candidate {
-	t.Helper()
+	return ladderCandidates(t, []float64{0.5, 1, 2, 4}, 6, 8, []int{1, 4})
+}
+
+// xlCandidates is the pimdse XL grid (2232 candidates).
+func xlCandidates(tb testing.TB) []Candidate {
+	return ladderCandidates(tb, []float64{0.5, 0.75, 1, 1.25, 1.5, 2, 2.5, 3, 3.5, 4}, 96, 64, []int{1, 2, 4})
+}
+
+// ladderCandidates builds, per PLL point, a rungs-rung geometric unit
+// ladder from the thermal maximum down to 1/span of it, crossed with
+// the processor counts.
+func ladderCandidates(tb testing.TB, freqs []float64, rungs int, span float64, procs []int) []Candidate {
+	tb.Helper()
 	stack, err := hmc.New(hw.PaperStack(1))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var cands []Candidate
-	for _, freq := range []float64{0.5, 1, 2, 4} {
+	for _, freq := range freqs {
 		maxUnits, err := thermal.MaxUnitsUnderCap(stack, thermal.DRAMThermalCap, freq)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		prev := 0
-		for r := 0; r < 6; r++ {
-			units := int(float64(maxUnits)*math.Pow(1.0/8, float64(r)/5) + 0.5)
+		for r := 0; r < rungs; r++ {
+			units := int(float64(maxUnits)*math.Pow(1/span, float64(r)/float64(rungs-1)) + 0.5)
 			if units < 1 || units == prev {
 				continue
 			}
 			prev = units
-			for _, procs := range []int{1, 4} {
-				cands = append(cands, Candidate{Units: units, FreqScale: freq, ProgProcessors: procs})
+			for _, p := range procs {
+				cands = append(cands, Candidate{Units: units, FreqScale: freq, ProgProcessors: p})
 			}
 		}
 	}
@@ -343,3 +356,114 @@ func TestConcurrentExploreSharesGraph(t *testing.T) {
 		t.Errorf("%d concurrent explorations built %d graphs, want one each", len(modes), b)
 	}
 }
+
+// TestExploreBoundsMatchLowerBound: an exploration prices its bound once
+// per (FreqScale, ProgProcessors) group, so every candidate's bound must
+// carry the bits of its own StepTimeLowerBound. The candidates of one
+// unit budget come together, so neighbours belong to different groups,
+// and a candidate priced with another group's table fails.
+func TestExploreBoundsMatchLowerBound(t *testing.T) {
+	g, err := nn.Build(nn.AlexNetName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cands []Candidate
+	for _, units := range []int{111, 222, 444, 888} {
+		for _, freq := range []float64{1, 2} {
+			for _, procs := range []int{0, 1, 4} {
+				cands = append(cands, Candidate{Units: units, FreqScale: freq, ProgProcessors: procs})
+			}
+		}
+	}
+	for _, stacks := range []int{1, 2} {
+		opts := core.HeteroOptions()
+		if stacks > 1 {
+			opts.Stacks, opts.AllReduce = stacks, core.ReduceRing
+		}
+		ex, err := ExploreDSE(context.Background(), nn.AlexNetName, cands, DSEOptions{Prune: true, Calibrate: true, Stacks: stacks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cands {
+			want := StepTimeLowerBound(g, c.Config(), opts)
+			if got := ex.Evals[i].Bound; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("stacks=%d %v: exploration bound %#x, StepTimeLowerBound %#x",
+					stacks, c, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestConcurrentSurrogateSeeding: the seeding peeks run on the worker
+// pool, and two explorations may seed at once. Each must add exactly
+// the observations of a sequential peek loop, in input order, and count
+// the same hits.
+func TestConcurrentSurrogateSeeding(t *testing.T) {
+	defer core.EnableResultCache(core.EnableResultCache(true))
+	g, err := nn.Build(nn.AlexNetName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.HeteroOptions()
+	cands := gridCandidates(t)
+	for i := 0; i < len(cands); i += 3 {
+		if _, err := core.RunPIM(g, cands[i].Config(), opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [2]surrogate
+	var seeded [2]int
+	var errs [2]error
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seeded[k], errs[k] = seedSurrogate(context.Background(), &got[k], g, cands, opts)
+		}()
+	}
+	wg.Wait()
+	var want surrogate
+	wantSeeded := 0
+	for _, c := range cands {
+		if res, ok := core.PeekPIMResult(g, c.Config(), opts); ok {
+			want.add(c, res.StepTime)
+			wantSeeded++
+		}
+	}
+	if wantSeeded < (len(cands)+2)/3 {
+		t.Fatalf("sequential peeks found %d of %d candidates, want at least the %d warmed",
+			wantSeeded, len(cands), (len(cands)+2)/3)
+	}
+	for k := range got {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+		if seeded[k] != wantSeeded {
+			t.Errorf("seeding %d counted %d hits, sequential %d", k, seeded[k], wantSeeded)
+		}
+		if !slices.Equal(got[k].obs, want.obs) {
+			t.Errorf("seeding %d: %d observations differ from the sequential loop's %d", k, len(got[k].obs), len(want.obs))
+		}
+	}
+}
+
+// BenchmarkExploreBound prices VGG-19's XL candidates as ExploreDSE
+// does: prepare the bound once, price it once per group and bound each
+// candidate's unit budget. It reports ns/candidate.
+func BenchmarkExploreBound(b *testing.B) {
+	g, err := nn.Build(nn.VGG19Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.HeteroOptions()
+	cands := xlCandidates(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		boundSink = candidateBounds(g, opts, cands)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cands)), "ns/candidate")
+}
+
+// boundSink keeps BenchmarkExploreBound's result live.
+var boundSink []hw.Seconds

@@ -992,11 +992,13 @@ func (x *exec) requestSection(t *task) {
 	x.runSection(t, c, granted)
 }
 
-// popFixedPending removes the head of the fixed-pool wait queue.
+// popFixedPending removes the head of the fixed-pool wait queue. Like
+// serialDevice.pop it also compacts a mostly consumed queue, since a
+// contended pool's queue may never drain.
 func (x *exec) popFixedPending() {
 	x.fixedHead++
-	if x.fixedHead == len(x.fixedPending) {
-		x.fixedPending = x.fixedPending[:0]
+	if x.fixedHead == len(x.fixedPending) || x.fixedHead > 32 && x.fixedHead*2 > len(x.fixedPending) {
+		x.fixedPending = x.fixedPending[:copy(x.fixedPending, x.fixedPending[x.fixedHead:])]
 		x.fixedHead = 0
 	}
 }

@@ -227,3 +227,31 @@ func TestUnknownEventKindFailsRun(t *testing.T) {
 		t.Errorf("PIM run with an event of unknown kind: err = %v, want an unknown-kind error", err)
 	}
 }
+
+// TestFixedWaitQueueBounded: under a contended pool the fixed-pool wait
+// queue may never drain, so a pop that recycled the array only on
+// draining let it grow with every wait of the run. Each run's queue must
+// stay within its task count.
+func TestFixedWaitQueueBounded(t *testing.T) {
+	for _, model := range []nn.ModelName{nn.VGG19Name, nn.AlexNetName, nn.ResNet50Name} {
+		g, err := nn.Build(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, units := range []int{60, 120, 444} {
+			cfg := hw.PaperConfig(hw.ConfigHeteroPIM)
+			cfg.FixedPIM = hw.PaperFixedPIM(units)
+			x, err := newExec(g, cfg, HeteroOptions().withDefaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.seed()
+			if _, err := x.drainRun(); err != nil {
+				t.Fatal(err)
+			}
+			if c := cap(x.fixedPending); c > len(x.tasks) {
+				t.Errorf("%s, %d units: wait queue capacity %d exceeds the run's %d tasks", model, units, c, len(x.tasks))
+			}
+		}
+	}
+}
